@@ -70,7 +70,6 @@ class Scenario:
     seed: int = 0
     ccp_max_iters: int = 10
     ccp_tol: float = 1e-4
-    inner_tol: float = 1e-8
     inner_max_iters: int = 10000
 
     def config(self):
@@ -84,7 +83,6 @@ class Scenario:
                 pt_dbm=self.pt_dbm,
                 sigma2_dbm=self.sigma2_dbm,
                 exponent=self.pathloss_exponent,
-                seed=self.seed,
             )
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
@@ -94,7 +92,6 @@ class Scenario:
             return SolverSettings(
                 ccp_max_iters=self.ccp_max_iters,
                 ccp_tol=self.ccp_tol,
-                inner_tol=self.inner_tol,
                 inner_max_iters=self.inner_max_iters,
             )
         except ValueError as exc:
@@ -179,7 +176,7 @@ def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -366,7 +363,6 @@ def run_convergence(scenario, out_dir, configs=DEFAULT_CONVERGENCE_CONFIGS):
             pt_dbm=scenario.pt_dbm,
             sigma2_dbm=scenario.sigma2_dbm,
             exponent=scenario.pathloss_exponent,
-            seed=scenario.seed,
         )
         rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         ch = sample_channels(rng, n_bs, m1, m2)
@@ -464,7 +460,8 @@ def _add_common(parser):
     parser.add_argument("--mu-steps", type=int, default=None, dest="mu_steps",
                         help="override the rate-weight grid size")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for independent trials")
+                        help="worker processes for independent trials "
+                             "(>= 1; capped at the trial and CPU counts)")
 
 
 def main(argv=None):
@@ -483,6 +480,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.workers < 1:
+            raise ScenarioError("workers must be >= 1")
         scenario = load_scenario(
             args.scenario,
             seed=args.seed,

@@ -52,16 +52,10 @@ class SolverSettings:
 
     ccp_max_iters: int = 10
     ccp_tol: float = 1e-4
-    inner_tol: float = 1e-8
     inner_max_iters: int = 10000
 
     def __post_init__(self):
-        if (
-            self.ccp_max_iters <= 0
-            or self.ccp_tol <= 0.0
-            or self.inner_tol <= 0.0
-            or self.inner_max_iters <= 0
-        ):
+        if self.ccp_max_iters <= 0 or self.ccp_tol <= 0.0 or self.inner_max_iters <= 0:
             raise ValueError("all solver settings must be positive")
 
 
@@ -229,7 +223,6 @@ class _SurrogateProblem:
         jac = self.c1 / (LN2 * arg12_q[:, None]) if m else np.zeros((0, 0))
         if m:
             jac[np.arange(m), np.arange(m)] += self.w2 / (LN2 * arg22_q)
-        self.slope_rows = jac
         self.slope = jac.sum(axis=0)
 
         self.n_p1 = m + d.private1
@@ -396,63 +389,28 @@ def _residual(z, g, budget):
     return float(np.linalg.norm(z - project_power_budget(z + g, budget)))
 
 
-def _best_subgradient(problem, z, budget, kink_rtol=1e-7):
-    """Minimize the projected-gradient residual over valid supergradients.
+def _certificate(problem, z, budget, kink_rtol=1e-7):
+    """Projected-gradient residual of a supergradient at ``z``.
 
-    Branch weights on near-kink shared streams are tuned one at a time by
-    golden-section search (the residual is unimodal along each weight);
-    returns ``(residual, grad, weights)``. With no kinks this is just the
-    active-branch supergradient.
+    Off a kink the active branch gives the only supergradient. At a kink
+    (both decoding branches of a shared stream tie) any branch weight in
+    [0, 1] is valid; the branch with the smaller slope in that stream's
+    user-1 power is taken. At zero user-1 power the weight moves only that
+    slope, so this choice minimizes the residual exactly; at positive power
+    the residual can only come out conservative. Returns ``(residual, grad)``.
     """
+    lam = None
     if problem.m:
         b1, b2 = problem.branches(z)
         lam = problem._branch_weights(b1, b2, 0.0)
-        kinks = [
-            l
-            for l in range(problem.m)
-            if abs(b1[l] - b2[l]) <= kink_rtol * (1.0 + abs(b1[l]) + abs(b2[l]))
-        ]
-    else:
-        lam = np.zeros(0)
-        kinks = []
+        kink = np.abs(b1 - b2) <= kink_rtol * (1.0 + np.abs(b1) + np.abs(b2))
+        if kink.any():
+            p1s, _, p2s, _ = problem._parts(z)
+            arg11, _, arg21, _ = problem._branch_args(p1s, p2s)
+            flatter1 = np.diagonal(problem.c1) / arg11 <= problem.w2 / arg21
+            lam = np.where(kink, flatter1.astype(float), lam)
     g = problem.grad(z, lam)
-    best_r = _residual(z, g, budget)
-    best_g = g
-    best_lam = lam.copy()
-    if not kinks:
-        return best_r, best_g, best_lam
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lam = best_lam.copy()
-    for _ in range(2):  # two coordinate sweeps over the kinked streams
-        for l in kinks:
-
-            def score(w):
-                lam[l] = w
-                return _residual(z, problem.grad(z, lam), budget)
-
-            lo, hi = 0.0, 1.0
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1, f2 = score(x1), score(x2)
-            for _ in range(40):
-                if f1 <= f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - invphi * (hi - lo)
-                    f1 = score(x1)
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + invphi * (hi - lo)
-                    f2 = score(x2)
-            w_best = x1 if f1 <= f2 else x2
-            for cand in (0.0, 1.0, w_best):  # end points can win
-                r = score(cand)
-                if r < best_r:
-                    best_r = r
-                    best_g = problem.grad(z, lam)
-                    best_lam = lam.copy()
-            lam[l] = best_lam[l]
-    return best_r, best_g, best_lam
+    return _residual(z, g, budget), g
 
 
 def _project_weighted(v, weights, budget):
@@ -552,9 +510,10 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     curvature preconditioner (water-filling-type objectives condition far
     too badly for unit-metric steps). The minimum over decoding points is
     nonsmooth, so the solver runs a softmin continuation (decreasing
-    smoothing levels) before finishing on the exact objective, and certifies
-    optimality with the best convex combination of branch gradients at the
-    returned point.
+    smoothing levels) before finishing on the exact objective. Optimality is
+    certified by the projected-gradient residual of one supergradient at the
+    returned point; at a kink it takes the branch with the smaller slope in
+    that stream's user-1 power (see ``_certificate``).
 
     Returns
     -------
@@ -595,26 +554,9 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
             break
 
     f = problem.value(z)
-    res, g_kink, _ = _best_subgradient(problem, z, budget)
-    gnorm = float(np.linalg.norm(g_kink))
+    res, g = _certificate(problem, z, budget)
+    gnorm = float(np.linalg.norm(g))
     converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
-
-    # Diminishing-step subgradient salvage for stubborn kink-bound optima.
-    sub_steps = 0
-    while not converged and remaining > 0 and sub_steps < 50:
-        sub_steps += 1
-        remaining -= 1
-        total_iters += 1
-        step = (0.05 * (1.0 + float(np.linalg.norm(z)))) / (
-            (1.0 + gnorm) * math.sqrt(sub_steps)
-        )
-        z_new = project_power_budget(z + step * g_kink, budget)
-        f_new = problem.value(z_new)
-        if f_new >= f:
-            z, f = z_new, f_new
-        res, g_kink, _ = _best_subgradient(problem, z, budget)
-        gnorm = float(np.linalg.norm(g_kink))
-        converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
 
     alloc = problem.unpack(z)
     return alloc, InnerSolveResult(

@@ -7,6 +7,7 @@ by ``(s, t)``, so results are independent of execution order and worker
 count, and byte-reproducible for a fixed seed.
 """
 
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -105,10 +106,12 @@ def _trial_point_star(args):
 
 
 def _run_trials(cfg, mu_grid, settings, seed, trials, workers):
-    """All trials, reduced in fixed trial order regardless of worker count."""
+    """All trials, reduced in fixed trial order regardless of worker count.
+    The pool holds at most one process per trial and per CPU."""
     tasks = [(cfg, tuple(mu_grid), settings, seed, t) for t in range(trials)]
-    if workers > 1 and trials > 1:
-        with Pool(processes=workers) as pool:
+    processes = min(workers, trials, os.cpu_count() or 1)
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             results = pool.map(_trial_point_star, tasks)
     else:
         results = [_trial_point(*task) for task in tasks]

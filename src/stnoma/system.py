@@ -49,7 +49,6 @@ class SystemConfig:
     pathloss2: float
     power_budget: float
     noise_power: float
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.n_bs, self.m1, self.m2) < 1:
@@ -189,7 +188,6 @@ def config_from_scenario(
     pt_dbm,
     sigma2_dbm,
     exponent=2.0,
-    seed=0,
 ):
     """Build a :class:`SystemConfig` from scenario-level quantities.
 
@@ -211,5 +209,4 @@ def config_from_scenario(
         pathloss2=float(d2) ** exponent,
         power_budget=dbm_to_watts(pt_dbm),
         noise_power=dbm_to_watts(sigma2_dbm),
-        seed=seed,
     )

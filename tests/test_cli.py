@@ -126,6 +126,29 @@ def test_region_worker_count_invariant(tmp_path):
     assert (a / "region.csv").read_bytes() == (b / "region.csv").read_bytes()
 
 
+def test_region_csv_numbers_parse_as_plain_floats(tmp_path):
+    csv_path, _ = run_region(SMALL, tmp_path)
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    cols = [header.index(name) for name in ("param", "R1", "R2")]
+    for line in lines[1:]:
+        cells = line.split(",")
+        scheme, param, r1, r2 = cells[0], *(cells[i] for i in cols)
+        # only the sweeps carry a parameter
+        assert (param != "") == (scheme in ("st_noma", "oma")), line
+        float(r1), float(r2)
+        if param:
+            float(param)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_workers_below_one_exit_2(tmp_path, workers):
+    rc = main(["region", "--out", str(tmp_path), "--trials", "2",
+               "--mu-steps", "3", "--workers", workers])
+    assert rc == 2
+    assert not (tmp_path / "region.csv").exists()
+
+
 def test_convergence_outputs(tmp_path):
     (csv_path,) = run_convergence(replace(SMALL, seed=4), tmp_path)
     lines = csv_path.read_text(encoding="utf-8").splitlines()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from stnoma.power import (
     SolverSettings,
     _SurrogateProblem,
+    _residual,
     ccp_allocate,
     dc_components,
     maximize_surrogate,
@@ -349,13 +351,46 @@ def test_inner_certificate_across_instances():
             alloc.validate(d, cfg.power_budget)
 
 
+def test_inner_certificate_at_kinks_matches_weight_grid():
+    """At a tie between user 1's decoding points every branch weight in
+    [0, 1] gives a valid supergradient; the reported residual must be as
+    small as the best one over a 0.01 grid of every kinked stream's weight.
+    Small weights on 6x4x4 end on such ties, some where a poor weight
+    leaves a residual far above the certificate tolerance."""
+    cfg = make_cfg(6, 4, 4)
+    mu = 0.02
+    grid = np.linspace(0.0, 1.0, 101)
+    kinked = 0
+    worst = 0.0
+    for seed in (0, 6):
+        _, dec = setup_case(seed, cfg)
+        anchor = np.zeros(dec.dims.shared)
+        alloc, info = maximize_surrogate(anchor, dec, cfg, mu)
+        problem = _SurrogateProblem(dec, cfg, mu, anchor)
+        z = problem.pack(alloc)
+        b1, b2 = problem.branches(z)
+        kinks = np.flatnonzero(
+            np.abs(b1 - b2) <= 1e-7 * (1.0 + np.abs(b1) + np.abs(b2))
+        )
+        if not kinks.size:
+            continue
+        kinked += 1
+        lam = (b1 <= b2).astype(float)
+        residuals = []
+        for weights in itertools.product(grid, repeat=kinks.size):
+            lam[kinks] = weights
+            residuals.append(_residual(z, problem.grad(z, lam), cfg.power_budget))
+        assert info.residual <= min(residuals) + 1e-12, (seed, kinks)
+        worst = max(worst, max(residuals))
+    assert kinked > 0
+    assert worst > 1e-3
+
+
 def test_solver_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(ccp_max_iters=0)
     with pytest.raises(ValueError):
         SolverSettings(ccp_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(inner_tol=-1e-9)
     with pytest.raises(ValueError):
         SolverSettings(inner_max_iters=0)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from stnoma import region
+from stnoma.power import SolverSettings
 from stnoma.region import (
     RateRegionPoint,
     ergodic_region,
@@ -87,6 +89,41 @@ def test_st_region_deterministic_and_worker_invariant():
     c = st_noma_region(CFG, grid, trials=3, seed=9, workers=2)
     for x, y, z in zip(a, b, c):
         assert (x.r1, x.r2) == (y.r1, y.r2) == (z.r1, z.r2)
+
+
+class RecordingPool:
+    """Stand-in for ``multiprocessing.Pool`` that records its size and maps
+    serially, so no process is ever started."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, expected",
+    [(10**6, 3, 2, [2]), (10**6, 3, 64, [3]), (2, 3, 64, [2]), (1, 3, 64, []),
+     (8, 1, 64, [])],
+)
+def test_run_trials_pool_capped(monkeypatch, workers, trials, cpus, expected):
+    monkeypatch.setattr(region, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(region.os, "cpu_count", lambda: cpus)
+    pairs, caps = region._run_trials(
+        CFG, [0.5], SolverSettings(ccp_max_iters=1), 3, trials, workers
+    )
+    assert RecordingPool.sizes == expected
+    assert pairs.shape == (trials, 1, 2) and caps.shape == (trials, 2)
 
 
 def test_rate_region_point_rejects_negative():
