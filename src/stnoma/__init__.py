@@ -20,10 +20,9 @@ from .power import (
 )
 from .rates import (
     RateBreakdown,
+    StreamGains,
     rate_breakdown,
     rate_user1,
-    rate_user1_shared_at_user1,
-    rate_user1_shared_at_user2,
     rate_user2,
     weighted_sum_rate,
 )

@@ -354,16 +354,7 @@ def run_convergence(scenario, out_dir, configs=DEFAULT_CONVERGENCE_CONFIGS):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, (m1, m2, n_bs) in enumerate(configs):
-        cfg = config_from_scenario(
-            n_bs=n_bs,
-            m1=m1,
-            m2=m2,
-            d1=scenario.d1,
-            d2=scenario.d2,
-            pt_dbm=scenario.pt_dbm,
-            sigma2_dbm=scenario.sigma2_dbm,
-            exponent=scenario.pathloss_exponent,
-        )
+        cfg = replace(scenario, n=n_bs, m1=m1, m2=m2).config()
         rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         ch = sample_channels(rng, n_bs, m1, m2)
         dec = simultaneous_triangularize(ch)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import weighted_sum_rate
+from .rates import StreamGains, weighted_sum_rate
 from .transceiver import PowerAllocation
 
 __all__ = [
@@ -88,25 +88,22 @@ class CcpState:
             raise ValueError("trace length must equal the iteration count")
 
 
+def _check_shared(dims, l):
+    if not 0 <= l < dims.shared:
+        raise ValueError(f"stream {l} is not shared")
+
+
 def dc_components(alloc, dec, cfg, l):
     """The four concave pieces of user 1's shared-stream rate ``l``.
 
     Returns ``(c11, c12, c21, c22)`` with the rate at user 1 equal to
-    ``c11 - c12`` and the rate at user 2 equal to ``c21 - c22``.
+    ``c11 - c12`` and the rate at user 2 equal to ``c21 - c22``: the log2 of
+    :meth:`StreamGains.shared_args` at stream ``l``.
     """
-    d = dec.dims
-    if not 0 <= l < d.shared:
-        raise ValueError(f"stream {l} is not shared")
-    sigma2 = cfg.noise_power
-    c1row = np.abs(dec.r1[l, l : d.shared]) ** 2 / cfg.pathloss1
-    i1 = float(alloc.p2[l : d.shared] @ c1row)
-    s1 = alloc.p1[l] * c1row[0]
-    w2 = abs(dec.r2[l, l]) ** 2 / cfg.pathloss2
-    c11 = math.log2(sigma2 + i1 + s1)
-    c12 = math.log2(sigma2 + i1)
-    c21 = math.log2(sigma2 + alloc.p2[l] * w2 + alloc.p1[l] * w2)
-    c22 = math.log2(sigma2 + alloc.p2[l] * w2)
-    return c11, c12, c21, c22
+    _check_shared(dec.dims, l)
+    m = dec.dims.shared
+    args = StreamGains(dec, cfg).shared_args(alloc.p1[:m], alloc.p2[:m])
+    return tuple(math.log2(arg[l]) for arg in args)
 
 
 def min_difference_identity(a, b, c, d):
@@ -125,7 +122,7 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     expansion around ``anchor``, taken in every user-2 shared power it
     depends on (streams l and later plus the own decoding term). The bound
     is tight at ``p2 == anchor`` on the shared block and never exceeds the
-    true rate.
+    true rate. It is row ``l`` of the bounds the solver's surrogate sums.
 
     Parameters
     ----------
@@ -134,19 +131,9 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     anchor : (shared,) array_like
         Nonnegative anchor powers for user 2's shared streams.
     """
-    d = dec.dims
-    c11, c12, c21, c22 = dc_components(alloc, dec, cfg, l)
-    sigma2 = cfg.noise_power
-    anchor = np.asarray(anchor, dtype=float)
-    c1row = np.abs(dec.r1[l, l : d.shared]) ** 2 / cfg.pathloss1
-    w2 = abs(dec.r2[l, l]) ** 2 / cfg.pathloss2
-    arg12_q = sigma2 + float(anchor[l:] @ c1row)
-    arg22_q = sigma2 + anchor[l] * w2
-    anchored = math.log2(arg12_q) + math.log2(arg22_q)
-    delta = alloc.p2[l : d.shared] - anchor[l:]
-    shift = float(c1row @ delta) / (LN2 * arg12_q)
-    shift += w2 * (alloc.p2[l] - anchor[l]) / (LN2 * arg22_q)
-    return min(c11 + c22, c21 + c12) - anchored - shift
+    _check_shared(dec.dims, l)
+    problem = _SurrogateProblem(dec, cfg, 1.0, anchor)
+    return float(problem.bounds(problem.pack(alloc))[l])
 
 
 def project_power_budget(v, budget):
@@ -174,19 +161,18 @@ def project_power_budget(v, budget):
     return np.maximum(v - theta, 0.0)
 
 
-class _SurrogateProblem:
+class _SurrogateProblem(StreamGains):
     """Vectorized value/gradient of the concave surrogate objective.
 
     Variables are packed as ``z = [p1 shared, p1 private1, p2 shared,
     p2 private2]``; the fixed-zero coordinates of the allocation never enter
-    the solver.
+    the solver. The coefficients are the link's :class:`StreamGains`.
     """
 
     def __init__(self, dec, cfg, mu, anchor):
-        d = dec.dims
-        self.dims = d
+        super().__init__(dec, cfg)
+        d = self.dims
         self.mu = float(mu)
-        self.sigma2 = cfg.noise_power
         m = d.shared
         self.m = m
         self.anchor = np.asarray(anchor, dtype=float)
@@ -195,35 +181,14 @@ class _SurrogateProblem:
         if (self.anchor < 0.0).any():
             raise ValueError("anchor powers must be >= 0")
 
-        # Interference coefficients of user 1's shared block (upper
-        # triangular incl. diagonal; zeros elsewhere).
-        self.c1 = np.zeros((m, m))
-        for l in range(m):
-            self.c1[l, l:] = np.abs(dec.r1[l, l:m]) ** 2 / cfg.pathloss1
-        self.w2 = np.abs(np.diagonal(dec.r2)[:m]) ** 2 / cfg.pathloss2
-        # Interference-free per-watt gains of the remaining streams.
-        d1 = dec.diag1
-        d2 = dec.diag2
-        self.g1p = np.array(
-            [d1[l] ** 2 / (cfg.pathloss1 * self.sigma2) for l in d.private1_indices()]
-        )
-        self.g2s = self.w2 / self.sigma2
-        self.g2p = np.array(
-            [
-                d2[l - d.private1] ** 2 / (cfg.pathloss2 * self.sigma2)
-                for l in d.private2_indices()
-            ]
-        )
-
-        arg12_q = self.sigma2 + self.c1 @ self.anchor
-        arg22_q = self.sigma2 + self.anchor * self.w2
+        _, arg12_q, _, arg22_q = self.shared_args(np.zeros(m), self.anchor)
         self.anchored = np.log2(arg12_q) + np.log2(arg22_q)
-        # Full anchored jacobian of the concave remainders; only its column
-        # sums enter the (summed) objective and gradient.
-        jac = self.c1 / (LN2 * arg12_q[:, None]) if m else np.zeros((0, 0))
-        if m:
-            jac[np.arange(m), np.arange(m)] += self.w2 / (LN2 * arg22_q)
-        self.slope = jac.sum(axis=0)
+        # Full anchored jacobian of the concave remainders: row l linearizes
+        # stream l's bound; the summed objective and gradient need only its
+        # column sums.
+        self.jac = self.c1 / (LN2 * arg12_q[:, None])
+        self.jac[np.diag_indices(m)] += self.w2 / (LN2 * arg22_q)
+        self.slope = self.jac.sum(axis=0)
 
         self.n_p1 = m + d.private1
         self.size = self.n_p1 + m + d.private2
@@ -258,21 +223,21 @@ class _SurrogateProblem:
         p2p = z[self.n_p1 + m :]
         return p1s, p1p, p2s, p2p
 
-    def _branch_args(self, p1s, p2s):
-        i1 = self.c1 @ p2s
-        arg11 = self.sigma2 + i1 + p1s * np.diagonal(self.c1)
-        arg12 = self.sigma2 + i1
-        arg21 = self.sigma2 + (p1s + p2s) * self.w2
-        arg22 = self.sigma2 + p2s * self.w2
-        return arg11, arg12, arg21, arg22
+    @staticmethod
+    def _branches(arg11, arg12, arg21, arg22):
+        return np.log2(arg11) + np.log2(arg22), np.log2(arg21) + np.log2(arg12)
 
     def branches(self, z):
         """The two concave min branches per shared stream."""
         p1s, _, p2s, _ = self._parts(z)
-        arg11, arg12, arg21, arg22 = self._branch_args(p1s, p2s)
-        b1 = np.log2(arg11) + np.log2(arg22)
-        b2 = np.log2(arg21) + np.log2(arg12)
-        return b1, b2
+        return self._branches(*self.shared_args(p1s, p2s))
+
+    def bounds(self, z):
+        """Per-stream concave lower bounds on user 1's shared-stream rates:
+        the exact minimum less the linearized remainder, row by row."""
+        b1, b2 = self.branches(z)
+        p2s = self._parts(z)[2]
+        return np.minimum(b1, b2) - self.anchored - self.jac @ (p2s - self.anchor)
 
     @staticmethod
     def _branch_weights(b1, b2, tau):
@@ -290,23 +255,27 @@ class _SurrogateProblem:
             return hard
         return hard - tau * np.log1p(np.exp(-np.abs(b1 - b2) / tau))
 
+    def _total(self, p1p, p2s, p2p, b1, b2, tau):
+        """The objective from the branches: the weighted (soft) minima less
+        the summed linearization, then the interference-free rates of user
+        2's shared and both users' private streams."""
+        under = (
+            self._softmin(b1, b2, tau)
+            - self.anchored
+            - self.slope * (p2s - self.anchor)
+        )
+        total = self.mu * under.sum()
+        total += (1.0 - self.mu) * np.log2(1.0 + p2s * self.g2s).sum()
+        total += self.mu * np.log2(1.0 + p1p * self.g1p).sum()
+        total += (1.0 - self.mu) * np.log2(1.0 + p2p * self.g2p).sum()
+        return float(total)
+
     def value(self, z, tau=0.0):
         """Surrogate objective; ``tau > 0`` smooths the minimum from below
         (softmin), used by the continuation stages of the solver."""
         p1s, p1p, p2s, p2p = self._parts(z)
-        total = 0.0
-        if self.m:
-            b1, b2 = self.branches(z)
-            under = (
-                self._softmin(b1, b2, tau)
-                - self.anchored
-                - self.slope * (p2s - self.anchor)
-            )
-            total += self.mu * under.sum()
-            total += (1.0 - self.mu) * np.log2(1.0 + p2s * self.g2s).sum()
-        total += self.mu * np.log2(1.0 + p1p * self.g1p).sum()
-        total += (1.0 - self.mu) * np.log2(1.0 + p2p * self.g2p).sum()
-        return float(total)
+        b1, b2 = self._branches(*self.shared_args(p1s, p2s))
+        return self._total(p1p, p2s, p2p, b1, b2, tau)
 
     def value_and_grad(self, z, tau=0.0, branch_weights=None, with_hess=False):
         """Objective, (super)gradient, and optionally the diagonal Hessian
@@ -321,30 +290,21 @@ class _SurrogateProblem:
         second derivative.
         """
         p1s, p1p, p2s, p2p = self._parts(z)
+        arg11, arg12, arg21, arg22 = self.shared_args(p1s, p2s)
+        b1, b2 = self._branches(arg11, arg12, arg21, arg22)
+        total = self._total(p1p, p2s, p2p, b1, b2, tau)
         g = np.empty_like(z)
         h = np.empty_like(z) if with_hess else None
         m = self.m
-        total = 0.0
         if m:
-            arg11, arg12, arg21, arg22 = self._branch_args(p1s, p2s)
-            b1 = np.log2(arg11) + np.log2(arg22)
-            b2 = np.log2(arg21) + np.log2(arg12)
             if branch_weights is None:
                 lam = self._branch_weights(b1, b2, tau)
             else:
                 lam = np.asarray(branch_weights, dtype=float)
-            under = (
-                self._softmin(b1, b2, tau)
-                - self.anchored
-                - self.slope * (p2s - self.anchor)
-            )
-            total += self.mu * under.sum()
-            total += (1.0 - self.mu) * np.log2(1.0 + p2s * self.g2s).sum()
-
-            diag_c1 = np.diagonal(self.c1)
             # d/dp1s: branch 1 through arg11, branch 2 through arg21.
             g[:m] = self.mu * (
-                lam * diag_c1 / (LN2 * arg11) + (1.0 - lam) * self.w2 / (LN2 * arg21)
+                lam * self.c1_diag / (LN2 * arg11)
+                + (1.0 - lam) * self.w2 / (LN2 * arg21)
             )
             # d/dp2s: cross terms through c1 rows, own terms through
             # arg22/arg21, minus the fixed linearization slope.
@@ -357,7 +317,7 @@ class _SurrogateProblem:
             g[self.n_p1 : self.n_p1 + m] = g2s
             if with_hess:
                 h[:m] = self.mu * (
-                    lam * diag_c1**2 / (LN2 * arg11**2)
+                    lam * self.c1_diag**2 / (LN2 * arg11**2)
                     + (1.0 - lam) * self.w2**2 / (LN2 * arg21**2)
                 )
                 row_h = lam / (LN2 * arg11**2) + (1.0 - lam) / (LN2 * arg12**2)
@@ -371,15 +331,13 @@ class _SurrogateProblem:
                 ) * self.g2s**2 / (LN2 * sat2s**2)
         sat1p = 1.0 + p1p * self.g1p
         sat2p = 1.0 + p2p * self.g2p
-        total += self.mu * np.log2(sat1p).sum()
-        total += (1.0 - self.mu) * np.log2(sat2p).sum()
         g[m : self.n_p1] = self.mu * self.g1p / (LN2 * sat1p)
         g[self.n_p1 + m :] = (1.0 - self.mu) * self.g2p / (LN2 * sat2p)
         if with_hess:
             h[m : self.n_p1] = self.mu * self.g1p**2 / (LN2 * sat1p**2)
             h[self.n_p1 + m :] = (1.0 - self.mu) * self.g2p**2 / (LN2 * sat2p**2)
-            return float(total), g, h
-        return float(total), g
+            return total, g, h
+        return total, g
 
     def grad(self, z, branch_weights=None):
         return self.value_and_grad(z, branch_weights=branch_weights)[1]
@@ -406,8 +364,8 @@ def _certificate(problem, z, budget, kink_rtol=1e-7):
         kink = np.abs(b1 - b2) <= kink_rtol * (1.0 + np.abs(b1) + np.abs(b2))
         if kink.any():
             p1s, _, p2s, _ = problem._parts(z)
-            arg11, _, arg21, _ = problem._branch_args(p1s, p2s)
-            flatter1 = np.diagonal(problem.c1) / arg11 <= problem.w2 / arg21
+            arg11, _, arg21, _ = problem.shared_args(p1s, p2s)
+            flatter1 = problem.c1_diag / arg11 <= problem.w2 / arg21
             lam = np.where(kink, flatter1.astype(float), lam)
     g = problem.grad(z, lam)
     return _residual(z, g, budget), g

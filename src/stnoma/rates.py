@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "StreamGains",
     "RateBreakdown",
-    "rate_user1_shared_at_user1",
-    "rate_user1_shared_at_user2",
     "rate_user1",
     "rate_user2",
     "rate_breakdown",
@@ -24,79 +23,41 @@ __all__ = [
 ]
 
 
-def rate_user1_shared_at_user1(alloc, dec, pathloss1, noise_power, l):
-    """Rate of user 1's shared stream ``l`` (0-based) at user 1's decoder.
+class StreamGains:
+    """Per-watt gains of every stream, read off the triangular factors.
 
-    The denominator keeps the uncancellable interference from user 2's
-    shared symbols at indices >= l.
+    ``c1`` holds the upper-triangular ``|r1|^2 / pathloss1`` block of the
+    shared streams: its diagonal ``c1_diag`` is user 1's own gain, the
+    entries right of it the uncancellable interference from user 2's later
+    shared symbols. ``w2`` is user 2's gain on each shared stream. ``g1p``,
+    ``g2s`` and ``g2p`` are the noise-normalized gains of user 1's private
+    streams, user 2's shared streams (after SIC) and user 2's private
+    streams.
     """
-    d = dec.dims
-    if not 0 <= l < d.shared:
-        raise ValueError(f"stream {l} is not shared")
-    w = np.abs(dec.r1[l, l : d.shared]) ** 2
-    signal = alloc.p1[l] * w[0] / pathloss1
-    interference = (alloc.p2[l : d.shared] @ w) / pathloss1
-    return float(np.log2(1.0 + signal / (noise_power + interference)))
 
+    def __init__(self, dec, cfg):
+        d = dec.dims
+        m = d.shared
+        self.dims = d
+        self.sigma2 = cfg.noise_power
+        self.c1 = np.triu(np.abs(dec.r1[:m, :m]) ** 2 / cfg.pathloss1)
+        self.c1_diag = np.diagonal(self.c1)
+        self.w2 = np.abs(np.diagonal(dec.r2)[:m]) ** 2 / cfg.pathloss2
+        self.g1p = dec.diag1[m:] ** 2 / (cfg.pathloss1 * self.sigma2)
+        self.g2s = self.w2 / self.sigma2
+        self.g2p = dec.diag2[m:] ** 2 / (cfg.pathloss2 * self.sigma2)
 
-def rate_user1_shared_at_user2(alloc, dec, pathloss2, noise_power, l):
-    """Rate of user 1's shared stream ``l`` when decoded at user 2 (pre-SIC).
-
-    Only the own-index symbol of user 2 interferes; everything else is
-    cancelled by user 2's decoding recursion.
-    """
-    d = dec.dims
-    if not 0 <= l < d.shared:
-        raise ValueError(f"stream {l} is not shared")
-    w = abs(dec.r2[l, l]) ** 2
-    signal = alloc.p1[l] * w / pathloss2
-    interference = alloc.p2[l] * w / pathloss2
-    return float(np.log2(1.0 + signal / (noise_power + interference)))
-
-
-def _snr_rate(power, gain_sq, pathloss, noise_power):
-    return float(np.log2(1.0 + power * gain_sq / (pathloss * noise_power)))
-
-
-def rate_user1(alloc, dec, cfg):
-    """Per-stream rates of user 1, length L.
-
-    Shared streams take the minimum of both decoding points; private streams
-    of user 1 are interference-free; user 2's private indices carry zero.
-    """
-    d = dec.dims
-    r = np.zeros(d.total)
-    for l in d.shared_indices():
-        r[l] = min(
-            rate_user1_shared_at_user1(alloc, dec, cfg.pathloss1, cfg.noise_power, l),
-            rate_user1_shared_at_user2(alloc, dec, cfg.pathloss2, cfg.noise_power, l),
-        )
-    for l in d.private1_indices():
-        r[l] = _snr_rate(
-            alloc.p1[l], abs(dec.r1[l, l]) ** 2, cfg.pathloss1, cfg.noise_power
-        )
-    return r
-
-
-def rate_user2(alloc, dec, cfg):
-    """Per-stream rates of user 2, length L.
-
-    Shared streams are interference-free after SIC; private streams map to
-    rows of ``r2`` shifted down by the private1 count; user 1's private
-    indices carry zero.
-    """
-    d = dec.dims
-    r = np.zeros(d.total)
-    for l in d.shared_indices():
-        r[l] = _snr_rate(
-            alloc.p2[l], abs(dec.r2[l, l]) ** 2, cfg.pathloss2, cfg.noise_power
-        )
-    for l in d.private2_indices():
-        row = l - d.private1
-        r[l] = _snr_rate(
-            alloc.p2[l], abs(dec.r2[row, row]) ** 2, cfg.pathloss2, cfg.noise_power
-        )
-    return r
+    def shared_args(self, p1s, p2s):
+        """Noise-plus-power sums ``(arg11, arg12, arg21, arg22)`` of user 1's
+        shared streams: with and without the own signal at user 1
+        (``arg11``, ``arg12``) and at user 2 before SIC (``arg21``,
+        ``arg22``). Each decoding point's rate is ``log2`` of a ratio."""
+        i1 = self.c1 @ p2s
+        arg11 = self.sigma2 + i1 + p1s * self.c1_diag
+        arg12 = self.sigma2 + i1
+        arg21 = self.sigma2 + (p1s + p2s) * self.w2
+        arg22 = self.sigma2 + p2s * self.w2
+        return arg11, arg12, arg21, arg22
 
 
 @dataclass(frozen=True)
@@ -118,32 +79,41 @@ class RateBreakdown:
 
 
 def rate_breakdown(alloc, dec, cfg):
-    """Full rate picture of one allocation on one decomposition."""
+    """Full rate picture of one allocation on one decomposition.
+
+    Shared streams of user 1 take the minimum of both decoding points; user
+    1's private and user 2's streams are interference-free. Each user's
+    rates on the other user's private indices are zero.
+    """
+    gains = StreamGains(dec, cfg)
     d = dec.dims
-    at1 = np.array(
-        [
-            rate_user1_shared_at_user1(alloc, dec, cfg.pathloss1, cfg.noise_power, l)
-            for l in d.shared_indices()
-        ]
-    )
-    at2 = np.array(
-        [
-            rate_user1_shared_at_user2(alloc, dec, cfg.pathloss2, cfg.noise_power, l)
-            for l in d.shared_indices()
-        ]
-    )
-    return RateBreakdown(
-        r1=rate_user1(alloc, dec, cfg),
-        r2=rate_user2(alloc, dec, cfg),
-        r1_at_user1=at1,
-        r1_at_user2=at2,
-    )
+    m, k = d.shared, d.user1_streams
+    p1s, p2s = alloc.p1[:m], alloc.p2[:m]
+    _, arg12, _, arg22 = gains.shared_args(p1s, p2s)
+    at1 = np.log2(1.0 + p1s * gains.c1_diag / arg12)
+    at2 = np.log2(1.0 + p1s * gains.w2 / arg22)
+    r1 = np.zeros(d.total)
+    r2 = np.zeros(d.total)
+    r1[:m] = np.minimum(at1, at2)
+    r1[m:k] = np.log2(1.0 + alloc.p1[m:k] * gains.g1p)
+    r2[:m] = np.log2(1.0 + p2s * gains.g2s)
+    r2[k:] = np.log2(1.0 + alloc.p2[k:] * gains.g2p)
+    return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
+
+
+def rate_user1(alloc, dec, cfg):
+    """Per-stream rates of user 1, length L."""
+    return rate_breakdown(alloc, dec, cfg).r1
+
+
+def rate_user2(alloc, dec, cfg):
+    """Per-stream rates of user 2, length L."""
+    return rate_breakdown(alloc, dec, cfg).r2
 
 
 def weighted_sum_rate(alloc, dec, cfg, mu):
     """Weighted sum rate ``sum_l mu r1[l] + (1 - mu) r2[l]``, mu in [0, 1]."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    r1 = rate_user1(alloc, dec, cfg)
-    r2 = rate_user2(alloc, dec, cfg)
-    return float(mu * r1.sum() + (1.0 - mu) * r2.sum())
+    br = rate_breakdown(alloc, dec, cfg)
+    return float(mu * br.r1.sum() + (1.0 - mu) * br.r2.sum())

@@ -76,9 +76,15 @@ def oma_region(ch, cfg, tau_grid):
     """
     c1 = p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power)
     c2 = p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power)
+    return _oma_line(c1, c2, tau_grid, trials=1)
+
+
+def _oma_line(c1, c2, tau_grid, trials):
+    """Time-sharing points between the corners ``(c1, 0)`` and ``(0, c2)``."""
     return [
         RateRegionPoint(
-            r1=tau * c1, r2=(1.0 - tau) * c2, scheme="oma", param=float(tau), trials=1
+            r1=tau * c1, r2=(1.0 - tau) * c2, scheme="oma", param=float(tau),
+            trials=trials,
         )
         for tau in tau_grid
     ]
@@ -86,18 +92,22 @@ def oma_region(ch, cfg, tau_grid):
 
 def _trial_point(cfg, mu_grid, settings, seed, trial):
     """Rates of one channel draw: per-mu NOMA rate pairs plus both
-    point-to-point capacities."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-    ch = sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2)
-    dec = simultaneous_triangularize(ch)
-    pairs = np.empty((len(mu_grid), 2))
-    for i, mu in enumerate(mu_grid):
-        alloc, _ = ccp_allocate(dec, cfg, mu, settings=settings)
-        alloc.validate(dec.dims, cfg.power_budget)
-        pairs[i, 0] = rate_user1(alloc, dec, cfg).sum()
-        pairs[i, 1] = rate_user2(alloc, dec, cfg).sum()
-    c1 = p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power)
-    c2 = p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power)
+    point-to-point capacities. A ``ValueError`` (a non-generic draw, say) is
+    re-raised naming the seed and trial."""
+    try:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        ch = sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2)
+        dec = simultaneous_triangularize(ch)
+        pairs = np.empty((len(mu_grid), 2))
+        for i, mu in enumerate(mu_grid):
+            alloc, _ = ccp_allocate(dec, cfg, mu, settings=settings)
+            alloc.validate(dec.dims, cfg.power_budget)
+            pairs[i, 0] = rate_user1(alloc, dec, cfg).sum()
+            pairs[i, 1] = rate_user2(alloc, dec, cfg).sum()
+        c1 = p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power)
+        c2 = p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power)
+    except ValueError as exc:
+        raise ValueError(f"seed {seed}, trial {trial}: {exc}") from exc
     return pairs, c1, c2
 
 
@@ -122,20 +132,9 @@ def _run_trials(cfg, mu_grid, settings, seed, trials, workers):
 
 def st_noma_region(cfg, mu_grid, trials, seed, settings=None, workers=1):
     """Ergodic NOMA rate-region points, one per weight in ``mu_grid``."""
-    if settings is None:
-        settings = SolverSettings()
-    pairs, _ = _run_trials(cfg, mu_grid, settings, seed, trials, workers)
-    means = pairs.mean(axis=0)
-    return [
-        RateRegionPoint(
-            r1=float(means[i, 0]),
-            r2=float(means[i, 1]),
-            scheme="st_noma",
-            param=float(mu),
-            trials=trials,
-        )
-        for i, mu in enumerate(mu_grid)
-    ]
+    return ergodic_region(
+        cfg, mu_grid, (), trials, seed, settings=settings, workers=workers
+    )["st_noma"]
 
 
 def _cross(o, a, b):
@@ -223,13 +222,7 @@ def ergodic_region(cfg, mu_grid, tau_grid, trials, seed, settings=None, workers=
     ]
     # The ergodic OMA line is linear in the per-channel capacities, so
     # averaging the corners first gives the same curve.
-    oma_points = [
-        RateRegionPoint(
-            r1=tau * c1, r2=(1.0 - tau) * c2, scheme="oma", param=float(tau),
-            trials=trials,
-        )
-        for tau in tau_grid
-    ]
+    oma_points = _oma_line(c1, c2, tau_grid, trials)
     corner1 = RateRegionPoint(
         r1=c1, r2=0.0, scheme="p2p_user1", param=None, trials=trials
     )

@@ -11,7 +11,7 @@ null space, which is what produces the zero blocks. Diagonals of ``r1`` and
 ``r2`` are real and nonnegative so rate formulas can use them directly.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,18 +37,6 @@ class StDecomposition:
     r1: np.ndarray
     r2: np.ndarray
     dims: StreamDims
-
-    @property
-    def upper1(self):
-        """Square upper-triangular top block of ``r1``."""
-        k = self.dims.user1_streams
-        return self.r1[:k, :]
-
-    @property
-    def upper2(self):
-        """Square upper-triangular top block of ``r2``."""
-        k = self.dims.user2_streams
-        return self.r2[:k, :]
 
     @property
     def diag1(self):
@@ -156,19 +144,7 @@ class ResidualReport:
     column_norm: float
 
     def as_dict(self):
-        return {
-            "factorization1": self.factorization1,
-            "factorization2": self.factorization2,
-            "unitarity1": self.unitarity1,
-            "unitarity2": self.unitarity2,
-            "triangularity1": self.triangularity1,
-            "triangularity2": self.triangularity2,
-            "diag_imag1": self.diag_imag1,
-            "diag_imag2": self.diag_imag2,
-            "diag_negativity1": self.diag_negativity1,
-            "diag_negativity2": self.diag_negativity2,
-            "column_norm": self.column_norm,
-        }
+        return asdict(self)
 
     @property
     def max_residual(self):

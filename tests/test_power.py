@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_oracle as oracle
 from stnoma.power import (
     SolverSettings,
     _SurrogateProblem,
@@ -17,13 +18,7 @@ from stnoma.power import (
     project_power_budget,
     rate_underestimator,
 )
-from stnoma.rates import (
-    rate_user1,
-    rate_user1_shared_at_user1,
-    rate_user1_shared_at_user2,
-    rate_user2,
-    weighted_sum_rate,
-)
+from stnoma.rates import rate_user1, rate_user2, weighted_sum_rate
 from stnoma.system import SystemConfig, sample_channels
 from stnoma.transceiver import PowerAllocation
 from stnoma.triangularize import simultaneous_triangularize
@@ -64,10 +59,33 @@ def test_dc_components_reproduce_rates():
     alloc = random_alloc(rng, dec.dims)
     for l in dec.dims.shared_indices():
         c11, c12, c21, c22 = dc_components(alloc, dec, CFG335, l)
-        at1 = rate_user1_shared_at_user1(alloc, dec, CFG335.pathloss1, CFG335.noise_power, l)
-        at2 = rate_user1_shared_at_user2(alloc, dec, CFG335.pathloss2, CFG335.noise_power, l)
+        at1 = oracle.rate_at_user1(alloc, dec, CFG335, l)
+        at2 = oracle.rate_at_user2(alloc, dec, CFG335, l)
         assert c11 - c12 == pytest.approx(at1, abs=1e-12)
         assert c21 - c22 == pytest.approx(at2, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_dc_components_and_underestimator_match_scalar_oracle(shape):
+    cfg = make_cfg(*shape)
+    rng, dec = setup_case(80, cfg)
+    d = dec.dims
+    for _ in range(20):
+        alloc = random_alloc(rng, d)
+        anchor = rng.random(d.shared) * cfg.power_budget / max(1, d.shared)
+        for l in d.shared_indices():
+            np.testing.assert_allclose(
+                dc_components(alloc, dec, cfg, l),
+                oracle.dc_components(alloc, dec, cfg, l),
+                rtol=0.0, atol=1e-12,
+            )
+            assert rate_underestimator(alloc, anchor, dec, cfg, l) == pytest.approx(
+                oracle.rate_underestimator(alloc, anchor, dec, cfg, l), abs=1e-12
+            )
+    with pytest.raises(ValueError):
+        dc_components(alloc, dec, cfg, d.shared)
+    with pytest.raises(ValueError):
+        rate_underestimator(alloc, anchor, dec, cfg, d.shared)
 
 
 def test_dc_components_zero_power():
@@ -195,8 +213,8 @@ def test_surrogate_gradient_matches_finite_differences():
 
 
 def test_surrogate_value_matches_per_stream_ops():
-    # the solver's packed objective equals the sum of the public per-stream
-    # quantities
+    # the solver's packed objective equals the sum of the scalar oracle's
+    # per-stream quantities
     cfg = make_cfg(6, 4, 4)
     rng, dec = setup_case(8, cfg)
     d = dec.dims
@@ -206,10 +224,10 @@ def test_surrogate_value_matches_per_stream_ops():
     problem = _SurrogateProblem(dec, cfg, mu, anchor)
     got = problem.value(problem.pack(alloc))
     under = sum(
-        rate_underestimator(alloc, anchor, dec, cfg, l) for l in d.shared_indices()
+        oracle.rate_underestimator(alloc, anchor, dec, cfg, l)
+        for l in d.shared_indices()
     )
-    r1 = rate_user1(alloc, dec, cfg)
-    r2 = rate_user2(alloc, dec, cfg)
+    r1, r2 = oracle.rates(alloc, dec, cfg)
     want = (
         mu * under
         + mu * sum(r1[l] for l in d.private1_indices())
@@ -452,6 +470,19 @@ def test_ccp_converges_with_loose_tolerance():
     assert state.converged
     assert state.iterations < 200
     alloc.validate(dec.dims, CFG335.power_budget)
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+@pytest.mark.parametrize("mu", [0.2, 0.8])
+def test_ccp_edge_shapes_finite_feasible_monotone(shape, mu):
+    cfg = make_cfg(*shape)
+    _, dec = setup_case(90, cfg)
+    alloc, state = ccp_allocate(dec, cfg, mu=mu)
+    alloc.validate(dec.dims, cfg.power_budget)
+    assert np.all(np.isfinite(rate_user1(alloc, dec, cfg)))
+    assert np.all(np.isfinite(rate_user2(alloc, dec, cfg)))
+    assert np.all(np.isfinite(state.objective_trace))
+    assert np.all(np.diff(state.objective_trace) >= -1e-9)
 
 
 def test_ccp_grid_oracle_small():

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from stnoma.rates import (
-    rate_breakdown,
-    rate_user1,
-    rate_user1_shared_at_user1,
-    rate_user1_shared_at_user2,
-    rate_user2,
-    weighted_sum_rate,
-)
+import scalar_oracle as oracle
+from stnoma.rates import rate_breakdown, rate_user1, rate_user2, weighted_sum_rate
 from stnoma.system import SystemConfig, sample_channels
 from stnoma.transceiver import PowerAllocation, build_symbol_vector, receive_and_detect, transmit
 from stnoma.triangularize import simultaneous_triangularize
@@ -47,7 +41,7 @@ def test_unit_snr_gives_one_bit():
     l = 0  # shared stream
     gain = abs(dec.r1[l, l]) ** 2
     alloc.p1[l] = CFG.pathloss1 * CFG.noise_power / gain
-    rate = rate_user1_shared_at_user1(alloc, dec, CFG.pathloss1, CFG.noise_power, l)
+    rate = rate_breakdown(alloc, dec, CFG).r1_at_user1[l]
     assert rate == pytest.approx(1.0, rel=1e-12)
 
 
@@ -106,10 +100,32 @@ def test_min_picks_smaller_branch_when_forced():
     l = 0
     alloc.p2[l] = 0.9
     alloc.p1[l] = 0.05
-    at1 = rate_user1_shared_at_user1(alloc, dec, CFG.pathloss1, CFG.noise_power, l)
-    at2 = rate_user1_shared_at_user2(alloc, dec, CFG.pathloss2, CFG.noise_power, l)
+    at1 = oracle.rate_at_user1(alloc, dec, CFG, l)
+    at2 = oracle.rate_at_user2(alloc, dec, CFG, l)
     assert rate_user1(alloc, dec, CFG)[l] == pytest.approx(min(at1, at2), abs=1e-12)
     assert at1 != at2
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_rate_breakdown_matches_scalar_oracle(shape):
+    n, m1, m2 = shape
+    cfg = SystemConfig(
+        n_bs=n, m1=m1, m2=m2, pathloss1=62500.0, pathloss2=2500.0,
+        power_budget=1.0, noise_power=10 ** (-6.5),
+    )
+    for seed in range(5):
+        _, dec, alloc = setup_case(300 + seed, cfg)
+        br = rate_breakdown(alloc, dec, cfg)
+        r1, r2 = oracle.rates(alloc, dec, cfg)
+        np.testing.assert_allclose(br.r1, r1, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(br.r2, r2, rtol=0.0, atol=1e-12)
+        shared = dec.dims.shared_indices()
+        at1 = [oracle.rate_at_user1(alloc, dec, cfg, l) for l in shared]
+        at2 = [oracle.rate_at_user2(alloc, dec, cfg, l) for l in shared]
+        np.testing.assert_allclose(br.r1_at_user1, at1, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(br.r1_at_user2, at2, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(rate_user1(alloc, dec, cfg), br.r1)
+        np.testing.assert_array_equal(rate_user2(alloc, dec, cfg), br.r2)
 
 
 def test_shannon_consistency_interference_free():

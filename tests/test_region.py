@@ -126,6 +126,17 @@ def test_run_trials_pool_capped(monkeypatch, workers, trials, cpus, expected):
     assert pairs.shape == (trials, 1, 2) and caps.shape == (trials, 2)
 
 
+def test_failing_trial_names_seed_and_trial(monkeypatch):
+    def non_generic(ch):
+        raise ValueError("h1 is non-generic")
+
+    monkeypatch.setattr(region, "simultaneous_triangularize", non_generic)
+    with pytest.raises(ValueError, match=r"seed 7, trial 0: h1 is non-generic") as info:
+        st_noma_region(CFG, [0.5], trials=2, seed=7, workers=1)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "h1 is non-generic"
+
+
 def test_rate_region_point_rejects_negative():
     with pytest.raises(ValueError):
         RateRegionPoint(r1=-0.1, r2=1.0, scheme="oma", param=0.5, trials=1)
