@@ -110,11 +110,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
 
 def _coerce(key, raw):
-    kind = _FIELD_TYPES[key]
     try:
-        if kind == "int" or kind is int:
-            return int(raw)
-        return float(raw)
+        return _FIELD_TYPES[key](raw)  # int or float
     except ValueError as exc:
         raise ScenarioError(f"bad value for {key!r}: {raw!r}") from exc
 

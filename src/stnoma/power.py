@@ -5,9 +5,11 @@ rates of user 1. Each of those is a difference of concave terms, so the
 min-of-differences is shifted into a concave minimum plus a concave
 remainder, and the remainder is linearized around an anchor point ``q`` (the
 previous iterate's user-2 shared powers). The resulting surrogate is concave
-and is maximized over the power budget by projected gradient ascent with an
-Armijo line search and an exact sorting-based projection onto the capped
-simplex. The outer loop re-anchors until the allocation stops moving.
+and is maximized over the power budget by diagonally preconditioned projected
+ascent with an Armijo line search. One exact sorting-based projection onto
+the capped simplex, in a diagonal metric, serves the step, the warm start and
+the optimality residual. The outer loop re-anchors until the allocation stops
+moving.
 
 The remainder of stream l depends on the user-2 shared powers at streams
 l and later, and the linearization keeps the full first-order term in all of
@@ -136,29 +138,36 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     return float(problem.bounds(problem.pack(alloc))[l])
 
 
-def project_power_budget(v, budget):
-    """Euclidean projection onto ``{x >= 0, sum(x) <= budget}``.
+def _project(v, weights, budget):
+    """Projection onto ``{x >= 0, sum(x) <= budget}`` in the diagonal metric
+    ``weights``: minimizes ``sum(weights * (x - v)**2)``.
 
-    Uses the sorting-based simplex projection when the budget constraint is
-    active; O(n log n).
+    The solution is ``max(0, v - theta / weights)`` for a multiplier
+    ``theta >= 0``; coordinate i turns off at the breakpoint
+    ``v_i * weights_i``. Sorting the breakpoints gives every candidate
+    threshold at once (Duchi et al. 2008, in a diagonal metric); O(n log n).
+    """
+    x = np.maximum(v, 0.0)
+    if x.sum() <= budget:
+        return x
+    breakpoints = v * weights
+    order = np.argsort(breakpoints)[::-1]
+    theta = (np.cumsum(v[order]) - budget) / np.cumsum(1.0 / weights[order])
+    hits = np.nonzero(breakpoints[order] > theta)[0]
+    # rounding can empty the set for budgets at the float resolution of the
+    # entries; the single-coordinate threshold is then the right answer
+    rho = hits[-1] if hits.size else 0
+    return np.maximum(v - theta[rho] / weights, 0.0)
+
+
+def project_power_budget(v, budget):
+    """Euclidean projection onto ``{x >= 0, sum(x) <= budget}``: the
+    solver's sorting-based projection at unit weights; O(n log n).
     """
     if budget < 0.0:
         raise ValueError("budget must be >= 0")
     v = np.asarray(v, dtype=float)
-    if budget == 0.0:
-        return np.zeros_like(v)
-    y = np.maximum(v, 0.0)
-    if y.sum() <= budget:
-        return y
-    u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - budget
-    j = np.arange(1, v.size + 1)
-    hits = np.nonzero(u - excess / j > 0.0)[0]
-    # rounding can empty the set for budgets at the float resolution of the
-    # entries; the single-coordinate threshold is then the right answer
-    rho = hits[-1] if hits.size else 0
-    theta = excess[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return _project(v, np.ones_like(v), budget)
 
 
 class _SurrogateProblem(StreamGains):
@@ -285,59 +294,57 @@ class _SurrogateProblem(StreamGains):
         first min branch; by default the weights come from the (soft)
         minimum itself: the active branch for ``tau == 0``, the softmin
         blend otherwise. Any weights in [0, 1] give a valid supergradient of
-        the exact objective at kinks. The Hessian diagonal treats the branch
-        weights as locally constant; it is a preconditioner, not an exact
-        second derivative.
+        the exact objective at kinks. Every term is a weighted log2 of an
+        affine argument, so one rule (``_derivative``) gives the gradient
+        (k = 1) and the Hessian diagonal magnitude (k = 2). The latter
+        treats the branch weights as locally constant; it is a
+        preconditioner, not an exact second derivative.
         """
         p1s, p1p, p2s, p2p = self._parts(z)
-        arg11, arg12, arg21, arg22 = self.shared_args(p1s, p2s)
-        b1, b2 = self._branches(arg11, arg12, arg21, arg22)
+        args = self.shared_args(p1s, p2s)
+        b1, b2 = self._branches(*args)
         total = self._total(p1p, p2s, p2p, b1, b2, tau)
-        g = np.empty_like(z)
-        h = np.empty_like(z) if with_hess else None
-        m = self.m
+        if branch_weights is None:
+            lam = self._branch_weights(b1, b2, tau)
+        else:
+            lam = np.asarray(branch_weights, dtype=float)
+        sats = (1.0 + p1p * self.g1p, 1.0 + p2s * self.g2s, 1.0 + p2p * self.g2p)
+        g = self._derivative(1, lam, args, sats)
+        if with_hess:
+            return total, g, self._derivative(2, lam, args, sats)
+        return total, g
+
+    def _derivative(self, k, lam, args, sats):
+        """Magnitudes of the k-th derivatives of the objective along each
+        coordinate (k = 1, 2), with branch weights ``lam``. A term
+        ``weight * log2(arg)``, with ``arg`` affine in the coordinate at
+        slope ``gain``, contributes ``weight * gain**k / (ln 2 * arg**k)``;
+        the linearized remainder adds ``-slope`` at k = 1 only."""
+        # the identity at k = 1 keeps the gradient free of x**1 copies
+        power = (lambda x: x) if k == 1 else (lambda x: x**k)
+
+        def term(weight, arg, gain=None):
+            num = weight if gain is None else weight * power(gain)
+            return num / (LN2 * power(arg))
+
+        arg11, arg12, arg21, arg22 = args
+        sat1p, sat2s, sat2p = sats
+        mu, m, n_p1 = self.mu, self.m, self.n_p1
+        out = np.empty(self.size)
         if m:
-            if branch_weights is None:
-                lam = self._branch_weights(b1, b2, tau)
-            else:
-                lam = np.asarray(branch_weights, dtype=float)
+            rest = 1.0 - lam
             # d/dp1s: branch 1 through arg11, branch 2 through arg21.
-            g[:m] = self.mu * (
-                lam * self.c1_diag / (LN2 * arg11)
-                + (1.0 - lam) * self.w2 / (LN2 * arg21)
-            )
+            out[:m] = mu * (term(lam, arg11, self.c1_diag) + term(rest, arg21, self.w2))
             # d/dp2s: cross terms through c1 rows, own terms through
             # arg22/arg21, minus the fixed linearization slope.
-            row_w = lam / (LN2 * arg11) + (1.0 - lam) / (LN2 * arg12)
-            cross = self.c1.T @ row_w
-            own = lam * self.w2 / (LN2 * arg22) + (1.0 - lam) * self.w2 / (LN2 * arg21)
-            g2s = self.mu * (cross + own - self.slope)
-            sat2s = 1.0 + p2s * self.g2s
-            g2s += (1.0 - self.mu) * self.g2s / (LN2 * sat2s)
-            g[self.n_p1 : self.n_p1 + m] = g2s
-            if with_hess:
-                h[:m] = self.mu * (
-                    lam * self.c1_diag**2 / (LN2 * arg11**2)
-                    + (1.0 - lam) * self.w2**2 / (LN2 * arg21**2)
-                )
-                row_h = lam / (LN2 * arg11**2) + (1.0 - lam) / (LN2 * arg12**2)
-                cross_h = (self.c1**2).T @ row_h
-                own_h = (
-                    lam * self.w2**2 / (LN2 * arg22**2)
-                    + (1.0 - lam) * self.w2**2 / (LN2 * arg21**2)
-                )
-                h[self.n_p1 : self.n_p1 + m] = self.mu * (cross_h + own_h) + (
-                    1.0 - self.mu
-                ) * self.g2s**2 / (LN2 * sat2s**2)
-        sat1p = 1.0 + p1p * self.g1p
-        sat2p = 1.0 + p2p * self.g2p
-        g[m : self.n_p1] = self.mu * self.g1p / (LN2 * sat1p)
-        g[self.n_p1 + m :] = (1.0 - self.mu) * self.g2p / (LN2 * sat2p)
-        if with_hess:
-            h[m : self.n_p1] = self.mu * self.g1p**2 / (LN2 * sat1p**2)
-            h[self.n_p1 + m :] = (1.0 - self.mu) * self.g2p**2 / (LN2 * sat2p**2)
-            return total, g, h
-        return total, g
+            cross = power(self.c1).T @ (term(lam, arg11) + term(rest, arg12))
+            shared = cross + (term(lam, arg22, self.w2) + term(rest, arg21, self.w2))
+            if k == 1:
+                shared = shared - self.slope
+            out[n_p1 : n_p1 + m] = mu * shared + term(1.0 - mu, sat2s, self.g2s)
+        out[m:n_p1] = term(mu, sat1p, self.g1p)
+        out[n_p1 + m :] = term(1.0 - mu, sat2p, self.g2p)
+        return out
 
     def grad(self, z, branch_weights=None):
         return self.value_and_grad(z, branch_weights=branch_weights)[1]
@@ -347,81 +354,29 @@ def _residual(z, g, budget):
     return float(np.linalg.norm(z - project_power_budget(z + g, budget)))
 
 
-def _certificate(problem, z, budget, kink_rtol=1e-7):
-    """Projected-gradient residual of a supergradient at ``z``.
-
-    Off a kink the active branch gives the only supergradient. At a kink
-    (both decoding branches of a shared stream tie) any branch weight in
-    [0, 1] is valid; the branch with the smaller slope in that stream's
-    user-1 power is taken. At zero user-1 power the weight moves only that
-    slope, so this choice minimizes the residual exactly; at positive power
-    the residual can only come out conservative. Returns ``(residual, grad)``.
-    """
-    lam = None
-    if problem.m:
-        b1, b2 = problem.branches(z)
-        lam = problem._branch_weights(b1, b2, 0.0)
-        kink = np.abs(b1 - b2) <= kink_rtol * (1.0 + np.abs(b1) + np.abs(b2))
-        if kink.any():
-            p1s, _, p2s, _ = problem._parts(z)
-            arg11, _, arg21, _ = problem.shared_args(p1s, p2s)
-            flatter1 = problem.c1_diag / arg11 <= problem.w2 / arg21
-            lam = np.where(kink, flatter1.astype(float), lam)
-    g = problem.grad(z, lam)
-    return _residual(z, g, budget), g
-
-
-def _project_weighted(v, weights, budget):
-    """Projection onto ``{x >= 0, sum(x) <= budget}`` in the diagonal metric
-    ``weights``: minimizes ``sum(weights * (x - v)**2)``. Exact via a walk
-    over the sorted multiplier breakpoints."""
-    x = np.maximum(v, 0.0)
-    if x.sum() <= budget:
-        return x
-    # x_i(theta) = max(0, v_i - theta / w_i); coordinate i turns off at
-    # theta = v_i * w_i. Between breakpoints the active sum is linear.
-    pos = v > 0.0
-    bp = v[pos] * weights[pos]
-    order = np.argsort(bp)[::-1]
-    v_sorted = v[pos][order]
-    inv_w = 1.0 / weights[pos][order]
-    bp = bp[order]
-    sum_v = np.cumsum(v_sorted)
-    sum_inv = np.cumsum(inv_w)
-    k = len(bp)
-    for i in range(k):
-        theta = (sum_v[i] - budget) / sum_inv[i]
-        lower = bp[i + 1] if i + 1 < k else 0.0
-        if lower <= theta <= bp[i]:
-            return np.maximum(v - theta / weights, 0.0)
-    theta = max((sum_v[-1] - budget) / sum_inv[-1], 0.0)
-    return np.maximum(v - theta / weights, 0.0)
-
-
 def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
     surrogate.
 
     The step target is the weighted projection of ``z + g/h``; the Armijo
     backtracking line search runs on the feasible segment toward it. The
-    convergence check stays the plain Euclidean projected-gradient residual;
-    ``gd_rtol`` bounds the relative model ascent below which the stage gives
-    up instead. Returns ``(z, f, iterations_used, hit)``.
+    stage stops once the plain Euclidean projected-gradient residual is at
+    most ``rtol * (1 + ||g||)``; ``gd_rtol`` bounds the relative model
+    ascent below which it gives up instead. Returns ``(z, iterations_used)``.
     """
     armijo_c = 1e-4
     it = 0
-    f = problem.value(z, tau)
     while it < iter_budget:
         it += 1
         f, g, h = problem.value_and_grad(z, tau, with_hess=True)
         res = _residual(z, g, budget)
         if res <= rtol * (1.0 + float(np.linalg.norm(g))):
-            return z, f, it, True
+            return z, it
         # Guard tiny curvatures so the Newton target stays finite and a
         # zero-gradient coordinate never moves.
         h = np.maximum(h, np.abs(g) / (100.0 * (budget + 1.0)))
         h = np.maximum(h, 1e-300)
-        target = _project_weighted(z + g / h, h, budget)
+        target = _project(z + g / h, h, budget)
         d = target - z
         gd = float(g @ d)
         if gd <= gd_rtol * (1.0 + abs(f)):
@@ -432,27 +387,23 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
                 _residual(target, gt, budget) < res
                 and ft >= f - 1e-12 * (1.0 + abs(f))
             ):
-                z, f = target, ft
+                z = target
                 continue
-            return z, f, it, False
+            return z, it
         t = 1.0
-        accepted = False
-        ft = f
         # The objective is a short sum of logs, so its evaluation noise sits
         # around 1e-14 relative; without this allowance the line search
         # rejects genuine late-stage Newton steps.
         noise = 1e-13 * (1.0 + abs(f))
         while t >= 1e-18:
             zt = z + t * d  # feasible: segment between feasible points
-            ft = problem.value(zt, tau)
-            if ft >= f + armijo_c * t * gd - noise:
-                accepted = True
+            if problem.value(zt, tau) >= f + armijo_c * t * gd - noise:
                 break
             t *= 0.5
-        if not accepted:
-            return z, f, it, False
-        z, f = zt, ft
-    return z, f, it, False
+        else:
+            return z, it
+        z = zt
+    return z, it
 
 
 # Softmin smoothing levels; the solver walks them in order and finishes on
@@ -463,15 +414,15 @@ _TAU_STAGES = (1e-2, 1e-4, 1e-6, 1e-9, 0.0)
 def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     """Solve the concave surrogate problem for a fixed anchor.
 
-    Projected gradient ascent with backtracking (Armijo, halving steps),
-    exact sorting-based projection onto the power budget, and a diagonal
-    curvature preconditioner (water-filling-type objectives condition far
-    too badly for unit-metric steps). The minimum over decoding points is
-    nonsmooth, so the solver runs a softmin continuation (decreasing
-    smoothing levels) before finishing on the exact objective. Optimality is
-    certified by the projected-gradient residual of one supergradient at the
-    returned point; at a kink it takes the branch with the smaller slope in
-    that stream's user-1 power (see ``_certificate``).
+    Projected gradient ascent with backtracking (Armijo, halving steps), a
+    diagonal curvature preconditioner (water-filling-type objectives
+    condition far too badly for unit-metric steps) and the exact
+    sorting-based projection onto the power budget in that metric. The
+    minimum over decoding points is nonsmooth, so the solver runs a softmin
+    continuation (decreasing smoothing levels) before finishing on the exact
+    objective. Optimality is certified by the test the exact stage stops on:
+    the projected-gradient residual of the active-branch supergradient at
+    the returned point, at most ``RESIDUAL_RTOL * (1 + ||g||)``.
 
     Returns
     -------
@@ -495,24 +446,21 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     for tau in stages:
         if remaining <= 0:
             break
+        stage_budget = remaining
         if tau > 0.0:
             stage_budget = min(remaining, max(50, settings.inner_max_iters // 20))
-            stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
-            gd_rtol = max(tau * 1e-3, 1e-15)
-        else:
-            stage_budget = remaining
-            stage_rtol = RESIDUAL_RTOL
-            gd_rtol = 1e-15
-        z, _, used, hit = _ascent_stage(
+        # Looser at coarse smoothing; exactly RESIDUAL_RTOL and 1e-15 at 0.
+        stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
+        gd_rtol = max(tau * 1e-3, 1e-15)
+        z, used = _ascent_stage(
             problem, z, budget, tau, stage_budget, stage_rtol, gd_rtol
         )
         total_iters += used
         remaining -= used
-        if tau == 0.0 and hit:
-            break
 
-    f = problem.value(z)
-    res, g = _certificate(problem, z, budget)
+    # The exact stage's own stopping test, at the returned point.
+    f, g = problem.value_and_grad(z)
+    res = _residual(z, g, budget)
     gnorm = float(np.linalg.norm(g))
     converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
 
@@ -553,8 +501,9 @@ def ccp_allocate(dec, cfg, mu, settings=None):
         settings = SolverSettings()
     d = dec.dims
     q = np.zeros(d.shared)
-    prev = None  # sentinel start: forces at least one iteration
-    warm = None
+    # The previous allocation: the warm start and the stopping reference.
+    # None at the start: the first solve starts cold and cannot stop the loop.
+    prev = None
     trace = []
     inner_results = []
     converged = False
@@ -562,7 +511,7 @@ def ccp_allocate(dec, cfg, mu, settings=None):
     alloc = PowerAllocation.zeros(d)
     for iterations in range(1, settings.ccp_max_iters + 1):
         alloc, inner = maximize_surrogate(
-            q, dec, cfg, mu, settings=settings, warm_start=warm
+            q, dec, cfg, mu, settings=settings, warm_start=prev
         )
         inner_results.append(inner)
         trace.append(weighted_sum_rate(alloc, dec, cfg, mu))
@@ -573,11 +522,9 @@ def ccp_allocate(dec, cfg, mu, settings=None):
                 np.max(np.abs(alloc.p2 - prev.p2), initial=0.0),
             )
             if delta < settings.ccp_tol:
-                prev = alloc
                 converged = True
                 break
         prev = alloc
-        warm = alloc
 
     if not _constraint_forms_agree(dec, alloc):
         raise AssertionError(

@@ -7,7 +7,7 @@ both users and private streams sent through the other user's channel null
 space.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,22 +83,21 @@ class StreamDims:
     shared: int
     private1: int
     private2: int
-    ownership: tuple = field(default=())
 
     def __post_init__(self):
         if self.shared + self.private1 + self.private2 != self.total:
             raise ValueError("stream counts do not add up to the total")
         if min(self.total, self.shared, self.private1, self.private2) < 0:
             raise ValueError("stream counts must be nonnegative")
-        expected = (
+
+    @property
+    def ownership(self):
+        """Owner of each stream: SHARED, PRIVATE1 or PRIVATE2."""
+        return (
             (SHARED,) * self.shared
             + (PRIVATE1,) * self.private1
             + (PRIVATE2,) * self.private2
         )
-        if self.ownership == ():
-            object.__setattr__(self, "ownership", expected)
-        elif self.ownership != expected:
-            raise ValueError("ownership map inconsistent with stream counts")
 
     @property
     def user1_streams(self):

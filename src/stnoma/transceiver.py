@@ -117,19 +117,15 @@ def decode_user1(y1, dec, alloc, pathloss, s1):
     CancelledSignals
         One scalar per stream decoded by user 1 (shared + private1).
     """
-    d = dec.dims
     r1 = dec.r1
     amp1 = np.sqrt(alloc.p1 / pathloss)
-    n = d.user1_streams
+    n = dec.dims.user1_streams
     out = np.empty(n, dtype=complex)
     decoded = np.zeros(n, dtype=complex)
 
-    # Private phase: no inter-user interference on these rows.
-    for l in reversed(range(d.shared, n)):
-        out[l] = y1[l] - r1[l, l + 1 : n] @ decoded[l + 1 : n]
-        decoded[l] = amp1[l] * s1[l]
-    # Shared phase: cancel own symbols only; user 2's contribution stays.
-    for l in reversed(range(d.shared)):
+    # Private rows carry no inter-user interference; on shared rows only
+    # own symbols are cancelled and user 2's contribution stays.
+    for l in reversed(range(n)):
         out[l] = y1[l] - r1[l, l + 1 : n] @ decoded[l + 1 : n]
         decoded[l] = amp1[l] * s1[l]
     return CancelledSignals(user=1, values=out)

@@ -62,7 +62,7 @@ class StDecomposition:
         return np.hstack([self.r2[:, : d.shared], zero, self.r2[:, d.shared :]])
 
 
-def simultaneous_triangularize(ch, dims=None):
+def simultaneous_triangularize(ch):
     """Build the joint triangularization of a channel pair.
 
     The precoder stacks, in order, a basis of the joint null complement
@@ -73,8 +73,7 @@ def simultaneous_triangularize(ch, dims=None):
     Parameters
     ----------
     ch : ChannelPair
-    dims : StreamDims, optional
-        Derived from the channel shapes when omitted.
+        Stream counts follow from its shapes (:func:`derive_dims`).
 
     Raises
     ------
@@ -84,11 +83,7 @@ def simultaneous_triangularize(ch, dims=None):
         ``max(0, n_bs - m_k)``, breaking the stream dimensioning).
     """
     m1, n_bs = ch.h1.shape
-    m2 = ch.h2.shape[0]
-    if dims is None:
-        dims = derive_dims(n_bs, m1, m2)
-    elif dims != derive_dims(n_bs, m1, m2):
-        raise ValueError("dims inconsistent with the channel shapes")
+    dims = derive_dims(n_bs, m1, ch.h2.shape[0])
 
     nb_h1 = null_space_basis(ch.h1)  # carries user 2's private streams
     nb_h2 = null_space_basis(ch.h2)  # carries user 1's private streams

@@ -10,6 +10,7 @@ import scalar_oracle as oracle
 from stnoma.power import (
     SolverSettings,
     _SurrogateProblem,
+    _project,
     _residual,
     ccp_allocate,
     dc_components,
@@ -281,6 +282,51 @@ def test_projection_properties_hypothesis(vals, budget):
     x = project_power_budget(np.array(vals), budget)
     assert np.all(x >= 0.0)
     assert x.sum() <= budget + 1e-9
+
+
+def bisection_projection(v, weights, budget, iters=300):
+    """Independent oracle: bisection on the multiplier ``theta`` of
+    ``max(0, v - theta / weights)``, kept on the feasible side."""
+    x = np.maximum(v, 0.0)
+    if x.sum() <= budget:
+        return x
+    lo, hi = 0.0, float(np.max(v * weights))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(v - mid / weights, 0.0).sum() > budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(v - hi / weights, 0.0)
+
+
+@st.composite
+def projection_cases(draw):
+    # a small value pool forces ties and zeros; weights span 1e-3..1e3
+    entry = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.25]), st.floats(-5, 5))
+    v = np.array(draw(st.lists(entry, min_size=1, max_size=8)))
+    weights = 10.0 ** np.array(
+        draw(st.lists(st.floats(-3, 3), min_size=v.size, max_size=v.size))
+    )
+    # budgets from 0 through the float resolution of the entries to ~10
+    ulps = np.spacing(np.max(np.abs(v)))
+    budget = draw(
+        st.one_of(st.integers(0, 8).map(lambda k: k * ulps), st.floats(0.0, 10.0))
+    )
+    return v, weights, float(budget)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=projection_cases())
+def test_weighted_projection_matches_bisection(case):
+    v, weights, budget = case
+    x = _project(v, weights, budget)
+    atol = 1e-12 * (1.0 + np.abs(v).sum())
+    assert np.all(x >= 0.0)
+    assert x.sum() <= budget + atol
+    np.testing.assert_allclose(x, bisection_projection(v, weights, budget), rtol=0, atol=atol)
+    unit = np.ones_like(v)
+    np.testing.assert_array_equal(_project(v, unit, budget), project_power_budget(v, budget))
 
 
 # --- inner solver ---------------------------------------------------------------

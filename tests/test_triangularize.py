@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stnoma.linalg import qr_real_diag
-from stnoma.system import ChannelPair, derive_dims, sample_channels
+from stnoma.system import ChannelPair, sample_channels
 from stnoma.triangularize import simultaneous_triangularize, verify_decomposition
 
 
@@ -114,12 +114,6 @@ def test_rejects_rank_deficient_channel():
     h1[2] = h1[1]  # repeated row: null space grows beyond the generic size
     with pytest.raises(ValueError, match="non-generic"):
         simultaneous_triangularize(ChannelPair(h1=h1, h2=ch_ok.h2))
-
-
-def test_rejects_inconsistent_dims():
-    ch = make_channels(8, 5, 3, 3)
-    with pytest.raises(ValueError, match="dims"):
-        simultaneous_triangularize(ch, derive_dims(4, 2, 2))
 
 
 def test_effective_views_match_factors():
