@@ -19,14 +19,23 @@ the monotone ascent of the outer loop. (Linearizing only the own-index
 coordinate, with the cross terms dropped, loses the bound as soon as two
 shared streams overlap and lets the outer loop cycle or descend; with a
 single shared stream the two forms coincide.)
+
+Every routine works on rows. ``ccp_allocate_weights`` runs all rate weights
+of one decomposition in lockstep: the rows share the link's gains and each
+numpy call of a step, a row that stops drops out, and every row is bit for
+bit the single-weight run; ``ccp_allocate`` and ``maximize_surrogate`` are
+its one-row case.
 """
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import StreamGains, weighted_sum_rate
+from .rates import StreamGains
+from .rates import weighted_sum_rate  # noqa: F401  bench/tracing.py patches it here
 from .transceiver import PowerAllocation
 
 __all__ = [
@@ -39,6 +48,7 @@ __all__ = [
     "project_power_budget",
     "maximize_surrogate",
     "ccp_allocate",
+    "ccp_allocate_weights",
 ]
 
 LN2 = math.log(2.0)
@@ -138,80 +148,147 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     return float(problem.bounds(problem.pack(alloc))[l])
 
 
+@functools.lru_cache(maxsize=64)
+def _grid(rows, n):
+    """Flat offsets of the rows of a (rows, n) array, the column indices,
+    and the counts 1..n; read-only, as every caller shares them."""
+    grid = n * np.arange(rows), np.arange(n), np.arange(1.0, n + 1.0)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def _project(v, weights, budget):
     """Projection onto ``{x >= 0, sum(x) <= budget}`` in the diagonal metric
-    ``weights``: minimizes ``sum(weights * (x - v)**2)``.
+    ``weights`` (``None``: unit weights): minimizes
+    ``sum(weights * (x - v)**2)``, row by row for a 2-D ``v``.
 
     The solution is ``max(0, v - theta / weights)`` for a multiplier
     ``theta >= 0``; coordinate i turns off at the breakpoint
     ``v_i * weights_i``. Sorting the breakpoints gives every candidate
     threshold at once (Duchi et al. 2008, in a diagonal metric); O(n log n).
     """
+    if v.ndim == 1:
+        rows = None if weights is None else weights[None]
+        return _project(v[None], rows, budget)[0]
     x = np.maximum(v, 0.0)
-    if x.sum() <= budget:
+    inside = np.add.reduce(x, axis=1) <= budget
+    n_inside = np.count_nonzero(inside)
+    if n_inside == len(v):
         return x
-    breakpoints = v * weights
-    order = np.argsort(breakpoints)[::-1]
-    theta = (np.cumsum(v[order]) - budget) / np.cumsum(1.0 / weights[order])
-    hits = np.nonzero(breakpoints[order] > theta)[0]
-    # rounding can empty the set for budgets at the float resolution of the
-    # entries; the single-coordinate threshold is then the right answer
-    rho = hits[-1] if hits.size else 0
-    return np.maximum(v - theta[rho] / weights, 0.0)
+    starts, cols, counts = _grid(*v.shape)
+    breakpoints = v if weights is None else v * weights
+    # flat indices of each row's breakpoints in decreasing order
+    order = np.argsort(breakpoints, axis=1)[:, ::-1] + starts[:, None]
+    theta = v.take(order).cumsum(axis=1) - budget
+    # unit weights sum to the exact counts
+    theta /= counts if weights is None else (1.0 / weights.take(order)).cumsum(axis=1)
+    hits = breakpoints.take(order) > theta
+    # the last hit; rounding can empty the set for budgets at the float
+    # resolution of the entries, and the single-coordinate threshold is then
+    # the right answer
+    theta = theta.take(starts + np.maximum.reduce(hits * cols, axis=1))[:, None]
+    proj = np.maximum(v - (theta if weights is None else theta / weights), 0.0)
+    return np.where(inside[:, None], x, proj) if n_inside else proj
 
 
 def project_power_budget(v, budget):
     """Euclidean projection onto ``{x >= 0, sum(x) <= budget}``: the
-    solver's sorting-based projection at unit weights; O(n log n).
+    solver's sorting-based projection at unit weights, row by row for a 2-D
+    ``v``; O(n log n).
     """
     if budget < 0.0:
         raise ValueError("budget must be >= 0")
-    v = np.asarray(v, dtype=float)
-    return _project(v, np.ones_like(v), budget)
+    return _project(np.asarray(v, dtype=float), None, budget)
+
+
+def _norm(x):
+    """Euclidean norm of each row; the bits of ``np.linalg.norm`` per row."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 class _SurrogateProblem(StreamGains):
-    """Vectorized value/gradient of the concave surrogate objective.
+    """Vectorized value/gradient of the concave surrogate objective, for one
+    weight and anchor or for rows of them.
 
     Variables are packed as ``z = [p1 shared, p1 private1, p2 shared,
     p2 private2]``; the fixed-zero coordinates of the allocation never enter
-    the solver. The coefficients are the link's :class:`StreamGains`.
+    the solver. The coefficients are the link's :class:`StreamGains`, which
+    every row shares. ``mu`` (shape ``rows``) and ``anchor`` (``rows +
+    (shared,)``) set the rows; ``z`` then carries the same leading axes, and
+    each row computes exactly as it would alone.
     """
+
+    # The per-row state; take() selects rows of each.
+    _ROW_FIELDS = ("mu", "mu2", "anchor", "anchored", "jac", "slope")
 
     def __init__(self, dec, cfg, mu, anchor):
         super().__init__(dec, cfg)
         d = self.dims
-        self.mu = float(mu)
-        m = d.shared
-        self.m = m
+        self.m = d.shared
+        self.n_p1 = self.m + d.private1
+        self.size = self.n_p1 + self.m + d.private2
+        self._anchor_rows(mu, anchor)
+
+    @functools.cached_property
+    def gain_powers(self):
+        """The gains in the k-th derivatives (k = 1, 2) raised to the k-th
+        power, computed once per link."""
+        gains = (self.c1, self.c1_diag, self.w2, self.g1p, self.g2s, self.g2p)
+        return {1: gains, 2: tuple(gain**2 for gain in gains)}
+
+    def _anchor_rows(self, mu, anchor):
+        m = self.m
+        self.mu = np.asarray(mu, dtype=float)
+        self.mu2 = 1.0 - self.mu  # user 2's weight
         self.anchor = np.asarray(anchor, dtype=float)
-        if self.anchor.shape != (m,):
+        if self.anchor.shape != self.mu.shape + (m,):
             raise ValueError("anchor length must equal the shared stream count")
         if (self.anchor < 0.0).any():
             raise ValueError("anchor powers must be >= 0")
 
-        _, arg12_q, _, arg22_q = self.shared_args(np.zeros(m), self.anchor)
+        zeros = np.zeros_like(self.anchor)
+        _, arg12_q, _, arg22_q = self.shared_args(zeros, self.anchor)
         self.anchored = np.log2(arg12_q) + np.log2(arg22_q)
         # Full anchored jacobian of the concave remainders: row l linearizes
         # stream l's bound; the summed objective and gradient need only its
         # column sums.
-        self.jac = self.c1 / (LN2 * arg12_q[:, None])
-        self.jac[np.diag_indices(m)] += self.w2 / (LN2 * arg22_q)
-        self.slope = self.jac.sum(axis=0)
+        self.jac = self.c1 / (LN2 * arg12_q[..., None])
+        diag = np.arange(m)
+        self.jac[..., diag, diag] += self.w2 / (LN2 * arg22_q)
+        self.slope = self.jac.sum(axis=-2)
 
-        self.n_p1 = m + d.private1
-        self.size = self.n_p1 + m + d.private2
+    def reanchored(self, mu, anchor):
+        """The same link's surrogate at other weights and anchors, without
+        rebuilding its gains."""
+        new = copy.copy(self)
+        new._anchor_rows(mu, anchor)
+        return new
+
+    def take(self, rows):
+        """The surrogate of the rows at the indices ``rows`` (increasing)."""
+        if len(rows) == len(self.mu):
+            return self
+        new = copy.copy(self)
+        for name in self._ROW_FIELDS:
+            setattr(new, name, getattr(self, name)[rows])
+        return new
+
+    def powers(self, z):
+        """Solver vectors -> full-length ``(p1, p2)`` with the zero support
+        restored."""
+        d = self.dims
+        m, n_p1 = self.m, self.n_p1
+        p1 = np.zeros(z.shape[:-1] + (d.total,))
+        p2 = np.zeros(z.shape[:-1] + (d.total,))
+        p1[..., :n_p1] = z[..., :n_p1]
+        p2[..., :m] = z[..., n_p1 : n_p1 + m]
+        p2[..., m + d.private1 :] = z[..., n_p1 + m :]
+        return p1, p2
 
     def unpack(self, z):
-        """Solver vector -> PowerAllocation with the zero support restored."""
-        d = self.dims
-        m = self.m
-        p1 = np.zeros(d.total)
-        p2 = np.zeros(d.total)
-        p1[: self.n_p1] = z[: self.n_p1]
-        p2[:m] = z[self.n_p1 : self.n_p1 + m]
-        p2[m + d.private1 :] = z[self.n_p1 + m :]
-        return PowerAllocation(p1, p2)
+        """Solver vector -> PowerAllocation."""
+        return PowerAllocation(*self.powers(z))
 
     def pack(self, alloc):
         d = self.dims
@@ -226,10 +303,10 @@ class _SurrogateProblem(StreamGains):
 
     def _parts(self, z):
         m = self.m
-        p1s = z[:m]
-        p1p = z[m : self.n_p1]
-        p2s = z[self.n_p1 : self.n_p1 + m]
-        p2p = z[self.n_p1 + m :]
+        p1s = z[..., :m]
+        p1p = z[..., m : self.n_p1]
+        p2s = z[..., self.n_p1 : self.n_p1 + m]
+        p2p = z[..., self.n_p1 + m :]
         return p1s, p1p, p2s, p2p
 
     @staticmethod
@@ -264,27 +341,54 @@ class _SurrogateProblem(StreamGains):
             return hard
         return hard - tau * np.log1p(np.exp(-np.abs(b1 - b2) / tau))
 
-    def _total(self, p1p, p2s, p2p, b1, b2, tau):
+    def _sats(self, p1p, p2s, p2p):
+        """The arguments ``1 + p * gain`` of the interference-free rates:
+        user 1's private, user 2's shared and user 2's private streams."""
+        return 1.0 + p1p * self.g1p, 1.0 + p2s * self.g2s, 1.0 + p2p * self.g2p
+
+    def _total(self, b1, b2, p2s, sats, tau):
         """The objective from the branches: the weighted (soft) minima less
         the summed linearization, then the interference-free rates of user
         2's shared and both users' private streams."""
+        mu, mu2 = self.mu, self.mu2
+        sat1p, sat2s, sat2p = sats
         under = (
             self._softmin(b1, b2, tau)
             - self.anchored
             - self.slope * (p2s - self.anchor)
         )
-        total = self.mu * under.sum()
-        total += (1.0 - self.mu) * np.log2(1.0 + p2s * self.g2s).sum()
-        total += self.mu * np.log2(1.0 + p1p * self.g1p).sum()
-        total += (1.0 - self.mu) * np.log2(1.0 + p2p * self.g2p).sum()
-        return float(total)
+        total = mu * np.add.reduce(under, axis=-1)
+        total += mu2 * np.add.reduce(np.log2(sat2s), axis=-1)
+        total += mu * np.add.reduce(np.log2(sat1p), axis=-1)
+        total += mu2 * np.add.reduce(np.log2(sat2p), axis=-1)
+        return total
+
+    def evaluate(self, z, tau=0.0):
+        """Surrogate objective ``f`` at ``z`` and the point it was computed
+        from, ``(f, (args, b1, b2, sats))``, which ``value_and_grad`` can
+        reuse."""
+        p1s, p1p, p2s, p2p = self._parts(z)
+        args = self.shared_args(p1s, p2s)
+        b1, b2 = self._branches(*args)
+        sats = self._sats(p1p, p2s, p2p)
+        return self._total(b1, b2, p2s, sats, tau), (args, b1, b2, sats)
 
     def value(self, z, tau=0.0):
         """Surrogate objective; ``tau > 0`` smooths the minimum from below
         (softmin), used by the continuation stages of the solver."""
-        p1s, p1p, p2s, p2p = self._parts(z)
-        b1, b2 = self._branches(*self.shared_args(p1s, p2s))
-        return self._total(p1p, p2s, p2p, b1, b2, tau)
+        return self.evaluate(z, tau)[0]
+
+    def _local(self, z, tau, branch_weights=None, point=None):
+        """``(f, lam, args, sats)``: the objective at ``z`` and what its
+        derivatives there read, the branch weights and the arguments.
+        ``point``, the result of ``evaluate(z, tau)``, saves evaluating
+        ``z`` again."""
+        total, (args, b1, b2, sats) = point or self.evaluate(z, tau)
+        if branch_weights is None:
+            lam = self._branch_weights(b1, b2, tau)
+        else:
+            lam = np.asarray(branch_weights, dtype=float)
+        return total, lam, args, sats
 
     def value_and_grad(self, z, tau=0.0, branch_weights=None, with_hess=False):
         """Objective, (super)gradient, and optionally the diagonal Hessian
@@ -300,15 +404,7 @@ class _SurrogateProblem(StreamGains):
         treats the branch weights as locally constant; it is a
         preconditioner, not an exact second derivative.
         """
-        p1s, p1p, p2s, p2p = self._parts(z)
-        args = self.shared_args(p1s, p2s)
-        b1, b2 = self._branches(*args)
-        total = self._total(p1p, p2s, p2p, b1, b2, tau)
-        if branch_weights is None:
-            lam = self._branch_weights(b1, b2, tau)
-        else:
-            lam = np.asarray(branch_weights, dtype=float)
-        sats = (1.0 + p1p * self.g1p, 1.0 + p2s * self.g2s, 1.0 + p2p * self.g2p)
+        total, lam, args, sats = self._local(z, tau, branch_weights)
         g = self._derivative(1, lam, args, sats)
         if with_hess:
             return total, g, self._derivative(2, lam, args, sats)
@@ -318,32 +414,34 @@ class _SurrogateProblem(StreamGains):
         """Magnitudes of the k-th derivatives of the objective along each
         coordinate (k = 1, 2), with branch weights ``lam``. A term
         ``weight * log2(arg)``, with ``arg`` affine in the coordinate at
-        slope ``gain``, contributes ``weight * gain**k / (ln 2 * arg**k)``;
-        the linearized remainder adds ``-slope`` at k = 1 only."""
+        slope ``gain``, contributes ``weight * gain**k / (ln 2 * arg**k)``
+        (``weight`` alone for the cross terms, whose gains ``c1`` enter
+        through the matrix product); the linearized remainder adds
+        ``-slope`` at k = 1 only."""
         # the identity at k = 1 keeps the gradient free of x**1 copies
         power = (lambda x: x) if k == 1 else (lambda x: x**k)
-
-        def term(weight, arg, gain=None):
-            num = weight if gain is None else weight * power(gain)
-            return num / (LN2 * power(arg))
-
-        arg11, arg12, arg21, arg22 = args
-        sat1p, sat2s, sat2p = sats
-        mu, m, n_p1 = self.mu, self.m, self.n_p1
-        out = np.empty(self.size)
+        c1, c1_diag, w2, g1p, g2s, g2p = self.gain_powers[k]
+        den11, den12, den21, den22 = [LN2 * power(arg) for arg in args]
+        den1p, den2s, den2p = [LN2 * power(sat) for sat in sats]
+        mu, mu2 = self.mu[..., None], self.mu2[..., None]
+        m, n_p1 = self.m, self.n_p1
+        out = np.empty(den1p.shape[:-1] + (self.size,))
         if m:
             rest = 1.0 - lam
+            # user 2's decoding point of stream l, in both p1s and p2s
+            at2 = rest * w2 / den21
             # d/dp1s: branch 1 through arg11, branch 2 through arg21.
-            out[:m] = mu * (term(lam, arg11, self.c1_diag) + term(rest, arg21, self.w2))
+            out[..., :m] = mu * (lam * c1_diag / den11 + at2)
             # d/dp2s: cross terms through c1 rows, own terms through
             # arg22/arg21, minus the fixed linearization slope.
-            cross = power(self.c1).T @ (term(lam, arg11) + term(rest, arg12))
-            shared = cross + (term(lam, arg22, self.w2) + term(rest, arg21, self.w2))
+            back = lam / den11 + rest / den12
+            cross = (c1.T @ back[..., None])[..., 0]
+            shared = cross + (lam * w2 / den22 + at2)
             if k == 1:
                 shared = shared - self.slope
-            out[n_p1 : n_p1 + m] = mu * shared + term(1.0 - mu, sat2s, self.g2s)
-        out[m:n_p1] = term(mu, sat1p, self.g1p)
-        out[n_p1 + m :] = term(1.0 - mu, sat2p, self.g2p)
+            out[..., n_p1 : n_p1 + m] = mu * shared + mu2 * g2s / den2s
+        out[..., m:n_p1] = mu * g1p / den1p
+        out[..., n_p1 + m :] = mu2 * g2p / den2p
         return out
 
     def grad(self, z, branch_weights=None):
@@ -351,64 +449,153 @@ class _SurrogateProblem(StreamGains):
 
 
 def _residual(z, g, budget):
-    return float(np.linalg.norm(z - project_power_budget(z + g, budget)))
+    """Norm of the projected-gradient step ``z - proj(z + g)``, per row."""
+    return _norm(z - _project(z + g, None, budget))
 
 
-def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
+def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol, seen=None):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
-    surrogate.
+    surrogate, every row of ``z`` in lockstep.
 
     The step target is the weighted projection of ``z + g/h``; the Armijo
-    backtracking line search runs on the feasible segment toward it. The
-    stage stops once the plain Euclidean projected-gradient residual is at
-    most ``rtol * (1 + ||g||)``; ``gd_rtol`` bounds the relative model
-    ascent below which it gives up instead. Returns ``(z, iterations_used)``.
+    backtracking line search runs on the feasible segment toward it. A row
+    stops once its plain Euclidean projected-gradient residual is at most
+    ``rtol * (1 + ||g||)`` (a hit); ``gd_rtol`` bounds the relative model
+    ascent below which it gives up instead, and ``iter_budget`` caps its
+    iterations. A stopped row drops out; every other row goes on exactly as
+    it would alone. Updates ``z`` in place and returns the iterations each
+    row used. Given ``seen = (hit, f, g, residual, grad_norm)``, it marks
+    the rows that hit and keeps what their test saw.
     """
     armijo_c = 1e-4
+    used = np.zeros(len(z), dtype=int)
+    act = np.flatnonzero(iter_budget > 0)
+    sub, za, caps = problem.take(act), z[act], iter_budget[act]
+    # (point, g, residual) at za when the previous iteration already computed
+    # them there: every row took the same line-search step, or the polish.
+    known = None
     it = 0
-    while it < iter_budget:
+    while act.size:
         it += 1
-        f, g, h = problem.value_and_grad(z, tau, with_hess=True)
-        res = _residual(z, g, budget)
-        if res <= rtol * (1.0 + float(np.linalg.norm(g))):
-            return z, it
-        # Guard tiny curvatures so the Newton target stays finite and a
-        # zero-gradient coordinate never moves.
-        h = np.maximum(h, np.abs(g) / (100.0 * (budget + 1.0)))
-        h = np.maximum(h, 1e-300)
-        target = _project(z + g / h, h, budget)
-        d = target - z
-        gd = float(g @ d)
-        if gd <= gd_rtol * (1.0 + abs(f)):
-            # Objective-flat but possibly not stationary: the full step can
-            # still shrink the gradient mapping, so polish on the residual.
-            ft, gt = problem.value_and_grad(target, tau)
-            if (
-                _residual(target, gt, budget) < res
-                and ft >= f - 1e-12 * (1.0 + abs(f))
-            ):
-                z = target
-                continue
-            return z, it
-        t = 1.0
-        # The objective is a short sum of logs, so its evaluation noise sits
-        # around 1e-14 relative; without this allowance the line search
-        # rejects genuine late-stage Newton steps.
-        noise = 1e-13 * (1.0 + abs(f))
-        while t >= 1e-18:
-            zt = z + t * d  # feasible: segment between feasible points
-            if problem.value(zt, tau) >= f + armijo_c * t * gd - noise:
-                break
-            t *= 0.5
-        else:
-            return z, it
-        z = zt
-    return z, it
+        point, g, res = known or (None, None, None)
+        known = None
+        f, *local = sub._local(za, tau, point=point)
+        if g is None:
+            g = sub._derivative(1, *local)
+            res = _residual(za, g, budget)
+        gnorm = _norm(g)
+        stop = res <= rtol * (1.0 + gnorm)
+        hits = np.count_nonzero(stop)
+        if hits and seen is not None:
+            seen[0][act[stop]] = True
+            for out, value in zip(seen[1:], (f, g, res, gnorm)):
+                out[act[stop]] = value[stop]
+        if hits < act.size:
+            # Guard tiny curvatures so the Newton target stays finite and a
+            # zero-gradient coordinate never moves.
+            h = sub._derivative(2, *local)
+            h = np.maximum(h, np.abs(g) / (100.0 * (budget + 1.0)))
+            h = np.maximum(h, 1e-300)
+            target = _project(za + g / h, h, budget)
+            start, d = za, target - za
+            gd = np.vecdot(g, d)
+            scale = 1.0 + np.abs(f)
+            flat = ~stop & (gd <= gd_rtol * scale)
+            if np.count_nonzero(flat):
+                # Objective-flat but possibly not stationary: the full step
+                # can still shrink the gradient mapping, so polish on the
+                # residual.
+                polish = sub.evaluate(target, tau)
+                _, *at_target = sub._local(target, tau, point=polish)
+                gt = sub._derivative(1, *at_target)
+                rt = _residual(target, gt, budget)
+                moved = flat & (rt < res) & (polish[0] >= f - 1e-12 * scale)
+                if np.count_nonzero(moved) == len(moved):
+                    za, known = target, (polish, gt, rt)
+                else:
+                    za = np.where(moved[:, None], target, za)
+                stop |= flat & ~moved
+            # The objective is a short sum of logs, so its evaluation noise
+            # sits around 1e-14 relative; without this allowance the line
+            # search rejects genuine late-stage Newton steps.
+            noise = 1e-13 * scale
+            pending = ~(stop | flat)
+            t = 1.0
+            while np.count_nonzero(pending):
+                if t < 1e-18:
+                    stop |= pending
+                    break
+                zt = start + t * d  # feasible: segment between feasible points
+                trial = sub.evaluate(zt, tau)
+                ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
+                if np.count_nonzero(ok) == len(ok):
+                    za, known = zt, (trial, None, None)
+                else:
+                    za = np.where(ok[:, None], zt, za)
+                pending ^= ok
+                t *= 0.5
+        stop |= it >= caps
+        stopped = np.count_nonzero(stop)
+        if stopped == act.size:
+            used[act] = it
+            z[act] = za
+            break
+        if stopped:
+            known = None
+            used[act[stop]] = it
+            z[act[stop]] = za[stop]
+            keep = np.flatnonzero(~stop)
+            act, za, caps = act[keep], za[keep], caps[keep]
+            sub = sub.take(keep)
+    return used
 
 
 # Softmin smoothing levels; the solver walks them in order and finishes on
 # the exact objective (0.0 disables the smoothing).
 _TAU_STAGES = (1e-2, 1e-4, 1e-6, 1e-9, 0.0)
+
+
+def _maximize(problem, z, budget, settings):
+    """Every row of ``problem`` maximized from the feasible rows of ``z``
+    (see :func:`maximize_surrogate`), in lockstep stage by stage. Returns
+    the final rows and one :class:`InnerSolveResult` per row."""
+    z = z.copy()
+    rows = len(z)
+    iterations = np.zeros(rows, dtype=int)
+    hit = np.zeros(rows, dtype=bool)
+    f, g, res, gnorm = np.empty(rows), np.empty_like(z), np.empty(rows), np.empty(rows)
+    for tau in _TAU_STAGES if problem.m else (0.0,):
+        stage_budget = settings.inner_max_iters - iterations
+        if tau > 0.0:
+            softmin_cap = max(50, settings.inner_max_iters // 20)
+            stage_budget = np.minimum(stage_budget, softmin_cap)
+        # Looser at coarse smoothing; exactly RESIDUAL_RTOL and 1e-15 at 0.
+        stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
+        gd_rtol = max(tau * 1e-3, 1e-15)
+        # the exact stage's stopping test is the solve's certificate
+        seen = (hit, f, g, res, gnorm) if tau == 0.0 else None
+        iterations += _ascent_stage(
+            problem, z, budget, tau, stage_budget, stage_rtol, gd_rtol, seen
+        )
+
+    # A row that hit the exact stage's test hands out what the test saw; any
+    # other row is evaluated at its returned point.
+    if not hit.all():
+        miss = np.flatnonzero(~hit)
+        f[miss], g[miss] = problem.take(miss).value_and_grad(z[miss])
+        res[miss] = _residual(z[miss], g[miss], budget)
+        gnorm[miss] = _norm(g[miss])
+    converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
+    return z, [
+        InnerSolveResult(
+            value=float(f[b]),
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            residual=float(res[b]),
+            grad_norm=float(gnorm[b]),
+        )
+        for b in range(rows)
+    ]
 
 
 def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
@@ -422,7 +609,8 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     continuation (decreasing smoothing levels) before finishing on the exact
     objective. Optimality is certified by the test the exact stage stops on:
     the projected-gradient residual of the active-branch supergradient at
-    the returned point, at most ``RESIDUAL_RTOL * (1 + ||g||)``.
+    the returned point, at most ``RESIDUAL_RTOL * (1 + ||g||)``. This is the
+    one-row case of the lockstep solve :func:`ccp_allocate_weights` runs.
 
     Returns
     -------
@@ -432,46 +620,13 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     """
     if settings is None:
         settings = SolverSettings()
-    problem = _SurrogateProblem(dec, cfg, mu, anchor)
-    budget = cfg.power_budget
-
+    problem = _SurrogateProblem(dec, cfg, [mu], [anchor])
     if warm_start is None:
-        z = np.zeros(problem.size)
+        z = np.zeros((1, problem.size))
     else:
-        z = project_power_budget(problem.pack(warm_start), budget)
-
-    total_iters = 0
-    remaining = settings.inner_max_iters
-    stages = _TAU_STAGES if problem.m else (0.0,)
-    for tau in stages:
-        if remaining <= 0:
-            break
-        stage_budget = remaining
-        if tau > 0.0:
-            stage_budget = min(remaining, max(50, settings.inner_max_iters // 20))
-        # Looser at coarse smoothing; exactly RESIDUAL_RTOL and 1e-15 at 0.
-        stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
-        gd_rtol = max(tau * 1e-3, 1e-15)
-        z, used = _ascent_stage(
-            problem, z, budget, tau, stage_budget, stage_rtol, gd_rtol
-        )
-        total_iters += used
-        remaining -= used
-
-    # The exact stage's own stopping test, at the returned point.
-    f, g = problem.value_and_grad(z)
-    res = _residual(z, g, budget)
-    gnorm = float(np.linalg.norm(g))
-    converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
-
-    alloc = problem.unpack(z)
-    return alloc, InnerSolveResult(
-        value=f,
-        iterations=total_iters,
-        converged=converged,
-        residual=res,
-        grad_norm=gnorm,
-    )
+        z = project_power_budget(problem.pack(warm_start)[None], cfg.power_budget)
+    z, (result,) = _maximize(problem, z, cfg.power_budget, settings)
+    return problem.unpack(z[0]), result
 
 
 def _constraint_forms_agree(dec, alloc, rtol=1e-9):
@@ -485,58 +640,88 @@ def _constraint_forms_agree(dec, alloc, rtol=1e-9):
     return abs(trace_form - plain) <= rtol * max(1.0, plain)
 
 
-def ccp_allocate(dec, cfg, mu, settings=None):
-    """Run the full CCP outer loop on one decomposition.
+def ccp_allocate_weights(dec, cfg, mus, settings=None):
+    """Run the CCP outer loop for every rate weight in ``mus`` on one
+    decomposition, all weights in lockstep.
 
-    Starts from a zero anchor, repeatedly maximizes the surrogate, and
-    re-anchors at the new user-2 shared powers until no power moves by more
-    than ``ccp_tol`` watts or the iteration cap is reached. The recorded
-    objective trace holds the true weighted sum rate, not the surrogate.
+    Each weight's run starts from a zero anchor, repeatedly maximizes the
+    surrogate, and re-anchors at the new user-2 shared powers until no
+    power moves by more than ``ccp_tol`` watts or the iteration cap is
+    reached. The recorded objective trace holds the true weighted sum rate,
+    not the surrogate. The weights share the link's gains and every numpy
+    call of an outer iteration and of a solver stage; a weight whose run
+    stops drops out, and every row is bit for bit the run it would be
+    alone (:func:`ccp_allocate`).
+
+    Returns
+    -------
+    list of (PowerAllocation, CcpState)
+        One per weight, in the order of ``mus``.
+    """
+    if settings is None:
+        settings = SolverSettings()
+    mus = np.asarray(mus, dtype=float)
+    if not np.all((mus >= 0.0) & (mus <= 1.0)):
+        raise ValueError("mu must lie in [0, 1]")
+    rows = len(mus)
+    budget = cfg.power_budget
+    problem = _SurrogateProblem(dec, cfg, mus, np.zeros((rows, dec.dims.shared)))
+    m, n_p1 = problem.m, problem.n_p1
+    # Each row's previous allocation: the warm start and the stopping
+    # reference (zeros before the first solve, which cannot stop the loop).
+    z = np.zeros((rows, problem.size))
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    traces = [[] for _ in range(rows)]
+    inner_results = [[] for _ in range(rows)]
+    act = np.arange(rows)
+    for it in range(1, settings.ccp_max_iters + 1):
+        prev = z[act]
+        new, inner = _maximize(
+            problem, project_power_budget(prev, budget), budget, settings
+        )
+        rates = problem.weighted_sum_rate(*problem.powers(new), problem.mu)
+        for b, result, rate in zip(act, inner, rates):
+            inner_results[b].append(result)
+            traces[b].append(float(rate))
+        z[act] = new
+        iterations[act] = it
+        done = np.max(np.abs(new - prev), axis=1, initial=0.0) < settings.ccp_tol
+        if it == 1:
+            done[:] = False
+        converged[act[done]] = True
+        keep = np.flatnonzero(~done)
+        act = act[keep]
+        if not act.size or it == settings.ccp_max_iters:
+            break
+        problem = problem.reanchored(problem.mu[keep], new[keep, n_p1 : n_p1 + m])
+
+    out = []
+    for b in range(rows):
+        alloc = problem.unpack(z[b])
+        if not _constraint_forms_agree(dec, alloc):
+            raise AssertionError(
+                "trace and sum forms of the power constraint disagree; "
+                "precoder columns are not unit norm"
+            )
+        state = CcpState(
+            q=alloc.p2[:m].copy(),
+            allocation=alloc,
+            iterations=int(iterations[b]),
+            objective_trace=np.array(traces[b]),
+            converged=bool(converged[b]),
+            inner_results=tuple(inner_results[b]),
+        )
+        out.append((alloc, state))
+    return out
+
+
+def ccp_allocate(dec, cfg, mu, settings=None):
+    """Run the full CCP outer loop on one decomposition: the one-weight case
+    of :func:`ccp_allocate_weights`.
 
     Returns
     -------
     (PowerAllocation, CcpState)
     """
-    if settings is None:
-        settings = SolverSettings()
-    d = dec.dims
-    q = np.zeros(d.shared)
-    # The previous allocation: the warm start and the stopping reference.
-    # None at the start: the first solve starts cold and cannot stop the loop.
-    prev = None
-    trace = []
-    inner_results = []
-    converged = False
-    iterations = 0
-    alloc = PowerAllocation.zeros(d)
-    for iterations in range(1, settings.ccp_max_iters + 1):
-        alloc, inner = maximize_surrogate(
-            q, dec, cfg, mu, settings=settings, warm_start=prev
-        )
-        inner_results.append(inner)
-        trace.append(weighted_sum_rate(alloc, dec, cfg, mu))
-        q = alloc.p2[: d.shared].copy()
-        if prev is not None:
-            delta = max(
-                np.max(np.abs(alloc.p1 - prev.p1), initial=0.0),
-                np.max(np.abs(alloc.p2 - prev.p2), initial=0.0),
-            )
-            if delta < settings.ccp_tol:
-                converged = True
-                break
-        prev = alloc
-
-    if not _constraint_forms_agree(dec, alloc):
-        raise AssertionError(
-            "trace and sum forms of the power constraint disagree; "
-            "precoder columns are not unit norm"
-        )
-    state = CcpState(
-        q=q,
-        allocation=alloc,
-        iterations=iterations,
-        objective_trace=np.array(trace),
-        converged=converged,
-        inner_results=tuple(inner_results),
-    )
-    return alloc, state
+    return ccp_allocate_weights(dec, cfg, [mu], settings)[0]

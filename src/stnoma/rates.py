@@ -51,13 +51,38 @@ class StreamGains:
         """Noise-plus-power sums ``(arg11, arg12, arg21, arg22)`` of user 1's
         shared streams: with and without the own signal at user 1
         (``arg11``, ``arg12``) and at user 2 before SIC (``arg21``,
-        ``arg22``). Each decoding point's rate is ``log2`` of a ratio."""
-        i1 = self.c1 @ p2s
-        arg11 = self.sigma2 + i1 + p1s * self.c1_diag
+        ``arg22``). Each decoding point's rate is ``log2`` of a ratio.
+        Powers may carry leading row axes; each row computes exactly as it
+        would alone."""
+        i1 = (self.c1 @ p2s[..., None])[..., 0]
         arg12 = self.sigma2 + i1
+        arg11 = arg12 + p1s * self.c1_diag
         arg21 = self.sigma2 + (p1s + p2s) * self.w2
         arg22 = self.sigma2 + p2s * self.w2
         return arg11, arg12, arg21, arg22
+
+    def breakdown(self, p1, p2):
+        """:class:`RateBreakdown` of the length-L powers ``p1``, ``p2``, or
+        of rows of them."""
+        d = self.dims
+        m, k = d.shared, d.user1_streams
+        p1s, p2s = p1[..., :m], p2[..., :m]
+        _, arg12, _, arg22 = self.shared_args(p1s, p2s)
+        at1 = np.log2(1.0 + p1s * self.c1_diag / arg12)
+        at2 = np.log2(1.0 + p1s * self.w2 / arg22)
+        r1 = np.zeros(p1.shape)
+        r2 = np.zeros(p2.shape)
+        r1[..., :m] = np.minimum(at1, at2)
+        r1[..., m:k] = np.log2(1.0 + p1[..., m:k] * self.g1p)
+        r2[..., :m] = np.log2(1.0 + p2s * self.g2s)
+        r2[..., k:] = np.log2(1.0 + p2[..., k:] * self.g2p)
+        return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
+
+    def weighted_sum_rate(self, p1, p2, mu):
+        """``sum_l mu r1[l] + (1 - mu) r2[l]``, per row for rows of powers
+        and weights."""
+        br = self.breakdown(p1, p2)
+        return mu * br.r1.sum(axis=-1) + (1.0 - mu) * br.r2.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -85,20 +110,7 @@ def rate_breakdown(alloc, dec, cfg):
     1's private and user 2's streams are interference-free. Each user's
     rates on the other user's private indices are zero.
     """
-    gains = StreamGains(dec, cfg)
-    d = dec.dims
-    m, k = d.shared, d.user1_streams
-    p1s, p2s = alloc.p1[:m], alloc.p2[:m]
-    _, arg12, _, arg22 = gains.shared_args(p1s, p2s)
-    at1 = np.log2(1.0 + p1s * gains.c1_diag / arg12)
-    at2 = np.log2(1.0 + p1s * gains.w2 / arg22)
-    r1 = np.zeros(d.total)
-    r2 = np.zeros(d.total)
-    r1[:m] = np.minimum(at1, at2)
-    r1[m:k] = np.log2(1.0 + alloc.p1[m:k] * gains.g1p)
-    r2[:m] = np.log2(1.0 + p2s * gains.g2s)
-    r2[k:] = np.log2(1.0 + alloc.p2[k:] * gains.g2p)
-    return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
+    return StreamGains(dec, cfg).breakdown(alloc.p1, alloc.p2)
 
 
 def rate_user1(alloc, dec, cfg):
@@ -115,5 +127,4 @@ def weighted_sum_rate(alloc, dec, cfg, mu):
     """Weighted sum rate ``sum_l mu r1[l] + (1 - mu) r2[l]``, mu in [0, 1]."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    br = rate_breakdown(alloc, dec, cfg)
-    return float(mu * br.r1.sum() + (1.0 - mu) * br.r2.sum())
+    return float(StreamGains(dec, cfg).weighted_sum_rate(alloc.p1, alloc.p2, mu))

@@ -13,7 +13,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .power import SolverSettings, ccp_allocate
+from .power import SolverSettings, ccp_allocate_weights
+from .power import ccp_allocate  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user1, rate_user2
 from .system import sample_channels
 from .triangularize import simultaneous_triangularize
@@ -92,15 +93,16 @@ def _oma_line(c1, c2, tau_grid, trials):
 
 def _trial_point(cfg, mu_grid, settings, seed, trial):
     """Rates of one channel draw: per-mu NOMA rate pairs plus both
-    point-to-point capacities. A ``ValueError`` (a non-generic draw, say) is
-    re-raised naming the seed and trial."""
+    point-to-point capacities. One lockstep CCP run covers every weight of
+    the draw. A ``ValueError`` (a non-generic draw, say) is re-raised naming
+    the seed and trial."""
     try:
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         ch = sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2)
         dec = simultaneous_triangularize(ch)
         pairs = np.empty((len(mu_grid), 2))
-        for i, mu in enumerate(mu_grid):
-            alloc, _ = ccp_allocate(dec, cfg, mu, settings=settings)
+        solved = ccp_allocate_weights(dec, cfg, mu_grid, settings=settings)
+        for i, (alloc, _) in enumerate(solved):
             alloc.validate(dec.dims, cfg.power_budget)
             pairs[i, 0] = rate_user1(alloc, dec, cfg).sum()
             pairs[i, 1] = rate_user2(alloc, dec, cfg).sum()

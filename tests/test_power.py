@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_oracle as oracle
+from stnoma.cli import Scenario
+from stnoma.power import ccp_allocate_weights
+from stnoma.rates import StreamGains
 from stnoma.power import (
     SolverSettings,
     _SurrogateProblem,
@@ -559,3 +562,226 @@ def test_ccp_grid_oracle_small():
         alloc, _ = ccp_allocate(dec, cfg, mu=0.5, settings=settings)
         got = weighted_sum_rate(alloc, dec, cfg, 0.5)
         assert got >= best * 0.98
+
+
+# --- lockstep over weights ---------------------------------------------------------
+
+
+def assert_same_solve(got, want):
+    """Two ``(PowerAllocation, CcpState)`` results agree bit for bit."""
+    (alloc, state), (alloc_w, state_w) = got, want
+    for a, b in [
+        (alloc.p1, alloc_w.p1),
+        (alloc.p2, alloc_w.p2),
+        (state.q, state_w.q),
+        (state.objective_trace, state_w.objective_trace),
+    ]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert state.allocation is alloc
+    assert (state.iterations, state.converged) == (state_w.iterations, state_w.converged)
+    assert state.inner_results == state_w.inner_results
+    for r, r_w in zip(state.inner_results, state_w.inner_results):
+        assert np.float64(r.value).tobytes() == np.float64(r_w.value).tobytes()
+        assert np.float64(r.residual).tobytes() == np.float64(r_w.residual).tobytes()
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_weights_in_lockstep_match_one_weight_solves(shape):
+    # every row of the lockstep run is the one-weight run at its mu, whatever
+    # the batch size and the order of the weights
+    cfg = make_cfg(*shape)
+    rng, dec = setup_case(100, cfg)
+    mus = list(np.arange(21) / 20)
+    alone = {mu: ccp_allocate(dec, cfg, mu) for mu in mus}
+    for size in (1, 7, 21):
+        batch = list(rng.permutation(mus)[:size])
+        rows = ccp_allocate_weights(dec, cfg, batch)
+        assert len(rows) == size
+        for mu, row in zip(batch, rows):
+            assert_same_solve(row, alone[mu])
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 4)])
+def test_weights_in_lockstep_match_when_inner_budget_runs_out(shape):
+    # an 8-iteration budget ends some solves before the exact stage's test
+    # holds, so rows that take the re-evaluation exit run next to rows that
+    # hit
+    cfg = make_cfg(*shape)
+    _, dec = setup_case(101, cfg)
+    settings = SolverSettings(inner_max_iters=8)
+    mus = [0.0, 0.15, 0.5, 0.85, 1.0]
+    rows = ccp_allocate_weights(dec, cfg, mus, settings=settings)
+    converged = [r.converged for _, s in rows for r in s.inner_results]
+    assert any(converged) and not all(converged)
+    for mu, row in zip(mus, rows):
+        assert_same_solve(row, ccp_allocate(dec, cfg, mu, settings=settings))
+
+
+def test_weights_in_lockstep_reject_weights_outside_unit_interval():
+    _, dec = setup_case(102)
+    with pytest.raises(ValueError):
+        ccp_allocate_weights(dec, CFG335, [0.5, 1.5])
+    assert ccp_allocate_weights(dec, CFG335, []) == []
+
+
+@pytest.mark.parametrize("inner_max_iters", [3, 8, 10000])
+def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
+    # the reported value, residual and gradient norm are those of the exact
+    # objective at the returned allocation, whether the solve stopped on its
+    # test (handed out) or ran out of iterations (evaluated again)
+    settings = SolverSettings(inner_max_iters=inner_max_iters)
+    rng = np.random.default_rng(103)
+    for cfg in (make_cfg(5, 3, 3), make_cfg(6, 4, 4), make_cfg(4, 2, 2)):
+        for _ in range(4):
+            dec = simultaneous_triangularize(sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2))
+            anchor = rng.random(dec.dims.shared) * 0.2
+            mu = float(rng.random())
+            alloc, info = maximize_surrogate(anchor, dec, cfg, mu, settings=settings)
+            problem = _SurrogateProblem(dec, cfg, mu, anchor)
+            z = problem.pack(alloc)
+            f, g = problem.value_and_grad(z)
+            assert info.value == f
+            assert info.residual == _residual(z, g, cfg.power_budget)
+            assert info.grad_norm == np.linalg.norm(g)
+            assert info.converged == (info.residual <= 1e-6 * (1.0 + info.grad_norm))
+
+@pytest.mark.parametrize(
+    "shape, outer, inner", [((5, 3, 3), 142, 1674), ((6, 4, 4), 150, 1804)]
+)
+def test_region_trial_solver_work_pinned(shape, outer, inner):
+    # the solver work of trial 0 at seed 0 with the benchmark physics and 21
+    # weights; a change here changes the work every region point costs
+    n, m1, m2 = shape
+    scenario = Scenario(
+        n=n, m1=m1, m2=m2, d1=250.0, d2=50.0, pathloss_exponent=2.0,
+        pt_dbm=30.0, sigma2_dbm=-35.0, mu_steps=21, seed=0,
+    )
+    cfg = scenario.config()
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    dec = simultaneous_triangularize(sample_channels(rng, n, m1, m2))
+    rows = ccp_allocate_weights(
+        dec, cfg, scenario.mu_grid(), settings=scenario.solver_settings()
+    )
+    assert sum(s.iterations for _, s in rows) == outer
+    assert sum(r.iterations for _, s in rows for r in s.inner_results) == inner
+
+
+def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
+    """Independent oracle: the surrogate in epigraph form, ``t_l <= b1_l``,
+    ``t_l <= b2_l``, maximized by scipy's SLSQP with exact jacobians.
+    Returns the surrogate's value at the oracle's point made feasible."""
+    optimize = pytest.importorskip("scipy.optimize")
+    gains = StreamGains(dec, cfg)
+    d = dec.dims
+    m, n_p1 = d.shared, d.shared + d.private1
+    size = n_p1 + m + d.private2
+    ln2, s2, c1, w2 = math.log(2.0), cfg.noise_power, gains.c1, gains.w2
+    at12, at22 = s2 + c1 @ anchor, s2 + anchor * w2
+    lin0 = np.log2(at12) + np.log2(at22)
+    lin = c1 / (ln2 * at12[:, None]) + np.diag(w2 / (ln2 * at22))
+
+    def split(x):
+        return x[:m], x[m:n_p1], x[n_p1 : n_p1 + m], x[n_p1 + m : size], x[size:]
+
+    def args(x):
+        p1s, _, p2s, _, t = split(x)
+        a12 = s2 + c1 @ p2s
+        return a12 + p1s * gains.c1_diag, a12, s2 + (p1s + p2s) * w2, s2 + p2s * w2, t
+
+    def neg_objective(x):
+        _, p1p, p2s, p2p, t = split(x)
+        return -(
+            mu * (t.sum() - (lin0 + lin @ (p2s - anchor)).sum())
+            + (1 - mu) * np.log2(1 + p2s * gains.g2s).sum()
+            + mu * np.log2(1 + p1p * gains.g1p).sum()
+            + (1 - mu) * np.log2(1 + p2p * gains.g2p).sum()
+        )
+
+    def neg_objective_grad(x):
+        _, p1p, p2s, p2p, _ = split(x)
+        grad = np.empty(size + m)
+        grad[:m] = 0.0
+        grad[m:n_p1] = mu * gains.g1p / (ln2 * (1 + p1p * gains.g1p))
+        grad[n_p1 : n_p1 + m] = -mu * lin.sum(axis=0) + (1 - mu) * gains.g2s / (
+            ln2 * (1 + p2s * gains.g2s)
+        )
+        grad[n_p1 + m : size] = (1 - mu) * gains.g2p / (ln2 * (1 + p2p * gains.g2p))
+        grad[size:] = mu
+        return -grad
+
+    def slack(x):
+        a11, a12, a21, a22, t = args(x)
+        return np.concatenate([
+            np.log2(a11) + np.log2(a22) - t,
+            np.log2(a21) + np.log2(a12) - t,
+            [cfg.power_budget - x[:size].sum()],
+        ])
+
+    def slack_jac(x):
+        a11, a12, a21, a22, _ = args(x)
+        jac = np.zeros((2 * m + 1, size + m))
+        for l in range(m):
+            jac[l, l] = gains.c1_diag[l] / (ln2 * a11[l])
+            jac[l, n_p1 : n_p1 + m] = c1[l] / (ln2 * a11[l])
+            jac[l, n_p1 + l] += w2[l] / (ln2 * a22[l])
+            jac[m + l, l] = w2[l] / (ln2 * a21[l])
+            jac[m + l, n_p1 : n_p1 + m] = c1[l] / (ln2 * a12[l])
+            jac[m + l, n_p1 + l] += w2[l] / (ln2 * a21[l])
+        jac[:m, size:] = jac[m : 2 * m, size:] = -np.eye(m)
+        jac[2 * m, :size] = -1.0
+        return jac
+
+    z0 = np.full(size, cfg.power_budget / (2 * size))
+    a11, a12, a21, a22, _ = args(np.concatenate([z0, np.zeros(m)]))
+    t0 = np.minimum(np.log2(a11) + np.log2(a22), np.log2(a21) + np.log2(a12)) - 1e-3
+    result = optimize.minimize(
+        neg_objective, np.concatenate([z0, t0]), jac=neg_objective_grad,
+        bounds=[(0.0, cfg.power_budget)] * size + [(None, None)] * m,
+        constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
+        method="SLSQP", options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    z = project_power_budget(np.maximum(result.x[:size], 0.0), cfg.power_budget)
+    return float(_SurrogateProblem(dec, cfg, mu, anchor).value(z))
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_inner_optimum_matches_scipy_oracle(shape):
+    cfg = make_cfg(*shape)
+    rng = np.random.default_rng(110)
+    for _ in range(3):
+        dec = simultaneous_triangularize(sample_channels(rng, *shape))
+        anchor = rng.random(dec.dims.shared) * 0.2
+        mu = float(rng.random())
+        _, info = maximize_surrogate(anchor, dec, cfg, mu)
+        oracle_value = slsqp_surrogate_optimum(dec, cfg, mu, anchor)
+        tol = 1e-6 * (1.0 + abs(info.value))
+        assert info.value >= oracle_value - tol, (shape, mu)
+        # and the oracle reached the optimum too, so the check has teeth
+        assert oracle_value >= info.value - tol, (shape, mu)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(4, 2, 2), (3, 3, 3)]),
+    snr_db=st.floats(-60.0, 150.0),
+    seed=st.integers(0, 2**16),
+    mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_weights_in_lockstep_at_extreme_snr(shape, snr_db, seed, mus):
+    # no shared stream (4x2x2) and no private stream (3x3x3), pt / noise
+    # from -60 dB to +150 dB
+    n, m1, m2 = shape
+    cfg = SystemConfig(
+        n_bs=n, m1=m1, m2=m2, pathloss1=62500.0, pathloss2=2500.0,
+        power_budget=1.0, noise_power=10.0 ** (-snr_db / 10.0),
+    )
+    dec = simultaneous_triangularize(sample_channels(np.random.default_rng(seed), n, m1, m2))
+    rows = ccp_allocate_weights(dec, cfg, mus)
+    for mu, (alloc, state) in zip(mus, rows):
+        alloc.validate(dec.dims, cfg.power_budget)
+        assert np.all(np.isfinite(rate_user1(alloc, dec, cfg)))
+        assert np.all(np.isfinite(rate_user2(alloc, dec, cfg)))
+        trace = state.objective_trace
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
+        assert_same_solve((alloc, state), ccp_allocate(dec, cfg, mu))
