@@ -14,6 +14,7 @@ scenario.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -200,9 +201,12 @@ def read_overlay_points(path):
     """Rate pairs from an external CSV (e.g. a bound computed elsewhere).
 
     The header must contain ``R1`` and ``R2`` columns; everything else is
-    ignored.
+    ignored. The rates must be finite.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read overlay {path}: {exc}") from exc
     if not lines:
         raise ScenarioError(f"overlay {path} is empty")
     header = [h.strip() for h in lines[0].split(",")]
@@ -216,9 +220,12 @@ def read_overlay_points(path):
             continue
         cells = line.split(",")
         try:
-            points.append((float(cells[i1]), float(cells[i2])))
+            point = float(cells[i1]), float(cells[i2])
         except (IndexError, ValueError) as exc:
             raise ScenarioError(f"overlay {path} line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, point)):
+            raise ScenarioError(f"overlay {path} line {lineno}: rates must be finite")
+        points.append(point)
     return points
 
 
@@ -308,10 +315,12 @@ def run_region(scenario, out_dir, workers=1, overlay_csv=None):
     """Rate-region sweep; writes ``region.csv`` and ``region.svg``.
 
     ``overlay_csv`` adds externally computed rate pairs (a bound from
-    another tool, say) to the plot only; the written CSV stays pure.
+    another tool, say) to the plot only; the written CSV stays pure. It is
+    read before the sweep, so a bad file fails before any work.
     """
     cfg = scenario.config()
     settings = scenario.solver_settings()
+    overlay = [] if overlay_csv is None else read_overlay_points(overlay_csv)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     points = ergodic_region(
@@ -330,27 +339,27 @@ def run_region(scenario, out_dir, workers=1, overlay_csv=None):
     csv_path = out_dir / "region.csv"
     _write_csv(csv_path, ("scheme", "param", "R1", "R2", "trials", "seed"), rows)
     plot_points = dict(points)
-    if overlay_csv is not None:
-        plot_points["overlay"] = [
-            RateRegionPoint(r1=r1, r2=r2, scheme="overlay", param=None, trials=0)
-            for r1, r2 in read_overlay_points(overlay_csv)
-        ]
+    plot_points["overlay"] = [
+        RateRegionPoint(r1=r1, r2=r2, scheme="overlay", param=None, trials=0)
+        for r1, r2 in overlay
+    ]
     svg_path = out_dir / "region.svg"
     _svg_region_plot(svg_path, plot_points)
     return csv_path, svg_path
 
 
-def run_convergence(scenario, out_dir, configs=DEFAULT_CONVERGENCE_CONFIGS):
+def run_convergence(scenario, out_dir):
     """Outer-loop objective traces at mu = 0.5; writes ``convergence.csv``.
 
-    One seeded channel per antenna triple ``(m1, m2, n)``; at most
-    ``ccp_max_iters`` rows per configuration.
+    One seeded channel per antenna triple ``(m1, m2, n)`` of
+    ``DEFAULT_CONVERGENCE_CONFIGS``; at most ``ccp_max_iters`` rows per
+    configuration.
     """
     settings = scenario.solver_settings()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for index, (m1, m2, n_bs) in enumerate(configs):
+    for index, (m1, m2, n_bs) in enumerate(DEFAULT_CONVERGENCE_CONFIGS):
         cfg = replace(scenario, n=n_bs, m1=m1, m2=m2).config()
         rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         ch = sample_channels(rng, n_bs, m1, m2)

@@ -67,8 +67,13 @@ class SolverSettings:
     inner_max_iters: int = 10000
 
     def __post_init__(self):
-        if self.ccp_max_iters <= 0 or self.ccp_tol <= 0.0 or self.inner_max_iters <= 0:
-            raise ValueError("all solver settings must be positive")
+        # written so that a NaN tolerance fails
+        if not (
+            self.ccp_max_iters > 0
+            and 0.0 < self.ccp_tol < math.inf
+            and self.inner_max_iters > 0
+        ):
+            raise ValueError("all solver settings must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -363,32 +368,24 @@ class _SurrogateProblem(StreamGains):
         total += mu2 * np.add.reduce(np.log2(sat2p), axis=-1)
         return total
 
-    def evaluate(self, z, tau=0.0):
-        """Surrogate objective ``f`` at ``z`` and the point it was computed
-        from, ``(f, (args, b1, b2, sats))``, which ``value_and_grad`` can
-        reuse."""
+    def evaluate(self, z, tau=0.0, branch_weights=None):
+        """``(f, lam, args, sats)``: the surrogate objective at ``z`` and
+        what its derivatives there read, the branch weights (``None``: those
+        of the (soft) minimum itself) and the arguments."""
         p1s, p1p, p2s, p2p = self._parts(z)
         args = self.shared_args(p1s, p2s)
         b1, b2 = self._branches(*args)
         sats = self._sats(p1p, p2s, p2p)
-        return self._total(b1, b2, p2s, sats, tau), (args, b1, b2, sats)
+        if branch_weights is None:
+            lam = self._branch_weights(b1, b2, tau)
+        else:
+            lam = np.asarray(branch_weights, dtype=float)
+        return self._total(b1, b2, p2s, sats, tau), lam, args, sats
 
     def value(self, z, tau=0.0):
         """Surrogate objective; ``tau > 0`` smooths the minimum from below
         (softmin), used by the continuation stages of the solver."""
         return self.evaluate(z, tau)[0]
-
-    def _local(self, z, tau, branch_weights=None, point=None):
-        """``(f, lam, args, sats)``: the objective at ``z`` and what its
-        derivatives there read, the branch weights and the arguments.
-        ``point``, the result of ``evaluate(z, tau)``, saves evaluating
-        ``z`` again."""
-        total, (args, b1, b2, sats) = point or self.evaluate(z, tau)
-        if branch_weights is None:
-            lam = self._branch_weights(b1, b2, tau)
-        else:
-            lam = np.asarray(branch_weights, dtype=float)
-        return total, lam, args, sats
 
     def value_and_grad(self, z, tau=0.0, branch_weights=None, with_hess=False):
         """Objective, (super)gradient, and optionally the diagonal Hessian
@@ -404,7 +401,7 @@ class _SurrogateProblem(StreamGains):
         treats the branch weights as locally constant; it is a
         preconditioner, not an exact second derivative.
         """
-        total, lam, args, sats = self._local(z, tau, branch_weights)
+        total, lam, args, sats = self.evaluate(z, tau, branch_weights)
         g = self._derivative(1, lam, args, sats)
         if with_hess:
             return total, g, self._derivative(2, lam, args, sats)
@@ -453,47 +450,45 @@ def _residual(z, g, budget):
     return _norm(z - _project(z + g, None, budget))
 
 
-def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol, seen=None):
+def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
     surrogate, every row of ``z`` in lockstep.
 
     The step target is the weighted projection of ``z + g/h``; the Armijo
-    backtracking line search runs on the feasible segment toward it. A row
-    stops once its plain Euclidean projected-gradient residual is at most
-    ``rtol * (1 + ||g||)`` (a hit); ``gd_rtol`` bounds the relative model
-    ascent below which it gives up instead, and ``iter_budget`` caps its
-    iterations. A stopped row drops out; every other row goes on exactly as
-    it would alone. Updates ``z`` in place and returns the iterations each
-    row used. Given ``seen = (hit, f, g, residual, grad_norm)``, it marks
-    the rows that hit and keeps what their test saw.
+    backtracking line search runs on the feasible segment toward it. Each
+    iteration evaluates every running row, and a row stops only in an
+    iteration that does not move it: its plain Euclidean projected-gradient
+    residual is at most ``rtol * (1 + ||g||)`` (a hit), it has taken its
+    ``iter_budget`` steps, its model ascent is below ``gd_rtol`` relative
+    and the polish does not take it, or its line search fails. A stopped
+    row drops out; every other row goes on exactly as it would alone.
+    Updates ``z`` in place and returns per row the iterations used and the
+    objective, residual and gradient norm of its last evaluation, which is
+    at its returned point.
     """
     armijo_c = 1e-4
     used = np.zeros(len(z), dtype=int)
-    act = np.flatnonzero(iter_budget > 0)
-    sub, za, caps = problem.take(act), z[act], iter_budget[act]
-    # (point, g, residual) at za when the previous iteration already computed
-    # them there: every row took the same line-search step, or the polish.
+    last = np.empty((3, len(z)))  # objective, residual, gradient norm
+    act = np.arange(len(z))
+    sub, za, caps = problem, z.copy(), iter_budget
+    # (record, g, residual) at za when the previous iteration computed them
+    # there: every row took the same line-search step, or the polish.
     known = None
     it = 0
     while act.size:
         it += 1
-        point, g, res = known or (None, None, None)
+        record, g, res = known or (sub.evaluate(za, tau), None, None)
         known = None
-        f, *local = sub._local(za, tau, point=point)
+        f = record[0]
         if g is None:
-            g = sub._derivative(1, *local)
+            g = sub._derivative(1, *record[1:])
             res = _residual(za, g, budget)
         gnorm = _norm(g)
-        stop = res <= rtol * (1.0 + gnorm)
-        hits = np.count_nonzero(stop)
-        if hits and seen is not None:
-            seen[0][act[stop]] = True
-            for out, value in zip(seen[1:], (f, g, res, gnorm)):
-                out[act[stop]] = value[stop]
-        if hits < act.size:
+        stop = (res <= rtol * (1.0 + gnorm)) | (it > caps)
+        if np.count_nonzero(stop) < act.size:
             # Guard tiny curvatures so the Newton target stays finite and a
             # zero-gradient coordinate never moves.
-            h = sub._derivative(2, *local)
+            h = sub._derivative(2, *record[1:])
             h = np.maximum(h, np.abs(g) / (100.0 * (budget + 1.0)))
             h = np.maximum(h, 1e-300)
             target = _project(za + g / h, h, budget)
@@ -506,8 +501,7 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol, seen=None
                 # can still shrink the gradient mapping, so polish on the
                 # residual.
                 polish = sub.evaluate(target, tau)
-                _, *at_target = sub._local(target, tau, point=polish)
-                gt = sub._derivative(1, *at_target)
+                gt = sub._derivative(1, *polish[1:])
                 rt = _residual(target, gt, budget)
                 moved = flat & (rt < res) & (polish[0] >= f - 1e-12 * scale)
                 if np.count_nonzero(moved) == len(moved):
@@ -534,20 +528,18 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol, seen=None
                     za = np.where(ok[:, None], zt, za)
                 pending ^= ok
                 t *= 0.5
-        stop |= it >= caps
-        stopped = np.count_nonzero(stop)
-        if stopped == act.size:
-            used[act] = it
-            z[act] = za
-            break
-        if stopped:
-            known = None
-            used[act[stop]] = it
-            z[act[stop]] = za[stop]
+        if np.count_nonzero(stop):
+            # a stopped row did not move: za, f, res and gnorm are one point
+            done = act[stop]
+            used[done] = np.minimum(it, caps[stop])
+            for out, value in zip((z, *last), (za, f, res, gnorm)):
+                out[done] = value[stop]
+            if stop.all():
+                break
             keep = np.flatnonzero(~stop)
             act, za, caps = act[keep], za[keep], caps[keep]
             sub = sub.take(keep)
-    return used
+    return used, *last
 
 
 # Softmin smoothing levels; the solver walks them in order and finishes on
@@ -558,12 +550,10 @@ _TAU_STAGES = (1e-2, 1e-4, 1e-6, 1e-9, 0.0)
 def _maximize(problem, z, budget, settings):
     """Every row of ``problem`` maximized from the feasible rows of ``z``
     (see :func:`maximize_surrogate`), in lockstep stage by stage. Returns
-    the final rows and one :class:`InnerSolveResult` per row."""
+    the final rows and one :class:`InnerSolveResult` per row, read off the
+    exact stage's last evaluation of that row."""
     z = z.copy()
-    rows = len(z)
-    iterations = np.zeros(rows, dtype=int)
-    hit = np.zeros(rows, dtype=bool)
-    f, g, res, gnorm = np.empty(rows), np.empty_like(z), np.empty(rows), np.empty(rows)
+    iterations = np.zeros(len(z), dtype=int)
     for tau in _TAU_STAGES if problem.m else (0.0,):
         stage_budget = settings.inner_max_iters - iterations
         if tau > 0.0:
@@ -572,19 +562,10 @@ def _maximize(problem, z, budget, settings):
         # Looser at coarse smoothing; exactly RESIDUAL_RTOL and 1e-15 at 0.
         stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
         gd_rtol = max(tau * 1e-3, 1e-15)
-        # the exact stage's stopping test is the solve's certificate
-        seen = (hit, f, g, res, gnorm) if tau == 0.0 else None
-        iterations += _ascent_stage(
-            problem, z, budget, tau, stage_budget, stage_rtol, gd_rtol, seen
+        used, f, res, gnorm = _ascent_stage(
+            problem, z, budget, tau, stage_budget, stage_rtol, gd_rtol
         )
-
-    # A row that hit the exact stage's test hands out what the test saw; any
-    # other row is evaluated at its returned point.
-    if not hit.all():
-        miss = np.flatnonzero(~hit)
-        f[miss], g[miss] = problem.take(miss).value_and_grad(z[miss])
-        res[miss] = _residual(z[miss], g[miss], budget)
-        gnorm[miss] = _norm(g[miss])
+        iterations += used
     converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
     return z, [
         InnerSolveResult(
@@ -594,7 +575,7 @@ def _maximize(problem, z, budget, settings):
             residual=float(res[b]),
             grad_norm=float(gnorm[b]),
         )
-        for b in range(rows)
+        for b in range(len(z))
     ]
 
 
@@ -607,10 +588,12 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     sorting-based projection onto the power budget in that metric. The
     minimum over decoding points is nonsmooth, so the solver runs a softmin
     continuation (decreasing smoothing levels) before finishing on the exact
-    objective. Optimality is certified by the test the exact stage stops on:
-    the projected-gradient residual of the active-branch supergradient at
-    the returned point, at most ``RESIDUAL_RTOL * (1 + ||g||)``. This is the
-    one-row case of the lockstep solve :func:`ccp_allocate_weights` runs.
+    objective. A stage stops only in an iteration that leaves the point
+    where it is, so the result is the exact stage's last evaluation, and
+    optimality is certified by the test it stops on: the projected-gradient
+    residual of the active-branch supergradient at the returned point, at
+    most ``RESIDUAL_RTOL * (1 + ||g||)``. This is the one-row case of the
+    lockstep solve :func:`ccp_allocate_weights` runs.
 
     Returns
     -------
@@ -629,15 +612,15 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     return problem.unpack(z[0]), result
 
 
-def _constraint_forms_agree(dec, alloc, rtol=1e-9):
+def _constraint_forms_agree(dec, alloc):
     """The trace form of the power constraint coincides with the plain power
     sum because the precoder columns are unit norm; checked once per
-    returned allocation."""
+    returned allocation, to 1e-9 relative."""
     per_stream = alloc.p1 + alloc.p2
     col_energy = np.sum(np.abs(dec.x_mat) ** 2, axis=0)
     trace_form = float(col_energy @ per_stream)
     plain = float(per_stream.sum())
-    return abs(trace_form - plain) <= rtol * max(1.0, plain)
+    return abs(trace_form - plain) <= 1e-9 * max(1.0, plain)
 
 
 def ccp_allocate_weights(dec, cfg, mus, settings=None):

@@ -7,6 +7,7 @@ both users and private streams sent through the other user's channel null
 space.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ class SystemConfig:
     """Static system parameters.
 
     ``pathloss1 > pathloss2`` is required: user 1 is the far user and
-    experiences the higher path loss. Power values are linear watts.
+    experiences the higher path loss. Power values are linear watts. Every
+    path loss and power must be finite and positive.
     """
 
     n_bs: int
@@ -58,12 +60,13 @@ class SystemConfig:
                 f"m1 + m2 = {self.m1 + self.m2} < n_bs = {self.n_bs}: "
                 "the scheme would assign more streams than user antennas"
             )
-        if not (self.pathloss1 > self.pathloss2 > 0.0):
-            raise ValueError("need pathloss1 > pathloss2 > 0 (user 1 is far)")
-        if self.power_budget <= 0.0:
-            raise ValueError("power_budget must be > 0")
-        if self.noise_power <= 0.0:
-            raise ValueError("noise_power must be > 0")
+        # written so that NaN fails every test
+        if not (math.inf > self.pathloss1 > self.pathloss2 > 0.0):
+            raise ValueError("need finite pathloss1 > pathloss2 > 0 (user 1 is far)")
+        if not 0.0 < self.power_budget < math.inf:
+            raise ValueError("power_budget must be finite and > 0")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be finite and > 0")
 
     @property
     def dims(self):
@@ -196,16 +199,14 @@ def config_from_scenario(
     Raises
     ------
     ValueError
-        If ``d1 <= d2`` (user 1 must be the far user).
+        If ``d1 <= d2`` (user 1 must be the far user), or a path loss or
+        power is not a positive finite float.
     """
     if not d1 > d2 > 0.0:
         raise ValueError("need d1 > d2 > 0")
-    return SystemConfig(
-        n_bs=n_bs,
-        m1=m1,
-        m2=m2,
-        pathloss1=float(d1) ** exponent,
-        pathloss2=float(d2) ** exponent,
-        power_budget=dbm_to_watts(pt_dbm),
-        noise_power=dbm_to_watts(sigma2_dbm),
-    )
+    try:
+        pathloss1, pathloss2 = float(d1) ** exponent, float(d2) ** exponent
+        power_budget, noise_power = dbm_to_watts(pt_dbm), dbm_to_watts(sigma2_dbm)
+    except OverflowError as exc:
+        raise ValueError("a path loss or power overflows the float range") from exc
+    return SystemConfig(n_bs, m1, m2, pathloss1, pathloss2, power_budget, noise_power)

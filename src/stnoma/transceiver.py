@@ -49,9 +49,10 @@ class PowerAllocation:
     def total_power(self):
         return float(self.p1.sum() + self.p2.sum())
 
-    def validate(self, dims: StreamDims, power_budget, tol=1e-9):
+    def validate(self, dims: StreamDims, power_budget):
         """Raise ValueError on negative powers, support-pattern violations,
-        or a power budget overshoot beyond ``tol``."""
+        or a power budget overshoot, each beyond 1e-9 watts."""
+        tol = 1e-9
         if self.p1.shape[0] != dims.total:
             raise ValueError("allocation length != stream count")
         if (self.p1 < -tol).any() or (self.p2 < -tol).any():

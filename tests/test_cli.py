@@ -195,6 +195,27 @@ def test_main_invalid_scenario_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["sigma2_dbm = nan", "pt_dbm = nan", "pt_dbm = inf", "ccp_tol = nan",
+     "STNOMA_SIGMA2_DBM=nan"],
+)
+def test_main_nonfinite_scenario_exit_2(tmp_path, monkeypatch, setting):
+    # a scenario file line, or an environment override of a clean file
+    if setting.startswith("STNOMA_"):
+        monkeypatch.setenv(*setting.split("="))
+        setting = ""
+    scenario = tmp_path / "sc.txt"
+    scenario.write_text(setting + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([
+        "region", "--scenario", str(scenario), "--out", str(out),
+        "--trials", "1", "--mu-steps", "3",
+    ])
+    assert rc == 2
+    assert not (out / "region.csv").exists()
+
+
 def test_main_unknown_key_exit_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("frequency = 2.4\n", encoding="utf-8")
@@ -233,11 +254,20 @@ def test_region_overlay(tmp_path):
 
 
 def test_region_overlay_bad_file(tmp_path):
-    overlay = tmp_path / "bound.csv"
-    overlay.write_text("x,y\n1,2\n", encoding="utf-8")
+    # the overlay is read before the sweep: a bad one leaves no region.csv
+    for k, text in enumerate(["x,y\n1,2\n", "R1,R2\n5.0,inf\n", "R1,R2\nnan,2\n"]):
+        overlay = tmp_path / f"bound{k}.csv"
+        overlay.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        rc = main([
+            "region", "--out", str(out), "--trials", "2", "--mu-steps", "3",
+            "--overlay", str(overlay),
+        ])
+        assert rc == 2
+        assert not (out / "region.csv").exists()
     rc = main([
-        "region", "--out", str(tmp_path), "--trials", "2", "--mu-steps", "3",
-        "--overlay", str(overlay),
+        "region", "--out", str(tmp_path / "out"), "--trials", "2",
+        "--mu-steps", "3", "--overlay", str(tmp_path / "missing.csv"),
     ])
     assert rc == 2
 

@@ -460,6 +460,9 @@ def test_solver_settings_validation():
         SolverSettings(ccp_tol=0.0)
     with pytest.raises(ValueError):
         SolverSettings(inner_max_iters=0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverSettings(ccp_tol=tol)
 
 
 # --- outer loop ------------------------------------------------------------------
@@ -604,17 +607,23 @@ def test_weights_in_lockstep_match_one_weight_solves(shape):
 @pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 4)])
 def test_weights_in_lockstep_match_when_inner_budget_runs_out(shape):
     # an 8-iteration budget ends some solves before the exact stage's test
-    # holds, so rows that take the re-evaluation exit run next to rows that
-    # hit
+    # holds, so rows that stop on their spent budget run next to rows that
+    # hit; a budget of 1 is spent in the first softmin stage, so every later
+    # stage, the exact one included, runs on a zero budget: one evaluation
+    # and no step
     cfg = make_cfg(*shape)
     _, dec = setup_case(101, cfg)
-    settings = SolverSettings(inner_max_iters=8)
     mus = [0.0, 0.15, 0.5, 0.85, 1.0]
-    rows = ccp_allocate_weights(dec, cfg, mus, settings=settings)
-    converged = [r.converged for _, s in rows for r in s.inner_results]
-    assert any(converged) and not all(converged)
-    for mu, row in zip(mus, rows):
-        assert_same_solve(row, ccp_allocate(dec, cfg, mu, settings=settings))
+    for inner_max_iters in (8, 1):
+        settings = SolverSettings(inner_max_iters=inner_max_iters)
+        rows = ccp_allocate_weights(dec, cfg, mus, settings=settings)
+        results = [r for _, s in rows for r in s.inner_results]
+        assert all(r.iterations <= inner_max_iters for r in results)
+        if inner_max_iters == 8:
+            converged = [r.converged for r in results]
+            assert any(converged) and not all(converged)
+        for mu, row in zip(mus, rows):
+            assert_same_solve(row, ccp_allocate(dec, cfg, mu, settings=settings))
 
 
 def test_weights_in_lockstep_reject_weights_outside_unit_interval():
@@ -624,11 +633,12 @@ def test_weights_in_lockstep_reject_weights_outside_unit_interval():
     assert ccp_allocate_weights(dec, CFG335, []) == []
 
 
-@pytest.mark.parametrize("inner_max_iters", [3, 8, 10000])
+@pytest.mark.parametrize("inner_max_iters", [1, 3, 8, 10000])
 def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
     # the reported value, residual and gradient norm are those of the exact
-    # objective at the returned allocation, whether the solve stopped on its
-    # test (handed out) or ran out of iterations (evaluated again)
+    # objective at the returned allocation, whether the exact stage stopped
+    # on its test, on a spent budget (at 1, its budget is zero: it evaluates
+    # once and takes no step) or without a step
     settings = SolverSettings(inner_max_iters=inner_max_iters)
     rng = np.random.default_rng(103)
     for cfg in (make_cfg(5, 3, 3), make_cfg(6, 4, 4), make_cfg(4, 2, 2)):
@@ -637,6 +647,7 @@ def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
             anchor = rng.random(dec.dims.shared) * 0.2
             mu = float(rng.random())
             alloc, info = maximize_surrogate(anchor, dec, cfg, mu, settings=settings)
+            assert info.iterations <= inner_max_iters
             problem = _SurrogateProblem(dec, cfg, mu, anchor)
             z = problem.pack(alloc)
             f, g = problem.value_and_grad(z)

@@ -104,6 +104,14 @@ def test_config_rejects_swapped_distances():
         )
 
 
+def test_config_rejects_levels_beyond_the_float_range():
+    # 10**397 W and a path loss of 1e400 overflow instead of reaching inf
+    for kwargs in (dict(pt_dbm=4000.0), dict(d1=1e200, d2=1.0)):
+        args = dict(n_bs=5, m1=3, m2=3, d1=250.0, d2=50.0, pt_dbm=30.0, sigma2_dbm=-35.0)
+        with pytest.raises(ValueError, match="float range"):
+            config_from_scenario(**{**args, **kwargs})
+
+
 def test_pathloss_exponent_field():
     cfg = config_from_scenario(
         n_bs=5, m1=3, m2=3, d1=250.0, d2=50.0, pt_dbm=30.0, sigma2_dbm=-35.0,
@@ -120,6 +128,13 @@ def test_pathloss_exponent_field():
         dict(n_bs=2, m1=1, m2=1, pathloss1=1.0, pathloss2=2.0, power_budget=1.0, noise_power=1.0),
         dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=1.0, power_budget=0.0, noise_power=1.0),
         dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=1.0, power_budget=1.0, noise_power=0.0),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=np.inf, pathloss2=1.0, power_budget=1.0, noise_power=1.0),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=np.nan, pathloss2=1.0, power_budget=1.0, noise_power=1.0),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=np.nan, power_budget=1.0, noise_power=1.0),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=1.0, power_budget=np.nan, noise_power=1.0),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=1.0, power_budget=np.inf, noise_power=1.0),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=1.0, power_budget=1.0, noise_power=np.nan),
+        dict(n_bs=2, m1=1, m2=1, pathloss1=2.0, pathloss2=1.0, power_budget=1.0, noise_power=np.inf),
     ],
 )
 def test_system_config_invariants(kwargs):
