@@ -12,6 +12,7 @@ from .power import (
     CcpState,
     SolverSettings,
     ccp_allocate,
+    ccp_allocate_draws,
     ccp_allocate_weights,
     dc_components,
     maximize_surrogate,

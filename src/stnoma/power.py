@@ -20,11 +20,12 @@ coordinate, with the cross terms dropped, loses the bound as soon as two
 shared streams overlap and lets the outer loop cycle or descend; with a
 single shared stream the two forms coincide.)
 
-Every routine works on rows. ``ccp_allocate_weights`` runs all rate weights
-of one decomposition in lockstep: the rows share the link's gains and each
-numpy call of a step, a row that stops drops out, and every row is bit for
-bit the single-weight run; ``ccp_allocate`` and ``maximize_surrogate`` are
-its one-row case.
+Every routine works on rows. ``ccp_allocate_draws`` runs every rate weight
+on every channel draw in lockstep, one row per (draw, weight) pair: each row
+reads its own draw's gains, the rows share each numpy call of a step, a row
+that stops drops out, and every row is bit for bit the run it would be
+alone. ``ccp_allocate_weights`` (one draw), ``ccp_allocate`` (one row) and
+``maximize_surrogate`` (one surrogate) are its special cases.
 """
 
 import copy
@@ -49,6 +50,7 @@ __all__ = [
     "maximize_surrogate",
     "ccp_allocate",
     "ccp_allocate_weights",
+    "ccp_allocate_draws",
 ]
 
 LN2 = math.log(2.0)
@@ -218,10 +220,11 @@ class _SurrogateProblem(StreamGains):
 
     Variables are packed as ``z = [p1 shared, p1 private1, p2 shared,
     p2 private2]``; the fixed-zero coordinates of the allocation never enter
-    the solver. The coefficients are the link's :class:`StreamGains`, which
-    every row shares. ``mu`` (shape ``rows``) and ``anchor`` (``rows +
-    (shared,)``) set the rows; ``z`` then carries the same leading axes, and
-    each row computes exactly as it would alone.
+    the solver. The coefficients are the link's :class:`StreamGains`: one
+    link every row shares, or one link per row (:meth:`over_draws`). ``mu``
+    (shape ``rows``) and ``anchor`` (``rows + (shared,)``) set the rows;
+    ``z`` then carries the same leading axes, and each row computes exactly
+    as it would alone.
     """
 
     # The per-row state; take() selects rows of each.
@@ -229,6 +232,17 @@ class _SurrogateProblem(StreamGains):
 
     def __init__(self, dec, cfg, mu, anchor):
         super().__init__(dec, cfg)
+        self._start(mu, anchor)
+
+    @classmethod
+    def over_draws(cls, decs, cfg, draw, mu, anchor):
+        """The surrogate whose row ``i`` lies on the link of
+        ``decs[draw[i]]``."""
+        new = cls.rows(decs, cfg, draw)
+        new._start(mu, anchor)
+        return new
+
+    def _start(self, mu, anchor):
         d = self.dims
         self.m = d.shared
         self.n_p1 = self.m + d.private1
@@ -271,12 +285,21 @@ class _SurrogateProblem(StreamGains):
         return new
 
     def take(self, rows):
-        """The surrogate of the rows at the indices ``rows`` (increasing)."""
+        """The surrogate of the rows at the indices ``rows`` (increasing),
+        with their gains when every row has its own link."""
         if len(rows) == len(self.mu):
             return self
         new = copy.copy(self)
         for name in self._ROW_FIELDS:
-            setattr(new, name, getattr(self, name)[rows])
+            setattr(new, name, getattr(self, name).take(rows, axis=0))
+        if self.c1.ndim > 2:
+            powers = self.gain_powers
+            gains = tuple(gain.take(rows, axis=0) for gain in powers[1])
+            for name, gain in zip(self.GAINS, gains):
+                setattr(new, name, gain)
+            new.gain_powers = {
+                1: gains, 2: tuple(gain.take(rows, axis=0) for gain in powers[2])
+            }
         return new
 
     def powers(self, z):
@@ -368,19 +391,15 @@ class _SurrogateProblem(StreamGains):
         total += mu2 * np.add.reduce(np.log2(sat2p), axis=-1)
         return total
 
-    def evaluate(self, z, tau=0.0, branch_weights=None):
-        """``(f, lam, args, sats)``: the surrogate objective at ``z`` and
-        what its derivatives there read, the branch weights (``None``: those
-        of the (soft) minimum itself) and the arguments."""
+    def evaluate(self, z, tau=0.0):
+        """``(f, branches, args, sats)``: the surrogate objective at ``z``,
+        its two min branches, from which :meth:`_branch_weights` gives the
+        weights its derivatives read, and the arguments those read."""
         p1s, p1p, p2s, p2p = self._parts(z)
         args = self.shared_args(p1s, p2s)
-        b1, b2 = self._branches(*args)
+        branches = self._branches(*args)
         sats = self._sats(p1p, p2s, p2p)
-        if branch_weights is None:
-            lam = self._branch_weights(b1, b2, tau)
-        else:
-            lam = np.asarray(branch_weights, dtype=float)
-        return self._total(b1, b2, p2s, sats, tau), lam, args, sats
+        return self._total(*branches, p2s, sats, tau), branches, args, sats
 
     def value(self, z, tau=0.0):
         """Surrogate objective; ``tau > 0`` smooths the minimum from below
@@ -401,7 +420,11 @@ class _SurrogateProblem(StreamGains):
         treats the branch weights as locally constant; it is a
         preconditioner, not an exact second derivative.
         """
-        total, lam, args, sats = self.evaluate(z, tau, branch_weights)
+        total, branches, args, sats = self.evaluate(z, tau)
+        if branch_weights is None:
+            lam = self._branch_weights(*branches, tau)
+        else:
+            lam = np.asarray(branch_weights, dtype=float)
         g = self._derivative(1, lam, args, sats)
         if with_hess:
             return total, g, self._derivative(2, lam, args, sats)
@@ -432,7 +455,7 @@ class _SurrogateProblem(StreamGains):
             # d/dp2s: cross terms through c1 rows, own terms through
             # arg22/arg21, minus the fixed linearization slope.
             back = lam / den11 + rest / den12
-            cross = (c1.T @ back[..., None])[..., 0]
+            cross = (c1.mT @ back[..., None])[..., 0]
             shared = cross + (lam * w2 / den22 + at2)
             if k == 1:
                 shared = shared - self.slope
@@ -471,24 +494,27 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
     last = np.empty((3, len(z)))  # objective, residual, gradient norm
     act = np.arange(len(z))
     sub, za, caps = problem, z.copy(), iter_budget
-    # (record, g, residual) at za when the previous iteration computed them
-    # there: every row took the same line-search step, or the polish.
+    # (evaluation, branch weights, g, residual) at za when the previous
+    # iteration computed them there: every row took the same line-search
+    # step (the evaluation alone), or the polish.
     known = None
     it = 0
     while act.size:
         it += 1
-        record, g, res = known or (sub.evaluate(za, tau), None, None)
+        (f, branches, *point), lam, g, res = known or (
+            sub.evaluate(za, tau), None, None, None
+        )
         known = None
-        f = record[0]
         if g is None:
-            g = sub._derivative(1, *record[1:])
+            lam = sub._branch_weights(*branches, tau)
+            g = sub._derivative(1, lam, *point)
             res = _residual(za, g, budget)
         gnorm = _norm(g)
         stop = (res <= rtol * (1.0 + gnorm)) | (it > caps)
         if np.count_nonzero(stop) < act.size:
             # Guard tiny curvatures so the Newton target stays finite and a
             # zero-gradient coordinate never moves.
-            h = sub._derivative(2, *record[1:])
+            h = sub._derivative(2, lam, *point)
             h = np.maximum(h, np.abs(g) / (100.0 * (budget + 1.0)))
             h = np.maximum(h, 1e-300)
             target = _project(za + g / h, h, budget)
@@ -501,11 +527,12 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
                 # can still shrink the gradient mapping, so polish on the
                 # residual.
                 polish = sub.evaluate(target, tau)
-                gt = sub._derivative(1, *polish[1:])
+                lt = sub._branch_weights(*polish[1], tau)
+                gt = sub._derivative(1, lt, *polish[2:])
                 rt = _residual(target, gt, budget)
                 moved = flat & (rt < res) & (polish[0] >= f - 1e-12 * scale)
                 if np.count_nonzero(moved) == len(moved):
-                    za, known = target, (polish, gt, rt)
+                    za, known = target, (polish, lt, gt, rt)
                 else:
                     za = np.where(moved[:, None], target, za)
                 stop |= flat & ~moved
@@ -523,7 +550,7 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
                 trial = sub.evaluate(zt, tau)
                 ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
                 if np.count_nonzero(ok) == len(ok):
-                    za, known = zt, (trial, None, None)
+                    za, known = zt, (trial, None, None, None)
                 else:
                     za = np.where(ok[:, None], zt, za)
                 pending ^= ok
@@ -623,32 +650,41 @@ def _constraint_forms_agree(dec, alloc):
     return abs(trace_form - plain) <= 1e-9 * max(1.0, plain)
 
 
-def ccp_allocate_weights(dec, cfg, mus, settings=None):
-    """Run the CCP outer loop for every rate weight in ``mus`` on one
-    decomposition, all weights in lockstep.
+def ccp_allocate_draws(decs, cfg, mus, settings=None):
+    """Run the CCP outer loop for every rate weight in ``mus`` on every
+    decomposition in ``decs``, all (draw, weight) rows in lockstep.
 
-    Each weight's run starts from a zero anchor, repeatedly maximizes the
+    Each row's run starts from a zero anchor, repeatedly maximizes the
     surrogate, and re-anchors at the new user-2 shared powers until no
     power moves by more than ``ccp_tol`` watts or the iteration cap is
     reached. The recorded objective trace holds the true weighted sum rate,
-    not the surrogate. The weights share the link's gains and every numpy
-    call of an outer iteration and of a solver stage; a weight whose run
-    stops drops out, and every row is bit for bit the run it would be
-    alone (:func:`ccp_allocate`).
+    not the surrogate. Every row carries its own draw's gains and shares
+    each numpy call of an outer iteration and of a solver stage; a row whose
+    run stops drops out, and every row is bit for bit the run it would be
+    alone (:func:`ccp_allocate`). The decompositions must share one stream
+    layout.
 
     Returns
     -------
-    list of (PowerAllocation, CcpState)
-        One per weight, in the order of ``mus``.
+    list of lists of (PowerAllocation, CcpState)
+        One list per decomposition, in the order of ``decs``, holding one
+        pair per weight, in the order of ``mus``.
     """
     if settings is None:
         settings = SolverSettings()
     mus = np.asarray(mus, dtype=float)
     if not np.all((mus >= 0.0) & (mus <= 1.0)):
         raise ValueError("mu must lie in [0, 1]")
-    rows = len(mus)
+    if not decs:
+        return []
+    weights = len(mus)
+    rows = len(decs) * weights
+    draw = np.repeat(np.arange(len(decs)), weights)
     budget = cfg.power_budget
-    problem = _SurrogateProblem(dec, cfg, mus, np.zeros((rows, dec.dims.shared)))
+    problem = _SurrogateProblem.over_draws(
+        decs, cfg, draw, np.tile(mus, len(decs)),
+        np.zeros((rows, decs[0].dims.shared)),
+    )
     m, n_p1 = problem.m, problem.n_p1
     # Each row's previous allocation: the warm start and the stopping
     # reference (zeros before the first solve, which cannot stop the loop).
@@ -677,10 +713,12 @@ def ccp_allocate_weights(dec, cfg, mus, settings=None):
         act = act[keep]
         if not act.size or it == settings.ccp_max_iters:
             break
-        problem = problem.reanchored(problem.mu[keep], new[keep, n_p1 : n_p1 + m])
+        problem = problem.take(keep)
+        problem = problem.reanchored(problem.mu, new[keep, n_p1 : n_p1 + m])
 
     out = []
     for b in range(rows):
+        dec = decs[draw[b]]
         alloc = problem.unpack(z[b])
         if not _constraint_forms_agree(dec, alloc):
             raise AssertionError(
@@ -696,15 +734,21 @@ def ccp_allocate_weights(dec, cfg, mus, settings=None):
             inner_results=tuple(inner_results[b]),
         )
         out.append((alloc, state))
-    return out
+    return [out[d * weights : (d + 1) * weights] for d in range(len(decs))]
+
+
+def ccp_allocate_weights(dec, cfg, mus, settings=None):
+    """Every rate weight in ``mus`` on one decomposition: the one-draw case
+    of :func:`ccp_allocate_draws`, a list of (PowerAllocation, CcpState)."""
+    return ccp_allocate_draws([dec], cfg, mus, settings)[0]
 
 
 def ccp_allocate(dec, cfg, mu, settings=None):
-    """Run the full CCP outer loop on one decomposition: the one-weight case
-    of :func:`ccp_allocate_weights`.
+    """Run the full CCP outer loop on one decomposition: the one-row case
+    of :func:`ccp_allocate_draws`.
 
     Returns
     -------
     (PowerAllocation, CcpState)
     """
-    return ccp_allocate_weights(dec, cfg, [mu], settings)[0]
+    return ccp_allocate_draws([dec], cfg, [mu], settings)[0][0]

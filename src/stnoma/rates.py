@@ -32,8 +32,11 @@ class StreamGains:
     shared symbols. ``w2`` is user 2's gain on each shared stream. ``g1p``,
     ``g2s`` and ``g2p`` are the noise-normalized gains of user 1's private
     streams, user 2's shared streams (after SIC) and user 2's private
-    streams.
+    streams. Each gain array may carry a leading row axis (see
+    :meth:`rows`); every formula broadcasts over it.
     """
+
+    GAINS = ("c1", "c1_diag", "w2", "g1p", "g2s", "g2p")
 
     def __init__(self, dec, cfg):
         d = dec.dims
@@ -46,6 +49,22 @@ class StreamGains:
         self.g1p = dec.diag1[m:] ** 2 / (cfg.pathloss1 * self.sigma2)
         self.g2s = self.w2 / self.sigma2
         self.g2p = dec.diag2[m:] ** 2 / (cfg.pathloss2 * self.sigma2)
+
+    @classmethod
+    def rows(cls, decs, cfg, draw):
+        """Gains whose row ``i`` is the link of ``decs[draw[i]]``; each row
+        computes exactly as that link's own gains would. The decompositions
+        must share one stream layout. A single link keeps its arrays, which
+        broadcast over the rows."""
+        links = [StreamGains(dec, cfg) for dec in decs]
+        if any(link.dims != links[0].dims for link in links):
+            raise ValueError("every draw must have the same stream dimensions")
+        new = cls.__new__(cls)
+        new.dims, new.sigma2 = links[0].dims, links[0].sigma2
+        for name in cls.GAINS:
+            gains = [getattr(link, name) for link in links]
+            setattr(new, name, gains[0] if len(links) == 1 else np.stack(gains)[draw])
+        return new
 
     def shared_args(self, p1s, p2s):
         """Noise-plus-power sums ``(arg11, arg12, arg21, arg22)`` of user 1's

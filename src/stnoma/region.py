@@ -13,7 +13,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .power import SolverSettings, ccp_allocate_weights
+from .power import SolverSettings, ccp_allocate_draws
 from .power import ccp_allocate  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user1, rate_user2
 from .system import sample_channels
@@ -91,26 +91,37 @@ def _oma_line(c1, c2, tau_grid, trials):
     ]
 
 
-def _trial_point(cfg, mu_grid, settings, seed, trial):
-    """Rates of one channel draw: per-mu NOMA rate pairs plus both
-    point-to-point capacities. One lockstep CCP run covers every weight of
-    the draw. A ``ValueError`` (a non-generic draw, say) is re-raised naming
-    the seed and trial."""
+def _trial_point(cfg, mu_grid, settings, seed, trials):
+    """Rates of the channel draws of the trials ``trials``, in order:
+    per-mu NOMA rate pairs, shape ``(trials, mu, 2)``, and both
+    point-to-point capacities, shape ``(trials, 2)``. One lockstep CCP run
+    covers every (draw, weight) row. A ``ValueError`` (a non-generic draw,
+    say) is re-raised naming the seed and the trial, or the trials of the
+    joint solve."""
     try:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        ch = sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2)
-        dec = simultaneous_triangularize(ch)
-        pairs = np.empty((len(mu_grid), 2))
-        solved = ccp_allocate_weights(dec, cfg, mu_grid, settings=settings)
-        for i, (alloc, _) in enumerate(solved):
-            alloc.validate(dec.dims, cfg.power_budget)
-            pairs[i, 0] = rate_user1(alloc, dec, cfg).sum()
-            pairs[i, 1] = rate_user2(alloc, dec, cfg).sum()
-        c1 = p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power)
-        c2 = p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power)
+        chs, decs = [], []
+        for trial in trials:
+            where = f"trial {trial}"
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            chs.append(sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2))
+            decs.append(simultaneous_triangularize(chs[-1]))
+        where = f"trials {trials[0]}-{trials[-1]}"
+        solved = ccp_allocate_draws(decs, cfg, mu_grid, settings=settings)
+        pairs = np.empty((len(decs), len(mu_grid), 2))
+        caps = np.empty((len(decs), 2))
+        for t, (trial, ch, dec) in enumerate(zip(trials, chs, decs)):
+            where = f"trial {trial}"
+            for i, (alloc, _) in enumerate(solved[t]):
+                alloc.validate(dec.dims, cfg.power_budget)
+                pairs[t, i, 0] = rate_user1(alloc, dec, cfg).sum()
+                pairs[t, i, 1] = rate_user2(alloc, dec, cfg).sum()
+            caps[t] = [
+                p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power),
+                p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power),
+            ]
     except ValueError as exc:
-        raise ValueError(f"seed {seed}, trial {trial}: {exc}") from exc
-    return pairs, c1, c2
+        raise ValueError(f"seed {seed}, {where}: {exc}") from exc
+    return pairs, caps
 
 
 def _trial_point_star(args):
@@ -118,17 +129,22 @@ def _trial_point_star(args):
 
 
 def _run_trials(cfg, mu_grid, settings, seed, trials, workers):
-    """All trials, reduced in fixed trial order regardless of worker count.
-    The pool holds at most one process per trial and per CPU."""
-    tasks = [(cfg, tuple(mu_grid), settings, seed, t) for t in range(trials)]
+    """All trials in contiguous chunks, one per process, reduced in fixed
+    trial order regardless of worker count. The pool holds at most one
+    process per trial and per CPU."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     processes = min(workers, trials, os.cpu_count() or 1)
+    # chunk lengths differ by at most one
+    chunks = np.array_split(np.arange(trials), processes)
+    tasks = [(cfg, tuple(mu_grid), settings, seed, c.tolist()) for c in chunks]
     if processes > 1:
         with Pool(processes=processes) as pool:
             results = pool.map(_trial_point_star, tasks)
     else:
         results = [_trial_point(*task) for task in tasks]
-    pairs = np.stack([r[0] for r in results])  # (trials, n_mu, 2)
-    caps = np.array([[r[1], r[2]] for r in results])  # (trials, 2)
+    pairs = np.concatenate([r[0] for r in results])  # (trials, n_mu, 2)
+    caps = np.concatenate([r[1] for r in results])  # (trials, 2)
     return pairs, caps
 
 

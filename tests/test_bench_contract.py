@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from stnoma import cli
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -34,3 +36,13 @@ def test_checks_helpers_resolve():
     from stnoma.region import frontier_value_at
 
     assert callable(frontier_value_at)
+
+
+def test_check_solves_through_ccp_allocate_once_per_trial():
+    # the bench reads check's per-solve rates by capturing each
+    # stnoma.cli.ccp_allocate call; batching check's solves would empty it
+    scenario = cli.Scenario(trials=3, mu_steps=3, seed=1)
+    with tracing.captured_solve_rates() as rates:
+        report = cli.self_check(scenario)
+    assert report.ok
+    assert len(rates) == scenario.trials

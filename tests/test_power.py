@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_oracle as oracle
 from stnoma.cli import Scenario
-from stnoma.power import ccp_allocate_weights
+from stnoma.power import ccp_allocate_draws, ccp_allocate_weights
 from stnoma.rates import StreamGains
 from stnoma.power import (
     SolverSettings,
@@ -631,6 +631,37 @@ def test_weights_in_lockstep_reject_weights_outside_unit_interval():
     with pytest.raises(ValueError):
         ccp_allocate_weights(dec, CFG335, [0.5, 1.5])
     assert ccp_allocate_weights(dec, CFG335, []) == []
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+@pytest.mark.parametrize("settings", [SolverSettings(), SolverSettings(inner_max_iters=8),
+                                      SolverSettings(inner_max_iters=1)])
+def test_draws_in_lockstep_match_one_draw_solves(shape, settings):
+    # every (draw, weight) row of the joint run is the one-draw run of its
+    # draw, whatever the number of draws and the order of the weights: each
+    # row reads its own draw's gains, from the first anchor on
+    cfg = make_cfg(*shape)
+    rng = np.random.default_rng(104)
+    decs = [setup_case(seed, cfg)[1] for seed in (105, 106, 107)]
+    mus = list(np.arange(11) / 10)
+    alone = [dict(zip(mus, ccp_allocate_weights(dec, cfg, mus, settings))) for dec in decs]
+    for count in (1, 2, 3):
+        batch = list(rng.permutation(mus))
+        joint = ccp_allocate_draws(decs[:count], cfg, batch, settings)
+        assert len(joint) == count
+        for rows, want in zip(joint, alone):
+            assert len(rows) == len(batch)
+            for mu, row in zip(batch, rows):
+                assert_same_solve(row, want[mu])
+
+
+def test_draws_in_lockstep_edge_cases():
+    _, dec = setup_case(108)
+    _, other = setup_case(108, make_cfg(6, 4, 4))
+    assert ccp_allocate_draws([], CFG335, [0.5]) == []
+    assert ccp_allocate_draws([dec, dec], CFG335, []) == [[], []]
+    with pytest.raises(ValueError, match="same stream dimensions"):
+        ccp_allocate_draws([dec, other], CFG335, [0.5])
 
 
 @pytest.mark.parametrize("inner_max_iters", [1, 3, 8, 10000])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stnoma import region
+from stnoma.cli import Scenario, run_region
 from stnoma.power import SolverSettings
 from stnoma.region import (
     RateRegionPoint,
@@ -135,6 +136,75 @@ def test_failing_trial_names_seed_and_trial(monkeypatch):
         st_noma_region(CFG, [0.5], trials=2, seed=7, workers=1)
     assert isinstance(info.value.__cause__, ValueError)
     assert str(info.value.__cause__) == "h1 is non-generic"
+
+
+def test_region_csv_identical_across_uneven_chunks(tmp_path, monkeypatch):
+    # 5 trials run as one chunk, as chunks of 3 + 2 and as 2 + 2 + 1
+    monkeypatch.setattr(region.os, "cpu_count", lambda: 3)
+    scenario = Scenario(trials=5, mu_steps=3, seed=4)
+    csvs = [
+        run_region(scenario, tmp_path / f"w{workers}", workers=workers)[0].read_bytes()
+        for workers in (1, 2, 3)
+    ]
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize(
+    "workers, trials, chunks",
+    [(1, 5, [[0, 1, 2, 3, 4]]), (2, 5, [[0, 1, 2], [3, 4]]),
+     (3, 5, [[0, 1], [2, 3], [4]]), (8, 3, [[0], [1], [2]])],
+)
+def test_run_trials_in_contiguous_chunks(monkeypatch, workers, trials, chunks):
+    # one task per process, each a contiguous run of trials, in trial order;
+    # the reduced rows are each trial's own, in trial order
+    seen = []
+    trial_point = region._trial_point
+
+    def recording(cfg, mu_grid, settings, seed, chunk):
+        seen.append(list(chunk))
+        return trial_point(cfg, mu_grid, settings, seed, chunk)
+
+    monkeypatch.setattr(region, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(region.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(region, "_trial_point", recording)
+    settings = SolverSettings(ccp_max_iters=2)
+    pairs, caps = region._run_trials(CFG, [0.2, 0.7], settings, 3, trials, workers)
+    assert seen == chunks
+    for t in range(trials):
+        alone_pairs, alone_caps = trial_point(CFG, (0.2, 0.7), settings, 3, [t])
+        assert pairs[t].tobytes() == alone_pairs[0].tobytes()
+        assert caps[t].tobytes() == alone_caps[0].tobytes()
+
+
+def test_region_needs_a_trial():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        st_noma_region(CFG, [0.5], trials=0, seed=1)
+
+
+def test_failing_trial_of_a_chunk_is_named(monkeypatch):
+    triangularize = region.simultaneous_triangularize
+    calls = []
+
+    def second_non_generic(ch):
+        calls.append(ch)
+        if len(calls) == 2:
+            raise ValueError("h1 is non-generic")
+        return triangularize(ch)
+
+    monkeypatch.setattr(region, "simultaneous_triangularize", second_non_generic)
+    with pytest.raises(ValueError, match=r"^seed 7, trial 1: h1 is non-generic$"):
+        st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
+    assert len(calls) == 2
+
+
+def test_failing_joint_solve_names_its_trials(monkeypatch):
+    def failing(decs, cfg, mus, settings=None):
+        raise ValueError("mu must lie in [0, 1]")
+
+    monkeypatch.setattr(region, "ccp_allocate_draws", failing)
+    with pytest.raises(ValueError, match=r"^seed 7, trials 0-2: mu must lie"):
+        st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 
 
 def test_rate_region_point_rejects_negative():
