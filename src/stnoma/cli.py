@@ -456,9 +456,6 @@ def _add_common(parser):
                         help="override the scenario trial count")
     parser.add_argument("--mu-steps", type=int, default=None, dest="mu_steps",
                         help="override the rate-weight grid size")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for independent trials "
-                             "(>= 1; capped at the trial and CPU counts)")
 
 
 def main(argv=None):
@@ -471,13 +468,18 @@ def main(argv=None):
     for p in parsers.values():
         _add_common(p)
     parsers["region"].add_argument(
+        "--workers", type=int, default=1,
+        help="most worker processes for the trials (>= 1); the pool holds at "
+             "most one per CPU and per two trials",
+    )
+    parsers["region"].add_argument(
         "--overlay", type=str, default=None,
         help="CSV with R1,R2 columns to draw on top of the region plot",
     )
     args = parser.parse_args(argv)
 
     try:
-        if args.workers < 1:
+        if args.verb == "region" and args.workers < 1:
             raise ScenarioError("workers must be >= 1")
         scenario = load_scenario(
             args.scenario,

@@ -642,12 +642,12 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
 def _constraint_forms_agree(dec, alloc):
     """The trace form of the power constraint coincides with the plain power
     sum because the precoder columns are unit norm; checked once per
-    returned allocation, to 1e-9 relative."""
+    returned allocation, to 1e-9 of the allocation's total power."""
     per_stream = alloc.p1 + alloc.p2
     col_energy = np.sum(np.abs(dec.x_mat) ** 2, axis=0)
     trace_form = float(col_energy @ per_stream)
     plain = float(per_stream.sum())
-    return abs(trace_form - plain) <= 1e-9 * max(1.0, plain)
+    return abs(trace_form - plain) <= 1e-9 * plain
 
 
 def ccp_allocate_draws(decs, cfg, mus, settings=None):

@@ -131,10 +131,12 @@ def _trial_point_star(args):
 def _run_trials(cfg, mu_grid, settings, seed, trials, workers):
     """All trials in contiguous chunks, one per process, reduced in fixed
     trial order regardless of worker count. The pool holds at most one
-    process per trial and per CPU."""
+    process per CPU and per two trials: a chunk's draws share one lockstep
+    CCP run, so two draws cost a process about what one does, and a pool
+    that splits them pays its start-up for nothing."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    processes = min(workers, trials, os.cpu_count() or 1)
+    processes = max(1, min(workers, os.cpu_count() or 1, trials // 2))
     # chunk lengths differ by at most one
     chunks = np.array_split(np.arange(trials), processes)
     tasks = [(cfg, tuple(mu_grid), settings, seed, c.tolist()) for c in chunks]

@@ -51,8 +51,8 @@ class PowerAllocation:
 
     def validate(self, dims: StreamDims, power_budget):
         """Raise ValueError on negative powers, support-pattern violations,
-        or a power budget overshoot, each beyond 1e-9 watts."""
-        tol = 1e-9
+        or a power budget overshoot, each beyond 1e-9 of the budget."""
+        tol = 1e-9 * power_budget
         if self.p1.shape[0] != dims.total:
             raise ValueError("allocation length != stream count")
         if (self.p1 < -tol).any() or (self.p2 < -tol).any():

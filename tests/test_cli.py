@@ -126,6 +126,28 @@ def test_region_worker_count_invariant(tmp_path):
     assert (a / "region.csv").read_bytes() == (b / "region.csv").read_bytes()
 
 
+def test_region_worker_count_invariant_through_a_pool(tmp_path, monkeypatch):
+    # 4 trials at two workers start a real 2-process pool
+    monkeypatch.setattr("stnoma.region.os.cpu_count", lambda: 2)
+    scenario = replace(SMALL, trials=4)
+    a = run_region(scenario, tmp_path / "w1", workers=1)[0]
+    b = run_region(scenario, tmp_path / "w2", workers=2)[0]
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_region_at_a_150_db_budget(tmp_path):
+    # pt / noise = 150 dB with a 316 MW budget: one ulp of rounding in the
+    # spent power is no budget overshoot
+    scenario = Scenario(trials=2, pt_dbm=115.0, seed=0)
+    csv_path, _ = run_region(scenario, tmp_path)
+    assert csv_path.exists()
+
+
+def test_check_holds_at_a_150_db_budget():
+    report = self_check(Scenario(trials=10, pt_dbm=115.0, seed=0))
+    assert report.failures == []
+
+
 def test_region_csv_numbers_parse_as_plain_floats(tmp_path):
     csv_path, _ = run_region(SMALL, tmp_path)
     lines = csv_path.read_text(encoding="utf-8").splitlines()
@@ -214,6 +236,17 @@ def test_main_nonfinite_scenario_exit_2(tmp_path, monkeypatch, setting):
     ])
     assert rc == 2
     assert not (out / "region.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["check", "convergence"])
+def test_main_workers_only_on_region(tmp_path, capsys, verb):
+    # the trials of check and convergence run in one process, so the flag
+    # is unknown to them
+    with pytest.raises(SystemExit) as info:
+        main([verb, "--out", str(tmp_path), "--workers", "4"])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
 
 
 def test_main_unknown_key_exit_2(tmp_path):

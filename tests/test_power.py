@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracle as oracle
 from stnoma.cli import Scenario
@@ -827,3 +827,33 @@ def test_weights_in_lockstep_at_extreme_snr(shape, snr_db, seed, mus):
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
         assert_same_solve((alloc, state), ccp_allocate(dec, cfg, mu))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(4, 2, 2), (3, 3, 3), (5, 3, 3)]),
+    pt_dbm=st.floats(-100.0, 120.0),
+    snr_db=st.floats(-60.0, 150.0),
+    seed=st.integers(0, 2**16),
+    mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+# both ends of the range; an absolute 1e-9 W slack failed the first
+@example(shape=(5, 3, 3), pt_dbm=120.0, snr_db=150.0, seed=0, mus=[0.5])
+@example(shape=(3, 3, 3), pt_dbm=-100.0, snr_db=-60.0, seed=0, mus=[0.5])
+def test_weights_in_lockstep_at_extreme_budgets(shape, pt_dbm, snr_db, seed, mus):
+    # the budget in watts varies too, from -100 to +120 dBm, with the noise
+    # set so that pt / noise spans -60 dB to +150 dB
+    n, m1, m2 = shape
+    budget = 10.0 ** ((pt_dbm - 30.0) / 10.0)
+    cfg = SystemConfig(
+        n_bs=n, m1=m1, m2=m2, pathloss1=62500.0, pathloss2=2500.0,
+        power_budget=budget, noise_power=budget * 10.0 ** (-snr_db / 10.0),
+    )
+    dec = simultaneous_triangularize(sample_channels(np.random.default_rng(seed), n, m1, m2))
+    for alloc, state in ccp_allocate_weights(dec, cfg, mus):
+        alloc.validate(dec.dims, cfg.power_budget)
+        assert np.all(np.isfinite(rate_user1(alloc, dec, cfg)))
+        assert np.all(np.isfinite(rate_user2(alloc, dec, cfg)))
+        trace = state.objective_trace
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))

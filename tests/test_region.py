@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,24 @@ def test_st_region_deterministic_and_worker_invariant():
         assert (x.r1, x.r2) == (y.r1, y.r2) == (z.r1, z.r2)
 
 
+def test_st_region_worker_invariant_through_a_pool(monkeypatch):
+    # 4 trials at two workers: a real 2-process pool, two trials a process
+    sizes = []
+
+    def spy_pool(processes):
+        sizes.append(processes)
+        return multiprocessing.Pool(processes=processes)
+
+    monkeypatch.setattr(region, "Pool", spy_pool)
+    monkeypatch.setattr(region.os, "cpu_count", lambda: 2)
+    grid = [0.0, 0.5, 1.0]
+    a = st_noma_region(CFG, grid, trials=4, seed=9, workers=1)
+    b = st_noma_region(CFG, grid, trials=4, seed=9, workers=2)
+    assert sizes == [2]
+    for x, y in zip(a, b):
+        assert (x.r1, x.r2) == (y.r1, y.r2)
+
+
 class RecordingPool:
     """Stand-in for ``multiprocessing.Pool`` that records its size and maps
     serially, so no process is ever started."""
@@ -113,10 +133,11 @@ class RecordingPool:
 
 @pytest.mark.parametrize(
     "workers, trials, cpus, expected",
-    [(10**6, 3, 2, [2]), (10**6, 3, 64, [3]), (2, 3, 64, [2]), (1, 3, 64, []),
-     (8, 1, 64, [])],
+    [(10**6, 8, 2, [2]), (10**6, 7, 64, [3]), (2, 6, 64, [2]), (1, 3, 64, []),
+     (8, 1, 64, []), (2, 2, 64, []), (3, 5, 64, [2])],
 )
 def test_run_trials_pool_capped(monkeypatch, workers, trials, cpus, expected):
+    # one process per worker, per CPU and per two trials; no pool for one
     monkeypatch.setattr(region, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(region.os, "cpu_count", lambda: cpus)
@@ -139,9 +160,9 @@ def test_failing_trial_names_seed_and_trial(monkeypatch):
 
 
 def test_region_csv_identical_across_uneven_chunks(tmp_path, monkeypatch):
-    # 5 trials run as one chunk, as chunks of 3 + 2 and as 2 + 2 + 1
+    # 7 trials run as one chunk, as chunks of 4 + 3 and as 3 + 2 + 2
     monkeypatch.setattr(region.os, "cpu_count", lambda: 3)
-    scenario = Scenario(trials=5, mu_steps=3, seed=4)
+    scenario = Scenario(trials=7, mu_steps=3, seed=4)
     csvs = [
         run_region(scenario, tmp_path / f"w{workers}", workers=workers)[0].read_bytes()
         for workers in (1, 2, 3)
@@ -152,7 +173,8 @@ def test_region_csv_identical_across_uneven_chunks(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "workers, trials, chunks",
     [(1, 5, [[0, 1, 2, 3, 4]]), (2, 5, [[0, 1, 2], [3, 4]]),
-     (3, 5, [[0, 1], [2, 3], [4]]), (8, 3, [[0], [1], [2]])],
+     (3, 7, [[0, 1, 2], [3, 4], [5, 6]]),
+     (8, 9, [[0, 1, 2], [3, 4], [5, 6], [7, 8]])],
 )
 def test_run_trials_in_contiguous_chunks(monkeypatch, workers, trials, chunks):
     # one task per process, each a contiguous run of trials, in trial order;

@@ -282,3 +282,25 @@ def test_allocation_validation():
     neg.p1[0] = -0.1
     with pytest.raises(ValueError, match="negative"):
         neg.validate(dims, 1.0)
+
+
+@pytest.mark.parametrize("budget", [1e-13, 1.0, 3.16e8])
+def test_allocation_validation_scales_with_the_budget(budget):
+    # the slack is relative to the budget: one ulp of rounding at a large
+    # budget passes, a 1e-6-relative overshoot at a tiny one does not
+    dims = derive_dims(5, 3, 3)
+    spent = PowerAllocation.zeros(dims)
+    spent.p1[0] = budget * (1.0 + 2e-16)
+    spent.validate(dims, budget)
+    over = PowerAllocation.zeros(dims)
+    over.p1[0] = budget * (1.0 + 1e-6)
+    with pytest.raises(ValueError, match="budget"):
+        over.validate(dims, budget)
+    neg = PowerAllocation.zeros(dims)
+    neg.p1[0] = -1e-6 * budget
+    with pytest.raises(ValueError, match="negative"):
+        neg.validate(dims, budget)
+    leak = PowerAllocation.zeros(dims)
+    leak.p2[1] = 1e-6 * budget  # private1 stream
+    with pytest.raises(ValueError, match="private1"):
+        leak.validate(dims, budget)
