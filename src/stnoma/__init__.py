@@ -9,11 +9,11 @@ rate regions come from seeded Monte Carlo sweeps.
 
 from .linalg import joint_null_space, null_space_basis, qr_real_diag
 from .power import (
+    CcpRecord,
     CcpState,
     SolverSettings,
     ccp_allocate,
     ccp_allocate_draws,
-    ccp_allocate_weights,
     dc_components,
     maximize_surrogate,
     min_difference_identity,

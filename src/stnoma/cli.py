@@ -444,18 +444,25 @@ def self_check(scenario, corrupt=None):
 
 # --- argument parsing ---------------------------------------------------------
 
-
-def _add_common(parser):
-    parser.add_argument("--scenario", type=str, default=None,
-                        help="scenario file (flat key = value text)")
-    parser.add_argument("--out", type=str, default=".",
-                        help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override the scenario trial count")
-    parser.add_argument("--mu-steps", type=int, default=None, dest="mu_steps",
-                        help="override the rate-weight grid size")
+# The verbs that read each flag; any other verb rejects it with exit code 2.
+_FLAGS = {
+    "--scenario": ("region convergence check",
+                   dict(help="scenario file (flat key = value text)")),
+    "--seed": ("region convergence check",
+               dict(type=int, help="override the scenario seed")),
+    "--out": ("region convergence", dict(default=".", help="output directory")),
+    "--trials": ("region check",
+                 dict(type=int, help="override the scenario trial count")),
+    "--mu-steps": ("region", dict(type=int, help="override the rate-weight grid size")),
+    "--workers": ("region", dict(
+        type=int, default=1,
+        help="most worker processes for the trials (>= 1); the pool holds at "
+             "most one per CPU and per two trials",
+    )),
+    "--overlay": ("region", dict(
+        help="CSV with R1,R2 columns to draw on top of the region plot"
+    )),
+}
 
 
 def main(argv=None):
@@ -465,17 +472,9 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     parsers = {verb: sub.add_parser(verb) for verb in ("region", "convergence", "check")}
-    for p in parsers.values():
-        _add_common(p)
-    parsers["region"].add_argument(
-        "--workers", type=int, default=1,
-        help="most worker processes for the trials (>= 1); the pool holds at "
-             "most one per CPU and per two trials",
-    )
-    parsers["region"].add_argument(
-        "--overlay", type=str, default=None,
-        help="CSV with R1,R2 columns to draw on top of the region plot",
-    )
+    for flag, (verbs, kwargs) in _FLAGS.items():
+        for verb in verbs.split():
+            parsers[verb].add_argument(flag, **kwargs)
     args = parser.parse_args(argv)
 
     try:
@@ -484,8 +483,8 @@ def main(argv=None):
         scenario = load_scenario(
             args.scenario,
             seed=args.seed,
-            trials=args.trials,
-            mu_steps=args.mu_steps,
+            trials=getattr(args, "trials", None),
+            mu_steps=getattr(args, "mu_steps", None),
         )
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

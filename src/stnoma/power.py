@@ -24,24 +24,28 @@ Every routine works on rows. ``ccp_allocate_draws`` runs every rate weight
 on every channel draw in lockstep, one row per (draw, weight) pair: each row
 reads its own draw's gains, the rows share each numpy call of a step, a row
 that stops drops out, and every row is bit for bit the run it would be
-alone. ``ccp_allocate_weights`` (one draw), ``ccp_allocate`` (one row) and
-``maximize_surrogate`` (one surrogate) are its special cases.
+alone; it returns one :class:`CcpRecord` of arrays. ``ccp_allocate`` (one
+row) and ``maximize_surrogate`` (one surrogate) are its special cases. The
+solvers work in units of the power budget (:func:`_per_budget`), so their
+tolerances mean the same at any budget.
 """
 
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .rates import StreamGains
 from .rates import weighted_sum_rate  # noqa: F401  bench/tracing.py patches it here
+from .system import StreamDims
 from .transceiver import PowerAllocation
 
 __all__ = [
     "SolverSettings",
     "CcpState",
+    "CcpRecord",
     "InnerSolveResult",
     "dc_components",
     "min_difference_identity",
@@ -49,7 +53,6 @@ __all__ = [
     "project_power_budget",
     "maximize_surrogate",
     "ccp_allocate",
-    "ccp_allocate_weights",
     "ccp_allocate_draws",
 ]
 
@@ -62,7 +65,8 @@ RESIDUAL_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and iteration caps of both optimization loops."""
+    """Tolerances and iteration caps of both optimization loops. The outer
+    loop stops once no power moves by ``ccp_tol`` of the budget or more."""
 
     ccp_max_iters: int = 10
     ccp_tol: float = 1e-4
@@ -80,13 +84,21 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class InnerSolveResult:
-    """Outcome of one surrogate maximization."""
+    """Outcome of one surrogate maximization, or of rows of them with an
+    array in each field. The residual and the gradient norm are in units of
+    the power budget."""
 
     value: float
     iterations: int
     converged: bool
     residual: float
     grad_norm: float
+
+    def at(self, index):
+        """The result of one solve, out of a result of arrays."""
+        return InnerSolveResult(
+            **{f.name: f.type(getattr(self, f.name)[index]) for f in fields(self)}
+        )
 
 
 @dataclass
@@ -105,6 +117,45 @@ class CcpState:
             raise ValueError("anchor powers must be >= 0")
         if len(self.objective_trace) != self.iterations:
             raise ValueError("trace length must equal the iteration count")
+
+
+@dataclass(frozen=True)
+class CcpRecord:
+    """Every row of one lockstep CCP run (:func:`ccp_allocate_draws`), as
+    arrays whose leading axes are (draws, weights).
+
+    ``p1`` and ``p2`` are the final powers, ``rates`` each user's rate sum
+    at them (last axis: user 1, user 2), and ``iterations`` and
+    ``converged`` the outer loop's. ``trace`` (the true weighted sum rate)
+    and the arrays of ``inner`` have one entry per outer iteration, padded
+    with zeros to ``ccp_max_iters`` past ``iterations``.
+    """
+
+    dims: StreamDims
+    p1: np.ndarray
+    p2: np.ndarray
+    rates: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    trace: np.ndarray
+    inner: InnerSolveResult
+
+    def allocation(self, d, i):
+        """The final :class:`PowerAllocation` of weight ``i`` on draw ``d``."""
+        return PowerAllocation(self.p1[d, i].copy(), self.p2[d, i].copy())
+
+    def state(self, d, i):
+        """The :class:`CcpState` of weight ``i`` on draw ``d``."""
+        alloc = self.allocation(d, i)
+        n = int(self.iterations[d, i])
+        return CcpState(
+            q=alloc.p2[: self.dims.shared].copy(),
+            allocation=alloc,
+            iterations=n,
+            objective_trace=self.trace[d, i, :n].copy(),
+            converged=bool(self.converged[d, i]),
+            inner_results=tuple(self.inner.at((d, i, k)) for k in range(n)),
+        )
 
 
 def _check_shared(dims, l):
@@ -277,11 +328,11 @@ class _SurrogateProblem(StreamGains):
         self.jac[..., diag, diag] += self.w2 / (LN2 * arg22_q)
         self.slope = self.jac.sum(axis=-2)
 
-    def reanchored(self, mu, anchor):
-        """The same link's surrogate at other weights and anchors, without
-        rebuilding its gains."""
+    def reanchored(self, anchor):
+        """The same rows' surrogate at other anchors, without rebuilding
+        their gains."""
         new = copy.copy(self)
-        new._anchor_rows(mu, anchor)
+        new._anchor_rows(self.mu, anchor)
         return new
 
     def take(self, rows):
@@ -313,10 +364,6 @@ class _SurrogateProblem(StreamGains):
         p2[..., :m] = z[..., n_p1 : n_p1 + m]
         p2[..., m + d.private1 :] = z[..., n_p1 + m :]
         return p1, p2
-
-    def unpack(self, z):
-        """Solver vector -> PowerAllocation."""
-        return PowerAllocation(*self.powers(z))
 
     def pack(self, alloc):
         d = self.dims
@@ -468,14 +515,15 @@ class _SurrogateProblem(StreamGains):
         return self.value_and_grad(z, branch_weights=branch_weights)[1]
 
 
-def _residual(z, g, budget):
-    """Norm of the projected-gradient step ``z - proj(z + g)``, per row."""
-    return _norm(z - _project(z + g, None, budget))
+def _residual(z, g):
+    """Norm of the projected-gradient step ``z - proj(z + g)`` onto the unit
+    budget, per row."""
+    return _norm(z - _project(z + g, None, 1.0))
 
 
-def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
+def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
-    surrogate, every row of ``z`` in lockstep.
+    surrogate over the unit budget, every row of ``z`` in lockstep.
 
     The step target is the weighted projection of ``z + g/h``; the Armijo
     backtracking line search runs on the feasible segment toward it. Each
@@ -508,16 +556,16 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
         if g is None:
             lam = sub._branch_weights(*branches, tau)
             g = sub._derivative(1, lam, *point)
-            res = _residual(za, g, budget)
+            res = _residual(za, g)
         gnorm = _norm(g)
         stop = (res <= rtol * (1.0 + gnorm)) | (it > caps)
         if np.count_nonzero(stop) < act.size:
             # Guard tiny curvatures so the Newton target stays finite and a
             # zero-gradient coordinate never moves.
             h = sub._derivative(2, lam, *point)
-            h = np.maximum(h, np.abs(g) / (100.0 * (budget + 1.0)))
+            h = np.maximum(h, np.abs(g) / 200.0)  # 100 * (budget + 1)
             h = np.maximum(h, 1e-300)
-            target = _project(za + g / h, h, budget)
+            target = _project(za + g / h, h, 1.0)
             start, d = za, target - za
             gd = np.vecdot(g, d)
             scale = 1.0 + np.abs(f)
@@ -529,7 +577,7 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
                 polish = sub.evaluate(target, tau)
                 lt = sub._branch_weights(*polish[1], tau)
                 gt = sub._derivative(1, lt, *polish[2:])
-                rt = _residual(target, gt, budget)
+                rt = _residual(target, gt)
                 moved = flat & (rt < res) & (polish[0] >= f - 1e-12 * scale)
                 if np.count_nonzero(moved) == len(moved):
                     za, known = target, (polish, lt, gt, rt)
@@ -574,11 +622,12 @@ def _ascent_stage(problem, z, budget, tau, iter_budget, rtol, gd_rtol):
 _TAU_STAGES = (1e-2, 1e-4, 1e-6, 1e-9, 0.0)
 
 
-def _maximize(problem, z, budget, settings):
-    """Every row of ``problem`` maximized from the feasible rows of ``z``
-    (see :func:`maximize_surrogate`), in lockstep stage by stage. Returns
-    the final rows and one :class:`InnerSolveResult` per row, read off the
-    exact stage's last evaluation of that row."""
+def _maximize(problem, z, settings):
+    """Every row of ``problem`` maximized over the unit budget from the
+    feasible rows of ``z`` (see :func:`maximize_surrogate`), in lockstep
+    stage by stage. Returns the final rows and an :class:`InnerSolveResult`
+    of arrays over the rows, read off the exact stage's last evaluation of
+    each row."""
     z = z.copy()
     iterations = np.zeros(len(z), dtype=int)
     for tau in _TAU_STAGES if problem.m else (0.0,):
@@ -590,23 +639,21 @@ def _maximize(problem, z, budget, settings):
         stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
         gd_rtol = max(tau * 1e-3, 1e-15)
         used, f, res, gnorm = _ascent_stage(
-            problem, z, budget, tau, stage_budget, stage_rtol, gd_rtol
+            problem, z, tau, stage_budget, stage_rtol, gd_rtol
         )
         iterations += used
     converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
-    return z, [
-        InnerSolveResult(
-            value=float(f[b]),
-            iterations=int(iterations[b]),
-            converged=bool(converged[b]),
-            residual=float(res[b]),
-            grad_norm=float(gnorm[b]),
-        )
-        for b in range(len(z))
-    ]
+    return z, InnerSolveResult(f, iterations, converged, res, gnorm)
 
 
-def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
+def _per_budget(cfg):
+    """``cfg`` with powers in units of its budget: a budget of 1 and the
+    noise divided by the budget. Every rate is unchanged, and at a 1 W
+    budget this is ``cfg`` to the bit."""
+    return replace(cfg, power_budget=1.0, noise_power=cfg.noise_power / cfg.power_budget)
+
+
+def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
     """Solve the concave surrogate problem for a fixed anchor.
 
     Projected gradient ascent with backtracking (Armijo, halving steps), a
@@ -619,8 +666,8 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     where it is, so the result is the exact stage's last evaluation, and
     optimality is certified by the test it stops on: the projected-gradient
     residual of the active-branch supergradient at the returned point, at
-    most ``RESIDUAL_RTOL * (1 + ||g||)``. This is the one-row case of the
-    lockstep solve :func:`ccp_allocate_weights` runs.
+    most ``RESIDUAL_RTOL * (1 + ||g||)`` in units of the budget. This is the
+    one-row case of the lockstep solve :func:`ccp_allocate_draws` runs.
 
     Returns
     -------
@@ -630,24 +677,11 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None, warm_start=None):
     """
     if settings is None:
         settings = SolverSettings()
-    problem = _SurrogateProblem(dec, cfg, [mu], [anchor])
-    if warm_start is None:
-        z = np.zeros((1, problem.size))
-    else:
-        z = project_power_budget(problem.pack(warm_start)[None], cfg.power_budget)
-    z, (result,) = _maximize(problem, z, cfg.power_budget, settings)
-    return problem.unpack(z[0]), result
-
-
-def _constraint_forms_agree(dec, alloc):
-    """The trace form of the power constraint coincides with the plain power
-    sum because the precoder columns are unit norm; checked once per
-    returned allocation, to 1e-9 of the allocation's total power."""
-    per_stream = alloc.p1 + alloc.p2
-    col_energy = np.sum(np.abs(dec.x_mat) ** 2, axis=0)
-    trace_form = float(col_energy @ per_stream)
-    plain = float(per_stream.sum())
-    return abs(trace_form - plain) <= 1e-9 * plain
+    budget = cfg.power_budget
+    problem = _SurrogateProblem(dec, _per_budget(cfg), [mu], [np.divide(anchor, budget)])
+    z, result = _maximize(problem, np.zeros((1, problem.size)), settings)
+    p1, p2 = problem.powers(z[0])
+    return PowerAllocation(p1 * budget, p2 * budget), result.at(0)
 
 
 def ccp_allocate_draws(decs, cfg, mus, settings=None):
@@ -656,91 +690,89 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
 
     Each row's run starts from a zero anchor, repeatedly maximizes the
     surrogate, and re-anchors at the new user-2 shared powers until no
-    power moves by more than ``ccp_tol`` watts or the iteration cap is
-    reached. The recorded objective trace holds the true weighted sum rate,
-    not the surrogate. Every row carries its own draw's gains and shares
-    each numpy call of an outer iteration and of a solver stage; a row whose
-    run stops drops out, and every row is bit for bit the run it would be
-    alone (:func:`ccp_allocate`). The decompositions must share one stream
-    layout.
+    power moves by ``ccp_tol`` of the budget or more, or the iteration cap
+    is reached. The recorded objective trace holds the true weighted sum
+    rate, not the surrogate, from the same rate sums the record's ``rates``
+    keep for the last iteration. Every row carries its own draw's gains and
+    shares each numpy call of an outer iteration and of a solver stage; a
+    row whose run stops drops out, and every row is bit for bit the run it
+    would be alone (:func:`ccp_allocate`). The decompositions must share
+    one stream layout.
 
     Returns
     -------
-    list of lists of (PowerAllocation, CcpState)
-        One list per decomposition, in the order of ``decs``, holding one
-        pair per weight, in the order of ``mus``.
+    CcpRecord
+        Leading axes (draws, weights), in the order of ``decs`` and ``mus``.
     """
     if settings is None:
         settings = SolverSettings()
     mus = np.asarray(mus, dtype=float)
     if not np.all((mus >= 0.0) & (mus <= 1.0)):
         raise ValueError("mu must lie in [0, 1]")
-    if not decs:
-        return []
-    weights = len(mus)
-    rows = len(decs) * weights
-    draw = np.repeat(np.arange(len(decs)), weights)
-    budget = cfg.power_budget
-    problem = _SurrogateProblem.over_draws(
-        decs, cfg, draw, np.tile(mus, len(decs)),
-        np.zeros((rows, decs[0].dims.shared)),
-    )
-    m, n_p1 = problem.m, problem.n_p1
-    # Each row's previous allocation: the warm start and the stopping
-    # reference (zeros before the first solve, which cannot stop the loop).
-    z = np.zeros((rows, problem.size))
+    dims = decs[0].dims if decs else cfg.dims
+    rows = len(decs) * len(mus)
+    draw = np.repeat(np.arange(len(decs)), len(mus))
+    padded = (rows, settings.ccp_max_iters)
     iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
-    traces = [[] for _ in range(rows)]
-    inner_results = [[] for _ in range(rows)]
-    act = np.arange(rows)
-    for it in range(1, settings.ccp_max_iters + 1):
-        prev = z[act]
-        new, inner = _maximize(
-            problem, project_power_budget(prev, budget), budget, settings
+    rates = np.zeros((rows, 2))
+    trace = np.zeros(padded)
+    inner = InnerSolveResult(*(np.zeros(padded, f.type) for f in fields(InnerSolveResult)))
+    p1 = p2 = np.zeros((rows, dims.total))
+    if decs:
+        problem = _SurrogateProblem.over_draws(
+            decs, _per_budget(cfg), draw, np.tile(mus, len(decs)),
+            np.zeros((rows, dims.shared)),
         )
-        rates = problem.weighted_sum_rate(*problem.powers(new), problem.mu)
-        for b, result, rate in zip(act, inner, rates):
-            inner_results[b].append(result)
-            traces[b].append(float(rate))
-        z[act] = new
-        iterations[act] = it
-        done = np.max(np.abs(new - prev), axis=1, initial=0.0) < settings.ccp_tol
-        if it == 1:
-            done[:] = False
-        converged[act[done]] = True
-        keep = np.flatnonzero(~done)
-        act = act[keep]
-        if not act.size or it == settings.ccp_max_iters:
-            break
-        problem = problem.take(keep)
-        problem = problem.reanchored(problem.mu, new[keep, n_p1 : n_p1 + m])
-
-    out = []
-    for b in range(rows):
-        dec = decs[draw[b]]
-        alloc = problem.unpack(z[b])
-        if not _constraint_forms_agree(dec, alloc):
+        # Each row's previous allocation: the warm start and the stopping
+        # reference (zeros before the first solve, which cannot stop the
+        # loop).
+        z = np.zeros((rows, problem.size))
+        act = np.arange(rows)
+        for it in range(1, settings.ccp_max_iters + 1):
+            prev = z[act]
+            new, result = _maximize(problem, project_power_budget(prev, 1.0), settings)
+            for f in fields(InnerSolveResult):
+                getattr(inner, f.name)[act, it - 1] = getattr(result, f.name)
+            br = problem.breakdown(*problem.powers(new))
+            r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)
+            rates[act, 0], rates[act, 1] = r1, r2
+            trace[act, it - 1] = problem.mu * r1 + problem.mu2 * r2
+            z[act] = new
+            iterations[act] = it
+            done = np.max(np.abs(new - prev), axis=1, initial=0.0) < settings.ccp_tol
+            if it == 1:
+                done[:] = False
+            converged[act[done]] = True
+            keep = np.flatnonzero(~done)
+            act = act[keep]
+            if not act.size or it == settings.ccp_max_iters:
+                break
+            anchor = new[keep, problem.n_p1 : problem.n_p1 + problem.m]
+            problem = problem.take(keep).reanchored(anchor)
+        p1, p2 = problem.powers(z)
+        # The trace form of the power constraint is the plain power sum
+        # because the precoder columns are unit norm; checked on every row,
+        # to 1e-9 of its total power.
+        per_stream = p1 + p2
+        energy = np.stack([np.sum(np.abs(dec.x_mat) ** 2, axis=0) for dec in decs])
+        plain = np.add.reduce(per_stream, axis=-1)
+        trace_form = np.vecdot(per_stream, energy[draw])
+        if not np.all(np.abs(trace_form - plain) <= 1e-9 * plain):
             raise AssertionError(
                 "trace and sum forms of the power constraint disagree; "
                 "precoder columns are not unit norm"
             )
-        state = CcpState(
-            q=alloc.p2[:m].copy(),
-            allocation=alloc,
-            iterations=int(iterations[b]),
-            objective_trace=np.array(traces[b]),
-            converged=bool(converged[b]),
-            inner_results=tuple(inner_results[b]),
-        )
-        out.append((alloc, state))
-    return [out[d * weights : (d + 1) * weights] for d in range(len(decs))]
 
+    def by_draw(*arrays):
+        return [a.reshape((len(decs), len(mus)) + a.shape[1:]) for a in arrays]
 
-def ccp_allocate_weights(dec, cfg, mus, settings=None):
-    """Every rate weight in ``mus`` on one decomposition: the one-draw case
-    of :func:`ccp_allocate_draws`, a list of (PowerAllocation, CcpState)."""
-    return ccp_allocate_draws([dec], cfg, mus, settings)[0]
+    budget = cfg.power_budget
+    return CcpRecord(
+        dims,
+        *by_draw(p1 * budget, p2 * budget, rates, iterations, converged, trace),
+        InnerSolveResult(*by_draw(*(getattr(inner, f.name) for f in fields(inner)))),
+    )
 
 
 def ccp_allocate(dec, cfg, mu, settings=None):
@@ -751,4 +783,5 @@ def ccp_allocate(dec, cfg, mu, settings=None):
     -------
     (PowerAllocation, CcpState)
     """
-    return ccp_allocate_draws([dec], cfg, [mu], settings)[0][0]
+    state = ccp_allocate_draws([dec], cfg, [mu], settings).state(0, 0)
+    return state.allocation, state

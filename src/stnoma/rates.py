@@ -97,12 +97,6 @@ class StreamGains:
         r2[..., k:] = np.log2(1.0 + p2[..., k:] * self.g2p)
         return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
 
-    def weighted_sum_rate(self, p1, p2, mu):
-        """``sum_l mu r1[l] + (1 - mu) r2[l]``, per row for rows of powers
-        and weights."""
-        br = self.breakdown(p1, p2)
-        return mu * br.r1.sum(axis=-1) + (1.0 - mu) * br.r2.sum(axis=-1)
-
 
 @dataclass(frozen=True)
 class RateBreakdown:
@@ -146,4 +140,5 @@ def weighted_sum_rate(alloc, dec, cfg, mu):
     """Weighted sum rate ``sum_l mu r1[l] + (1 - mu) r2[l]``, mu in [0, 1]."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    return float(StreamGains(dec, cfg).weighted_sum_rate(alloc.p1, alloc.p2, mu))
+    br = rate_breakdown(alloc, dec, cfg)
+    return float(mu * br.r1.sum() + (1.0 - mu) * br.r2.sum())

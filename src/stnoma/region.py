@@ -15,7 +15,8 @@ import numpy as np
 
 from .power import SolverSettings, ccp_allocate_draws
 from .power import ccp_allocate  # noqa: F401  bench/tracing.py patches it here
-from .rates import rate_user1, rate_user2
+from .rates import rate_user1  # noqa: F401  bench/tracing.py patches it here
+from .rates import rate_user2  # noqa: F401  bench/tracing.py patches it here
 from .system import sample_channels
 from .triangularize import simultaneous_triangularize
 
@@ -95,9 +96,9 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
     """Rates of the channel draws of the trials ``trials``, in order:
     per-mu NOMA rate pairs, shape ``(trials, mu, 2)``, and both
     point-to-point capacities, shape ``(trials, 2)``. One lockstep CCP run
-    covers every (draw, weight) row. A ``ValueError`` (a non-generic draw,
-    say) is re-raised naming the seed and the trial, or the trials of the
-    joint solve."""
+    covers every (draw, weight) row and gives its rates. A ``ValueError`` (a
+    non-generic draw, say) is re-raised naming the seed and the trial, or
+    the trials of the joint solve."""
     try:
         chs, decs = [], []
         for trial in trials:
@@ -106,22 +107,19 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
             chs.append(sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2))
             decs.append(simultaneous_triangularize(chs[-1]))
         where = f"trials {trials[0]}-{trials[-1]}"
-        solved = ccp_allocate_draws(decs, cfg, mu_grid, settings=settings)
-        pairs = np.empty((len(decs), len(mu_grid), 2))
+        record = ccp_allocate_draws(decs, cfg, mu_grid, settings=settings)
         caps = np.empty((len(decs), 2))
         for t, (trial, ch, dec) in enumerate(zip(trials, chs, decs)):
             where = f"trial {trial}"
-            for i, (alloc, _) in enumerate(solved[t]):
-                alloc.validate(dec.dims, cfg.power_budget)
-                pairs[t, i, 0] = rate_user1(alloc, dec, cfg).sum()
-                pairs[t, i, 1] = rate_user2(alloc, dec, cfg).sum()
+            for i in range(len(mu_grid)):
+                record.allocation(t, i).validate(dec.dims, cfg.power_budget)
             caps[t] = [
                 p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power),
                 p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power),
             ]
     except ValueError as exc:
         raise ValueError(f"seed {seed}, {where}: {exc}") from exc
-    return pairs, caps
+    return record.rates, caps
 
 
 def _trial_point_star(args):

@@ -242,11 +242,34 @@ def test_main_nonfinite_scenario_exit_2(tmp_path, monkeypatch, setting):
 def test_main_workers_only_on_region(tmp_path, capsys, verb):
     # the trials of check and convergence run in one process, so the flag
     # is unknown to them
+    out = ["--out", str(tmp_path)] if verb == "convergence" else []
     with pytest.raises(SystemExit) as info:
-        main([verb, "--out", str(tmp_path), "--workers", "4"])
+        main([verb, *out, "--workers", "4"])
     assert info.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        ("check", "--out", "out"),
+        ("check", "--mu-steps", "7"),
+        ("convergence", "--trials", "1"),
+        ("convergence", "--mu-steps", "7"),
+    ],
+)
+def test_main_rejects_flags_the_verb_ignores(tmp_path, capsys, verb, flag, value):
+    # a flag the verb would not read exits 2 before any work, so it cannot
+    # look as if it took effect
+    out = ["--out", str(tmp_path)] if verb == "convergence" else []
+    if flag == "--out":
+        value = str(tmp_path / value)
+    with pytest.raises(SystemExit) as info:
+        main([verb, *out, flag, value])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_unknown_key_exit_2(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracle as oracle
 from stnoma.cli import Scenario
-from stnoma.power import ccp_allocate_draws, ccp_allocate_weights
-from stnoma.rates import StreamGains
+from stnoma.power import ccp_allocate_draws
+from stnoma.rates import StreamGains, rate_breakdown
 from stnoma.power import (
     SolverSettings,
     _SurrogateProblem,
@@ -446,7 +446,7 @@ def test_inner_certificate_at_kinks_matches_weight_grid():
         residuals = []
         for weights in itertools.product(grid, repeat=kinks.size):
             lam[kinks] = weights
-            residuals.append(_residual(z, problem.grad(z, lam), cfg.power_budget))
+            residuals.append(_residual(z, problem.grad(z, lam)))
         assert info.residual <= min(residuals) + 1e-12, (seed, kinks)
         worst = max(worst, max(residuals))
     assert kinked > 0
@@ -495,15 +495,13 @@ def test_ccp_surrogate_tightness_each_iteration():
     mu = 0.5
     settings = SolverSettings()
     q = np.zeros(dec.dims.shared)
-    prev = None
     for _ in range(5):
-        alloc, _ = maximize_surrogate(q, dec, CFG335, mu, settings=settings, warm_start=prev)
+        alloc, _ = maximize_surrogate(q, dec, CFG335, mu, settings=settings)
         q = alloc.p2[: dec.dims.shared].copy()
         problem = _SurrogateProblem(dec, CFG335, mu, q)
         tight = problem.value(problem.pack(alloc))
         truth = weighted_sum_rate(alloc, dec, CFG335, mu)
         assert tight == pytest.approx(truth, abs=1e-9)
-        prev = alloc
 
 
 def test_ccp_majorization_property():
@@ -570,22 +568,34 @@ def test_ccp_grid_oracle_small():
 # --- lockstep over weights ---------------------------------------------------------
 
 
-def assert_same_solve(got, want):
-    """Two ``(PowerAllocation, CcpState)`` results agree bit for bit."""
-    (alloc, state), (alloc_w, state_w) = got, want
+def alone(dec, cfg, mu, settings=None):
+    """The state of the one-row run, which holds the allocation it returns."""
+    alloc, state = ccp_allocate(dec, cfg, mu, settings)
+    assert state.allocation is alloc
+    return state
+
+
+def assert_same_solve(record, d, i, want):
+    """Row ``(d, i)`` of a lockstep record and the ``CcpState`` ``want``
+    agree bit for bit, and the row is padded past its last iteration."""
+    state = record.state(d, i)
     for a, b in [
-        (alloc.p1, alloc_w.p1),
-        (alloc.p2, alloc_w.p2),
-        (state.q, state_w.q),
-        (state.objective_trace, state_w.objective_trace),
+        (record.p1[d, i], want.allocation.p1),
+        (record.p2[d, i], want.allocation.p2),
+        (state.allocation.p1, want.allocation.p1),
+        (state.allocation.p2, want.allocation.p2),
+        (state.q, want.q),
+        (state.objective_trace, want.objective_trace),
     ]:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert state.allocation is alloc
-    assert (state.iterations, state.converged) == (state_w.iterations, state_w.converged)
-    assert state.inner_results == state_w.inner_results
-    for r, r_w in zip(state.inner_results, state_w.inner_results):
+    assert (state.iterations, state.converged) == (want.iterations, want.converged)
+    assert state.inner_results == want.inner_results
+    for r, r_w in zip(state.inner_results, want.inner_results):
         assert np.float64(r.value).tobytes() == np.float64(r_w.value).tobytes()
         assert np.float64(r.residual).tobytes() == np.float64(r_w.residual).tobytes()
+    n = state.iterations
+    assert not record.trace[d, i, n:].any()
+    assert not record.inner.iterations[d, i, n:].any()
 
 
 @pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
@@ -595,13 +605,13 @@ def test_weights_in_lockstep_match_one_weight_solves(shape):
     cfg = make_cfg(*shape)
     rng, dec = setup_case(100, cfg)
     mus = list(np.arange(21) / 20)
-    alone = {mu: ccp_allocate(dec, cfg, mu) for mu in mus}
+    want = {mu: alone(dec, cfg, mu) for mu in mus}
     for size in (1, 7, 21):
         batch = list(rng.permutation(mus)[:size])
-        rows = ccp_allocate_weights(dec, cfg, batch)
-        assert len(rows) == size
-        for mu, row in zip(batch, rows):
-            assert_same_solve(row, alone[mu])
+        record = ccp_allocate_draws([dec], cfg, batch)
+        assert record.iterations.shape == (1, size)
+        for i, mu in enumerate(batch):
+            assert_same_solve(record, 0, i, want[mu])
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 4)])
@@ -616,21 +626,23 @@ def test_weights_in_lockstep_match_when_inner_budget_runs_out(shape):
     mus = [0.0, 0.15, 0.5, 0.85, 1.0]
     for inner_max_iters in (8, 1):
         settings = SolverSettings(inner_max_iters=inner_max_iters)
-        rows = ccp_allocate_weights(dec, cfg, mus, settings=settings)
-        results = [r for _, s in rows for r in s.inner_results]
-        assert all(r.iterations <= inner_max_iters for r in results)
+        record = ccp_allocate_draws([dec], cfg, mus, settings=settings)
+        ran = np.arange(settings.ccp_max_iters) < record.iterations[..., None]
+        assert (record.inner.iterations[ran] <= inner_max_iters).all()
         if inner_max_iters == 8:
-            converged = [r.converged for r in results]
-            assert any(converged) and not all(converged)
-        for mu, row in zip(mus, rows):
-            assert_same_solve(row, ccp_allocate(dec, cfg, mu, settings=settings))
+            converged = record.inner.converged[ran]
+            assert converged.any() and not converged.all()
+        for i, mu in enumerate(mus):
+            assert_same_solve(record, 0, i, alone(dec, cfg, mu, settings=settings))
 
 
 def test_weights_in_lockstep_reject_weights_outside_unit_interval():
     _, dec = setup_case(102)
     with pytest.raises(ValueError):
-        ccp_allocate_weights(dec, CFG335, [0.5, 1.5])
-    assert ccp_allocate_weights(dec, CFG335, []) == []
+        ccp_allocate_draws([dec], CFG335, [0.5, 1.5])
+    record = ccp_allocate_draws([dec], CFG335, [])
+    assert record.p1.shape == (1, 0, dec.dims.total)
+    assert record.rates.shape == (1, 0, 2)
 
 
 @pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
@@ -644,24 +656,69 @@ def test_draws_in_lockstep_match_one_draw_solves(shape, settings):
     rng = np.random.default_rng(104)
     decs = [setup_case(seed, cfg)[1] for seed in (105, 106, 107)]
     mus = list(np.arange(11) / 10)
-    alone = [dict(zip(mus, ccp_allocate_weights(dec, cfg, mus, settings))) for dec in decs]
+    one_draw = [ccp_allocate_draws([dec], cfg, mus, settings) for dec in decs]
     for count in (1, 2, 3):
         batch = list(rng.permutation(mus))
         joint = ccp_allocate_draws(decs[:count], cfg, batch, settings)
-        assert len(joint) == count
-        for rows, want in zip(joint, alone):
-            assert len(rows) == len(batch)
-            for mu, row in zip(batch, rows):
-                assert_same_solve(row, want[mu])
+        assert joint.iterations.shape == (count, len(batch))
+        for d in range(count):
+            for i, mu in enumerate(batch):
+                assert_same_solve(joint, d, i, one_draw[d].state(0, mus.index(mu)))
 
 
 def test_draws_in_lockstep_edge_cases():
     _, dec = setup_case(108)
     _, other = setup_case(108, make_cfg(6, 4, 4))
-    assert ccp_allocate_draws([], CFG335, [0.5]) == []
-    assert ccp_allocate_draws([dec, dec], CFG335, []) == [[], []]
+    empty = ccp_allocate_draws([], CFG335, [0.5])
+    assert empty.p1.shape == (0, 1, CFG335.dims.total)
+    assert empty.trace.shape == (0, 1, SolverSettings().ccp_max_iters)
+    none = ccp_allocate_draws([dec, dec], CFG335, [])
+    assert none.rates.shape == (2, 0, 2)
+    assert none.inner.iterations.shape == (2, 0, SolverSettings().ccp_max_iters)
     with pytest.raises(ValueError, match="same stream dimensions"):
         ccp_allocate_draws([dec, other], CFG335, [0.5])
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_record_rates_are_the_rate_sums_of_its_powers(shape):
+    # the rates a record keeps are each user's rate_breakdown sum at the
+    # row's final powers, bit for bit, and its trace ends on their weighted
+    # sum
+    cfg = make_cfg(*shape)
+    decs = [setup_case(seed, cfg)[1] for seed in (111, 112, 113)]
+    mus = np.arange(11) / 10
+    record = ccp_allocate_draws(decs, cfg, mus)
+    for d, dec in enumerate(decs):
+        for i, mu in enumerate(mus):
+            br = rate_breakdown(record.allocation(d, i), dec, cfg)
+            want = np.array([br.r1.sum(), br.r2.sum()])
+            assert record.rates[d, i].tobytes() == want.tobytes()
+            last = record.trace[d, i, record.iterations[d, i] - 1]
+            assert last == mu * want[0] + (1.0 - mu) * want[1]
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 4), (3, 3, 3)])
+def test_ccp_is_the_same_at_any_power_budget(shape):
+    # at a fixed pt / noise the problem is the same in units of the budget:
+    # the outer loop stops on moves relative to the budget, and the powers
+    # scale with it
+    n, m1, m2 = shape
+    decs = [setup_case(seed, make_cfg(*shape))[1] for seed in (114, 115)]
+    mus = np.arange(11) / 10
+    records = {}
+    for pt_dbm in (-100.0, 0.0, 30.0):
+        budget = 10.0 ** ((pt_dbm - 30.0) / 10.0)
+        cfg = SystemConfig(
+            n_bs=n, m1=m1, m2=m2, pathloss1=62500.0, pathloss2=2500.0,
+            power_budget=budget, noise_power=budget * 10 ** (-6.5),
+        )
+        records[pt_dbm] = record = ccp_allocate_draws(decs, cfg, mus)
+        assert record.rates.min() >= 0.0 and record.rates.max() > 1.0
+        np.testing.assert_allclose(record.p1 / budget, records[-100.0].p1 / 1e-13,
+                                   rtol=0, atol=1e-9)
+    for record in records.values():
+        np.testing.assert_array_equal(record.iterations, records[30.0].iterations)
+        np.testing.assert_allclose(record.rates, records[30.0].rates, rtol=1e-9)
 
 
 @pytest.mark.parametrize("inner_max_iters", [1, 3, 8, 10000])
@@ -683,7 +740,7 @@ def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
             z = problem.pack(alloc)
             f, g = problem.value_and_grad(z)
             assert info.value == f
-            assert info.residual == _residual(z, g, cfg.power_budget)
+            assert info.residual == _residual(z, g)
             assert info.grad_norm == np.linalg.norm(g)
             assert info.converged == (info.residual <= 1e-6 * (1.0 + info.grad_norm))
 
@@ -701,11 +758,11 @@ def test_region_trial_solver_work_pinned(shape, outer, inner):
     cfg = scenario.config()
     rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
     dec = simultaneous_triangularize(sample_channels(rng, n, m1, m2))
-    rows = ccp_allocate_weights(
-        dec, cfg, scenario.mu_grid(), settings=scenario.solver_settings()
+    record = ccp_allocate_draws(
+        [dec], cfg, scenario.mu_grid(), settings=scenario.solver_settings()
     )
-    assert sum(s.iterations for _, s in rows) == outer
-    assert sum(r.iterations for _, s in rows for r in s.inner_results) == inner
+    assert record.iterations.sum() == outer
+    assert record.inner.iterations.sum() == inner
 
 
 def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
@@ -818,15 +875,17 @@ def test_weights_in_lockstep_at_extreme_snr(shape, snr_db, seed, mus):
         power_budget=1.0, noise_power=10.0 ** (-snr_db / 10.0),
     )
     dec = simultaneous_triangularize(sample_channels(np.random.default_rng(seed), n, m1, m2))
-    rows = ccp_allocate_weights(dec, cfg, mus)
-    for mu, (alloc, state) in zip(mus, rows):
+    record = ccp_allocate_draws([dec], cfg, mus)
+    for i, mu in enumerate(mus):
+        state = record.state(0, i)
+        alloc = state.allocation
         alloc.validate(dec.dims, cfg.power_budget)
         assert np.all(np.isfinite(rate_user1(alloc, dec, cfg)))
         assert np.all(np.isfinite(rate_user2(alloc, dec, cfg)))
         trace = state.objective_trace
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
-        assert_same_solve((alloc, state), ccp_allocate(dec, cfg, mu))
+        assert_same_solve(record, 0, i, alone(dec, cfg, mu))
 
 
 @settings(max_examples=30, deadline=None)
@@ -850,7 +909,10 @@ def test_weights_in_lockstep_at_extreme_budgets(shape, pt_dbm, snr_db, seed, mus
         power_budget=budget, noise_power=budget * 10.0 ** (-snr_db / 10.0),
     )
     dec = simultaneous_triangularize(sample_channels(np.random.default_rng(seed), n, m1, m2))
-    for alloc, state in ccp_allocate_weights(dec, cfg, mus):
+    record = ccp_allocate_draws([dec], cfg, mus)
+    for i in range(len(mus)):
+        state = record.state(0, i)
+        alloc = state.allocation
         alloc.validate(dec.dims, cfg.power_budget)
         assert np.all(np.isfinite(rate_user1(alloc, dec, cfg)))
         assert np.all(np.isfinite(rate_user2(alloc, dec, cfg)))
