@@ -28,6 +28,14 @@ alone; it returns one :class:`CcpRecord` of arrays. ``ccp_allocate`` (one
 row) and ``maximize_surrogate`` (one surrogate) are its special cases. The
 solvers work in units of the power budget (:func:`_per_budget`), so their
 tolerances mean the same at any budget.
+
+On these problem sizes a solver step costs what its numpy calls cost, so an
+evaluation packs every log2 argument of the objective into one array
+(:meth:`_SurrogateProblem.point`, over the one array of interference-free
+gains of :class:`StreamGains`) and takes one ``log2`` of it, and a
+derivative one power of it. A row carries the evaluation of the line-search
+trial or polish step it accepted into its next iteration, so rows that took
+different step sizes are not evaluated again.
 """
 
 import copy
@@ -113,8 +121,10 @@ class CcpState:
     inner_results: tuple = field(default=())
 
     def __post_init__(self):
-        if (np.asarray(self.q) < 0.0).any():
-            raise ValueError("anchor powers must be >= 0")
+        q = np.asarray(self.q)
+        # written so that NaN fails
+        if not ((q >= 0.0) & (q < math.inf)).all():
+            raise ValueError("anchor powers must be finite and >= 0")
         if len(self.objective_trace) != self.iterations:
             raise ValueError("trace length must equal the iteration count")
 
@@ -238,10 +248,12 @@ def _project(v, weights, budget):
     breakpoints = v if weights is None else v * weights
     # flat indices of each row's breakpoints in decreasing order
     order = np.argsort(breakpoints, axis=1)[:, ::-1] + starts[:, None]
-    theta = v.take(order).cumsum(axis=1) - budget
+    ranked = v.take(order)
+    theta = ranked.cumsum(axis=1) - budget
     # unit weights sum to the exact counts
     theta /= counts if weights is None else (1.0 / weights.take(order)).cumsum(axis=1)
-    hits = breakpoints.take(order) > theta
+    # at unit weights the breakpoints are the entries
+    hits = (ranked if weights is None else breakpoints.take(order)) > theta
     # the last hit; rounding can empty the set for budgets at the float
     # resolution of the entries, and the single-coordinate threshold is then
     # the right answer
@@ -255,9 +267,13 @@ def project_power_budget(v, budget):
     solver's sorting-based projection at unit weights, row by row for a 2-D
     ``v``; O(n log n).
     """
-    if budget < 0.0:
+    v = np.asarray(v, dtype=float)
+    # written so that a NaN budget fails
+    if not budget >= 0.0:
         raise ValueError("budget must be >= 0")
-    return _project(np.asarray(v, dtype=float), None, budget)
+    if not np.isfinite(v).all():
+        raise ValueError("entries must be finite")
+    return _project(v, None, budget)
 
 
 def _norm(x):
@@ -279,7 +295,7 @@ class _SurrogateProblem(StreamGains):
     """
 
     # The per-row state; take() selects rows of each.
-    _ROW_FIELDS = ("mu", "mu2", "anchor", "anchored", "jac", "slope")
+    _ROW_FIELDS = ("mu", "mu2", "free_mu", "anchor", "anchored", "jac", "slope")
 
     def __init__(self, dec, cfg, mu, anchor):
         super().__init__(dec, cfg)
@@ -298,24 +314,28 @@ class _SurrogateProblem(StreamGains):
         self.m = d.shared
         self.n_p1 = self.m + d.private1
         self.size = self.n_p1 + self.m + d.private2
-        self._anchor_rows(mu, anchor)
+        self.mu = np.asarray(mu, dtype=float)
+        self.mu2 = 1.0 - self.mu  # user 2's weight
+        # the weight of each interference-free stream, in the order of ``free``
+        counts = [d.private1, self.m, d.private2]
+        self.free_mu = np.repeat(np.stack([self.mu, self.mu2, self.mu2], -1), counts, -1)
+        self._anchor_rows(anchor)
 
     @functools.cached_property
     def gain_powers(self):
         """The gains in the k-th derivatives (k = 1, 2) raised to the k-th
         power, computed once per link."""
-        gains = (self.c1, self.c1_diag, self.w2, self.g1p, self.g2s, self.g2p)
+        gains = tuple(getattr(self, name) for name in self.GAINS)
         return {1: gains, 2: tuple(gain**2 for gain in gains)}
 
-    def _anchor_rows(self, mu, anchor):
+    def _anchor_rows(self, anchor):
         m = self.m
-        self.mu = np.asarray(mu, dtype=float)
-        self.mu2 = 1.0 - self.mu  # user 2's weight
         self.anchor = np.asarray(anchor, dtype=float)
         if self.anchor.shape != self.mu.shape + (m,):
             raise ValueError("anchor length must equal the shared stream count")
-        if (self.anchor < 0.0).any():
-            raise ValueError("anchor powers must be >= 0")
+        # one reduction, written so that NaN fails
+        if not ((self.anchor >= 0.0) & (self.anchor < math.inf)).all():
+            raise ValueError("anchor powers must be finite and >= 0")
 
         zeros = np.zeros_like(self.anchor)
         _, arg12_q, _, arg22_q = self.shared_args(zeros, self.anchor)
@@ -332,7 +352,7 @@ class _SurrogateProblem(StreamGains):
         """The same rows' surrogate at other anchors, without rebuilding
         their gains."""
         new = copy.copy(self)
-        new._anchor_rows(self.mu, anchor)
+        new._anchor_rows(anchor)
         return new
 
     def take(self, rows):
@@ -376,28 +396,24 @@ class _SurrogateProblem(StreamGains):
             ]
         )
 
-    def _parts(self, z):
-        m = self.m
-        p1s = z[..., :m]
-        p1p = z[..., m : self.n_p1]
-        p2s = z[..., self.n_p1 : self.n_p1 + m]
-        p2p = z[..., self.n_p1 + m :]
-        return p1s, p1p, p2s, p2p
-
-    @staticmethod
-    def _branches(arg11, arg12, arg21, arg22):
-        return np.log2(arg11) + np.log2(arg22), np.log2(arg21) + np.log2(arg12)
+    def point(self, z):
+        """The arguments of every log2 of the objective at ``z``, in one
+        array: ``[arg11 | arg12 | arg21 | arg22 | free]``, the
+        :meth:`StreamGains.shared_args`, then ``1 + p * free`` of the
+        interference-free streams, whose powers are ``z[..., m:]``."""
+        m, n_p1 = self.m, self.n_p1
+        args = self.shared_args(z[..., :m], z[..., n_p1 : n_p1 + m])
+        return np.concatenate([*args, 1.0 + z[..., m:] * self.free], axis=-1)
 
     def branches(self, z):
         """The two concave min branches per shared stream."""
-        p1s, _, p2s, _ = self._parts(z)
-        return self._branches(*self.shared_args(p1s, p2s))
+        return self.evaluate(z)[1:3]
 
     def bounds(self, z):
         """Per-stream concave lower bounds on user 1's shared-stream rates:
         the exact minimum less the linearized remainder, row by row."""
         b1, b2 = self.branches(z)
-        p2s = self._parts(z)[2]
+        p2s = z[..., self.n_p1 : self.n_p1 + self.m]
         return np.minimum(b1, b2) - self.anchored - self.jac @ (p2s - self.anchor)
 
     @staticmethod
@@ -416,37 +432,28 @@ class _SurrogateProblem(StreamGains):
             return hard
         return hard - tau * np.log1p(np.exp(-np.abs(b1 - b2) / tau))
 
-    def _sats(self, p1p, p2s, p2p):
-        """The arguments ``1 + p * gain`` of the interference-free rates:
-        user 1's private, user 2's shared and user 2's private streams."""
-        return 1.0 + p1p * self.g1p, 1.0 + p2s * self.g2s, 1.0 + p2p * self.g2p
-
-    def _total(self, b1, b2, p2s, sats, tau):
-        """The objective from the branches: the weighted (soft) minima less
-        the summed linearization, then the interference-free rates of user
-        2's shared and both users' private streams."""
-        mu, mu2 = self.mu, self.mu2
-        sat1p, sat2s, sat2p = sats
-        under = (
-            self._softmin(b1, b2, tau)
-            - self.anchored
-            - self.slope * (p2s - self.anchor)
-        )
-        total = mu * np.add.reduce(under, axis=-1)
-        total += mu2 * np.add.reduce(np.log2(sat2s), axis=-1)
-        total += mu * np.add.reduce(np.log2(sat1p), axis=-1)
-        total += mu2 * np.add.reduce(np.log2(sat2p), axis=-1)
-        return total
-
     def evaluate(self, z, tau=0.0):
-        """``(f, branches, args, sats)``: the surrogate objective at ``z``,
-        its two min branches, from which :meth:`_branch_weights` gives the
-        weights its derivatives read, and the arguments those read."""
-        p1s, p1p, p2s, p2p = self._parts(z)
-        args = self.shared_args(p1s, p2s)
-        branches = self._branches(*args)
-        sats = self._sats(p1p, p2s, p2p)
-        return self._total(*branches, p2s, sats, tau), branches, args, sats
+        """``(f, b1, b2, point)``: the surrogate objective at ``z``, its two
+        min branches, from which :meth:`_branch_weights` gives the weights
+        its derivatives read, and the :meth:`point` those read. ``f`` is the
+        weighted (soft) minima less the summed linearization, then the
+        interference-free rates of user 2's shared and both users' private
+        streams."""
+        m, n1 = self.m, self.dims.private1
+        point = self.point(z)
+        logs = np.log2(point)
+        b1 = logs[..., :m] + logs[..., 3 * m : 4 * m]
+        b2 = logs[..., 2 * m : 3 * m] + logs[..., m : 2 * m]
+        free = logs[..., 4 * m :]
+        p2s = z[..., self.n_p1 : self.n_p1 + m]
+        under = (
+            self._softmin(b1, b2, tau) - self.anchored - self.slope * (p2s - self.anchor)
+        )
+        total = self.mu * np.add.reduce(under, axis=-1)
+        total += self.mu2 * np.add.reduce(free[..., n1 : n1 + m], axis=-1)
+        total += self.mu * np.add.reduce(free[..., :n1], axis=-1)
+        total += self.mu2 * np.add.reduce(free[..., n1 + m :], axis=-1)
+        return total, b1, b2, point
 
     def value(self, z, tau=0.0):
         """Surrogate objective; ``tau > 0`` smooths the minimum from below
@@ -467,48 +474,47 @@ class _SurrogateProblem(StreamGains):
         treats the branch weights as locally constant; it is a
         preconditioner, not an exact second derivative.
         """
-        total, branches, args, sats = self.evaluate(z, tau)
+        total, b1, b2, point = self.evaluate(z, tau)
         if branch_weights is None:
-            lam = self._branch_weights(*branches, tau)
+            lam = self._branch_weights(b1, b2, tau)
         else:
             lam = np.asarray(branch_weights, dtype=float)
-        g = self._derivative(1, lam, args, sats)
+        g = self._derivative(1, lam, point)
         if with_hess:
-            return total, g, self._derivative(2, lam, args, sats)
+            return total, g, self._derivative(2, lam, point)
         return total, g
 
-    def _derivative(self, k, lam, args, sats):
+    def _derivative(self, k, lam, point):
         """Magnitudes of the k-th derivatives of the objective along each
-        coordinate (k = 1, 2), with branch weights ``lam``. A term
-        ``weight * log2(arg)``, with ``arg`` affine in the coordinate at
-        slope ``gain``, contributes ``weight * gain**k / (ln 2 * arg**k)``
-        (``weight`` alone for the cross terms, whose gains ``c1`` enter
-        through the matrix product); the linearized remainder adds
-        ``-slope`` at k = 1 only."""
+        coordinate (k = 1, 2), with branch weights ``lam``, from the packed
+        :meth:`point`. A term ``weight * log2(arg)``, with ``arg`` affine in
+        the coordinate at slope ``gain``, contributes
+        ``weight * gain**k / (ln 2 * arg**k)`` (``weight`` alone for the
+        cross terms, whose gains ``c1`` enter through the matrix product);
+        the linearized remainder adds ``-slope`` at k = 1 only."""
+        c1, c1_diag, w2, free = self.gain_powers[k]
         # the identity at k = 1 keeps the gradient free of x**1 copies
-        power = (lambda x: x) if k == 1 else (lambda x: x**k)
-        c1, c1_diag, w2, g1p, g2s, g2p = self.gain_powers[k]
-        den11, den12, den21, den22 = [LN2 * power(arg) for arg in args]
-        den1p, den2s, den2p = [LN2 * power(sat) for sat in sats]
-        mu, mu2 = self.mu[..., None], self.mu2[..., None]
+        den = LN2 * (point if k == 1 else point**k)
         m, n_p1 = self.m, self.n_p1
-        out = np.empty(den1p.shape[:-1] + (self.size,))
+        den11, den12, den21, den22 = (den[..., i * m : (i + 1) * m] for i in range(4))
+        out = np.empty(den.shape[:-1] + (self.size,))
+        out[..., m:] = self.free_mu * free / den[..., 4 * m :]
         if m:
+            mu = self.mu[..., None]
             rest = 1.0 - lam
             # user 2's decoding point of stream l, in both p1s and p2s
             at2 = rest * w2 / den21
             # d/dp1s: branch 1 through arg11, branch 2 through arg21.
             out[..., :m] = mu * (lam * c1_diag / den11 + at2)
             # d/dp2s: cross terms through c1 rows, own terms through
-            # arg22/arg21, minus the fixed linearization slope.
+            # arg22/arg21, minus the fixed linearization slope, on top of
+            # the interference-free term.
             back = lam / den11 + rest / den12
             cross = (c1.mT @ back[..., None])[..., 0]
             shared = cross + (lam * w2 / den22 + at2)
             if k == 1:
-                shared = shared - self.slope
-            out[..., n_p1 : n_p1 + m] = mu * shared + mu2 * g2s / den2s
-        out[..., m:n_p1] = mu * g1p / den1p
-        out[..., n_p1 + m :] = mu2 * g2p / den2p
+                shared -= self.slope
+            out[..., n_p1 : n_p1 + m] += mu * shared
         return out
 
     def grad(self, z, branch_weights=None):
@@ -519,6 +525,16 @@ def _residual(z, g):
     """Norm of the projected-gradient step ``z - proj(z + g)`` onto the unit
     budget, per row."""
     return _norm(z - _project(z + g, None, 1.0))
+
+
+def _carry(into, evaluation, rows):
+    """``into`` with the rows ``rows`` (a mask) of ``evaluation`` copied in;
+    ``evaluation`` itself when there is nothing yet to copy into."""
+    if into is None:
+        return evaluation
+    for a, b in zip(into, evaluation):
+        np.copyto(a, b, where=rows.reshape((-1,) + (1,) * (a.ndim - 1)))
+    return into
 
 
 def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
@@ -542,27 +558,28 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     last = np.empty((3, len(z)))  # objective, residual, gradient norm
     act = np.arange(len(z))
     sub, za, caps = problem, z.copy(), iter_budget
-    # (evaluation, branch weights, g, residual) at za when the previous
-    # iteration computed them there: every row took the same line-search
-    # step (the evaluation alone), or the polish.
-    known = None
+    # The evaluation at za when the previous iteration computed it there,
+    # carried row by row from the line-search trial or the polish that moved
+    # each row; and (branch weights, g, residual) when the polish moved
+    # every row.
+    ev = derived = None
     it = 0
     while act.size:
         it += 1
-        (f, branches, *point), lam, g, res = known or (
-            sub.evaluate(za, tau), None, None, None
-        )
-        known = None
-        if g is None:
-            lam = sub._branch_weights(*branches, tau)
-            g = sub._derivative(1, lam, *point)
+        f, b1, b2, point = ev or sub.evaluate(za, tau)
+        if derived:
+            lam, g, res = derived
+        else:
+            lam = sub._branch_weights(b1, b2, tau)
+            g = sub._derivative(1, lam, point)
             res = _residual(za, g)
+        ev = derived = None
         gnorm = _norm(g)
         stop = (res <= rtol * (1.0 + gnorm)) | (it > caps)
         if np.count_nonzero(stop) < act.size:
             # Guard tiny curvatures so the Newton target stays finite and a
             # zero-gradient coordinate never moves.
-            h = sub._derivative(2, lam, *point)
+            h = sub._derivative(2, lam, point)
             h = np.maximum(h, np.abs(g) / 200.0)  # 100 * (budget + 1)
             h = np.maximum(h, 1e-300)
             target = _project(za + g / h, h, 1.0)
@@ -575,14 +592,15 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
                 # can still shrink the gradient mapping, so polish on the
                 # residual.
                 polish = sub.evaluate(target, tau)
-                lt = sub._branch_weights(*polish[1], tau)
-                gt = sub._derivative(1, lt, *polish[2:])
+                lt = sub._branch_weights(*polish[1:3], tau)
+                gt = sub._derivative(1, lt, polish[3])
                 rt = _residual(target, gt)
                 moved = flat & (rt < res) & (polish[0] >= f - 1e-12 * scale)
-                if np.count_nonzero(moved) == len(moved):
-                    za, known = target, (polish, lt, gt, rt)
-                else:
-                    za = np.where(moved[:, None], target, za)
+                n_moved = np.count_nonzero(moved)
+                if n_moved == len(moved):
+                    za, ev, derived = target, polish, (lt, gt, rt)
+                elif n_moved:
+                    za, ev = np.where(moved[:, None], target, za), polish
                 stop |= flat & ~moved
             # The objective is a short sum of logs, so its evaluation noise
             # sits around 1e-14 relative; without this allowance the line
@@ -597,10 +615,10 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
                 zt = start + t * d  # feasible: segment between feasible points
                 trial = sub.evaluate(zt, tau)
                 ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
-                if np.count_nonzero(ok) == len(ok):
-                    za, known = zt, (trial, None, None, None)
-                else:
-                    za = np.where(ok[:, None], zt, za)
+                n_ok = np.count_nonzero(ok)
+                if n_ok:
+                    za = zt if n_ok == len(ok) else np.where(ok[:, None], zt, za)
+                    ev = _carry(ev, trial, ok)
                 pending ^= ok
                 t *= 0.5
         if np.count_nonzero(stop):
@@ -614,6 +632,9 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
             keep = np.flatnonzero(~stop)
             act, za, caps = act[keep], za[keep], caps[keep]
             sub = sub.take(keep)
+            # every row that goes on moved, so ev holds its evaluation
+            # (derived is set only when every row moved, and none stops)
+            ev = ev and tuple(a[keep] for a in ev)
     return used, *last
 
 

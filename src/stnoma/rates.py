@@ -29,14 +29,15 @@ class StreamGains:
     ``c1`` holds the upper-triangular ``|r1|^2 / pathloss1`` block of the
     shared streams: its diagonal ``c1_diag`` is user 1's own gain, the
     entries right of it the uncancellable interference from user 2's later
-    shared symbols. ``w2`` is user 2's gain on each shared stream. ``g1p``,
-    ``g2s`` and ``g2p`` are the noise-normalized gains of user 1's private
-    streams, user 2's shared streams (after SIC) and user 2's private
-    streams. Each gain array may carry a leading row axis (see
-    :meth:`rows`); every formula broadcasts over it.
+    shared symbols. ``w2`` is user 2's gain on each shared stream. ``free``
+    holds, in one array, the noise-normalized gains of the interference-free
+    streams in the power solver's order: user 1's private streams, user 2's
+    shared streams (after SIC), user 2's private streams. Each gain array may
+    carry a leading row axis (see :meth:`rows`); every formula broadcasts
+    over it.
     """
 
-    GAINS = ("c1", "c1_diag", "w2", "g1p", "g2s", "g2p")
+    GAINS = ("c1", "c1_diag", "w2", "free")
 
     def __init__(self, dec, cfg):
         d = dec.dims
@@ -46,9 +47,11 @@ class StreamGains:
         self.c1 = np.triu(np.abs(dec.r1[:m, :m]) ** 2 / cfg.pathloss1)
         self.c1_diag = np.diagonal(self.c1)
         self.w2 = np.abs(np.diagonal(dec.r2)[:m]) ** 2 / cfg.pathloss2
-        self.g1p = dec.diag1[m:] ** 2 / (cfg.pathloss1 * self.sigma2)
-        self.g2s = self.w2 / self.sigma2
-        self.g2p = dec.diag2[m:] ** 2 / (cfg.pathloss2 * self.sigma2)
+        self.free = np.concatenate([
+            dec.diag1[m:] ** 2 / (cfg.pathloss1 * self.sigma2),
+            self.w2 / self.sigma2,
+            dec.diag2[m:] ** 2 / (cfg.pathloss2 * self.sigma2),
+        ])
 
     @classmethod
     def rows(cls, decs, cfg, draw):
@@ -89,12 +92,14 @@ class StreamGains:
         _, arg12, _, arg22 = self.shared_args(p1s, p2s)
         at1 = np.log2(1.0 + p1s * self.c1_diag / arg12)
         at2 = np.log2(1.0 + p1s * self.w2 / arg22)
+        powers = np.concatenate([p1[..., m:k], p2s, p2[..., k:]], axis=-1)
+        free = np.log2(1.0 + powers * self.free)
         r1 = np.zeros(p1.shape)
         r2 = np.zeros(p2.shape)
         r1[..., :m] = np.minimum(at1, at2)
-        r1[..., m:k] = np.log2(1.0 + p1[..., m:k] * self.g1p)
-        r2[..., :m] = np.log2(1.0 + p2s * self.g2s)
-        r2[..., k:] = np.log2(1.0 + p2[..., k:] * self.g2p)
+        r1[..., m:k] = free[..., : d.private1]
+        r2[..., :m] = free[..., d.private1 : k]
+        r2[..., k:] = free[..., k:]
         return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
 
 

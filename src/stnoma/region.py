@@ -43,7 +43,8 @@ class RateRegionPoint:
     trials: int
 
     def __post_init__(self):
-        if self.r1 < 0.0 or self.r2 < 0.0:
+        # written so that NaN fails
+        if not (self.r1 >= 0.0 and self.r2 >= 0.0):
             raise ValueError("rates must be nonnegative")
 
 
@@ -54,9 +55,12 @@ def p2p_capacity(h, pathloss, power_budget, noise_power):
     ``g_i = s_i^2 / (pathloss * noise)``, powers ``p_i = max(0, level - 1/g_i)``
     with the level chosen to spend the whole budget.
     """
+    # written so that a NaN budget fails
+    if not power_budget >= 0.0:
+        raise ValueError("power budget must be >= 0")
     s = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)
     gains = np.sort(s[s > 0.0] ** 2 / (pathloss * noise_power))[::-1]
-    if gains.size == 0 or power_budget <= 0.0:
+    if gains.size == 0 or power_budget == 0.0:
         return 0.0
     inv = 1.0 / gains
     active = 1

@@ -7,6 +7,7 @@ there is no constellation demapping. User 1 never needs estimates of user 2's
 symbols, i.e. only user 2 performs SIC.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,17 @@ class PowerAllocation:
         return float(self.p1.sum() + self.p2.sum())
 
     def validate(self, dims: StreamDims, power_budget):
-        """Raise ValueError on negative powers, support-pattern violations,
-        or a power budget overshoot, each beyond 1e-9 of the budget."""
+        """Raise ValueError on non-finite powers, and on negative powers,
+        support-pattern violations or a power budget overshoot, each beyond
+        1e-9 of the budget."""
         tol = 1e-9 * power_budget
         if self.p1.shape[0] != dims.total:
             raise ValueError("allocation length != stream count")
+        # a NaN or infinite power makes the total non-finite; NaN would
+        # pass every comparison below
+        total = self.total_power
+        if not math.isfinite(total):
+            raise ValueError("non-finite stream power")
         if (self.p1 < -tol).any() or (self.p2 < -tol).any():
             raise ValueError("negative stream power")
         for l in dims.private1_indices():
@@ -63,10 +70,9 @@ class PowerAllocation:
         for l in dims.private2_indices():
             if abs(self.p1[l]) > tol:
                 raise ValueError(f"user 1 power on private2 stream {l}")
-        if self.total_power > power_budget + tol:
-            raise ValueError(
-                f"total power {self.total_power} exceeds budget {power_budget}"
-            )
+        # written so that a NaN budget fails
+        if not total <= power_budget + tol:
+            raise ValueError(f"total power {total} exceeds budget {power_budget}")
 
 
 @dataclass(frozen=True)

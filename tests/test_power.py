@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracle as oracle
+from stnoma import power
 from stnoma.cli import Scenario
-from stnoma.power import ccp_allocate_draws
+from stnoma.power import CcpState, ccp_allocate_draws
 from stnoma.rates import StreamGains, rate_breakdown
 from stnoma.power import (
     SolverSettings,
@@ -240,6 +241,32 @@ def test_surrogate_value_matches_per_stream_ops():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_packed_point_is_the_shared_and_free_arguments(shape):
+    # one log2 serves the whole objective: the point is shared_args, then
+    # 1 + p * gain of user 1's private, user 2's shared and user 2's private
+    # streams, each gain written out here as its own formula; rows on
+    # different draws, bit for bit
+    cfg = make_cfg(*shape)
+    decs = [setup_case(seed, cfg)[1] for seed in (116, 117)]
+    rng = np.random.default_rng(118)
+    d = decs[0].dims
+    m, k, s2 = d.shared, d.user1_streams, cfg.noise_power
+    allocs = [random_alloc(rng, d) for _ in decs]
+    problem = _SurrogateProblem.over_draws(decs, cfg, [0, 1], [0.3, 0.7], np.zeros((2, m)))
+    point = problem.point(np.stack([problem.pack(alloc) for alloc in allocs]))
+    for row, (dec, alloc) in enumerate(zip(decs, allocs)):
+        p1, p2 = alloc.p1, alloc.p2
+        gains = StreamGains(dec, cfg)
+        want = np.concatenate([
+            *gains.shared_args(p1[:m], p2[:m]),
+            1.0 + p1[m:k] * (dec.diag1[m:] ** 2 / (cfg.pathloss1 * s2)),
+            1.0 + p2[:m] * (gains.w2 / s2),
+            1.0 + p2[k:] * (dec.diag2[m:] ** 2 / (cfg.pathloss2 * s2)),
+        ])
+        assert point[row].tobytes() == want.tobytes()
+
+
 # --- projection ----------------------------------------------------------------
 
 
@@ -274,6 +301,15 @@ def test_projection_optimality_against_random_feasible_points():
             y = rng.random(5)
             y *= rng.random() * budget / y.sum()
             assert dist <= np.linalg.norm(y - v) + 1e-9
+
+
+def test_projection_rejects_nan():
+    # a NaN budget gave all NaN, and a NaN entry spread to the finite ones
+    with pytest.raises(ValueError, match="budget"):
+        project_power_budget(np.array([0.5, 1.0]), math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            project_power_budget(np.array([bad, 1.0]), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,6 +487,20 @@ def test_inner_certificate_at_kinks_matches_weight_grid():
         worst = max(worst, max(residuals))
     assert kinked > 0
     assert worst > 1e-3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solvers_reject_a_non_finite_anchor(bad):
+    # a NaN anchor passed the `anchor < 0` guards and gave a NaN value and a
+    # zero allocation; an infinite one failed on a numpy warning
+    rng, dec = setup_case(16)
+    anchor = np.array([bad])  # 5x3x3 has one shared stream
+    with pytest.raises(ValueError, match="anchor"):
+        maximize_surrogate(anchor, dec, CFG335, 0.5)
+    with pytest.raises(ValueError, match="anchor"):
+        rate_underestimator(random_alloc(rng, dec.dims), anchor, dec, CFG335, 0)
+    with pytest.raises(ValueError, match="anchor"):
+        CcpState(anchor, PowerAllocation.zeros(dec.dims), 0, np.zeros(0), False)
 
 
 def test_solver_settings_validation():
@@ -765,6 +815,28 @@ def test_region_trial_solver_work_pinned(shape, outer, inner):
     assert record.inner.iterations.sum() == inner
 
 
+def test_rows_carry_the_evaluations_of_different_steps(monkeypatch):
+    # rows that accept different step sizes in one iteration carry each
+    # accepted evaluation, copied in by mask, to the next iteration in place
+    # of a fresh one; every row is still its own one-row solve
+    masked = []
+    carry = power._carry
+
+    def counted(into, evaluation, rows):
+        masked.append(into is not None)
+        return carry(into, evaluation, rows)
+
+    monkeypatch.setattr(power, "_carry", counted)
+    decs = [setup_case(seed)[1] for seed in (121, 221)]
+    mus = list(np.arange(11) / 10)
+    record = ccp_allocate_draws(decs, CFG335, mus)
+    monkeypatch.undo()
+    assert sum(masked) > 0
+    for d, dec in enumerate(decs):
+        for i, mu in enumerate(mus):
+            assert_same_solve(record, d, i, alone(dec, CFG335, mu))
+
+
 def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
     """Independent oracle: the surrogate in epigraph form, ``t_l <= b1_l``,
     ``t_l <= b2_l``, maximized by scipy's SLSQP with exact jacobians.
@@ -775,6 +847,9 @@ def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
     m, n_p1 = d.shared, d.shared + d.private1
     size = n_p1 + m + d.private2
     ln2, s2, c1, w2 = math.log(2.0), cfg.noise_power, gains.c1, gains.w2
+    # the interference-free gains in solver order: user 1 private, user 2
+    # shared, user 2 private
+    g1p, g2s, g2p = np.split(gains.free, [d.private1, n_p1])
     at12, at22 = s2 + c1 @ anchor, s2 + anchor * w2
     lin0 = np.log2(at12) + np.log2(at22)
     lin = c1 / (ln2 * at12[:, None]) + np.diag(w2 / (ln2 * at22))
@@ -791,20 +866,20 @@ def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
         _, p1p, p2s, p2p, t = split(x)
         return -(
             mu * (t.sum() - (lin0 + lin @ (p2s - anchor)).sum())
-            + (1 - mu) * np.log2(1 + p2s * gains.g2s).sum()
-            + mu * np.log2(1 + p1p * gains.g1p).sum()
-            + (1 - mu) * np.log2(1 + p2p * gains.g2p).sum()
+            + (1 - mu) * np.log2(1 + p2s * g2s).sum()
+            + mu * np.log2(1 + p1p * g1p).sum()
+            + (1 - mu) * np.log2(1 + p2p * g2p).sum()
         )
 
     def neg_objective_grad(x):
         _, p1p, p2s, p2p, _ = split(x)
         grad = np.empty(size + m)
         grad[:m] = 0.0
-        grad[m:n_p1] = mu * gains.g1p / (ln2 * (1 + p1p * gains.g1p))
-        grad[n_p1 : n_p1 + m] = -mu * lin.sum(axis=0) + (1 - mu) * gains.g2s / (
-            ln2 * (1 + p2s * gains.g2s)
+        grad[m:n_p1] = mu * g1p / (ln2 * (1 + p1p * g1p))
+        grad[n_p1 : n_p1 + m] = -mu * lin.sum(axis=0) + (1 - mu) * g2s / (
+            ln2 * (1 + p2s * g2s)
         )
-        grad[n_p1 + m : size] = (1 - mu) * gains.g2p / (ln2 * (1 + p2p * gains.g2p))
+        grad[n_p1 + m : size] = (1 - mu) * g2p / (ln2 * (1 + p2p * g2p))
         grad[size:] = mu
         return -grad
 

@@ -68,6 +68,13 @@ def test_p2p_zero_budget():
     assert p2p_capacity(h, 1.0, 0.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("budget", [np.nan, -1.0])
+def test_p2p_rejects_a_nan_or_negative_budget(budget):
+    # a NaN budget passed the `budget <= 0` test and gave a NaN capacity
+    with pytest.raises(ValueError, match="budget"):
+        p2p_capacity(np.eye(2, dtype=complex), 1.0, budget, 1.0)
+
+
 def test_oma_corners_and_midpoint():
     rng = np.random.default_rng(1)
     ch = sample_channels(rng, 5, 3, 3)
@@ -232,6 +239,13 @@ def test_failing_joint_solve_names_its_trials(monkeypatch):
 def test_rate_region_point_rejects_negative():
     with pytest.raises(ValueError):
         RateRegionPoint(r1=-0.1, r2=1.0, scheme="oma", param=0.5, trials=1)
+
+
+@pytest.mark.parametrize("r1, r2", [(np.nan, 1.0), (1.0, np.nan)])
+def test_rate_region_point_rejects_nan(r1, r2):
+    # NaN passed the `rate < 0` test
+    with pytest.raises(ValueError):
+        RateRegionPoint(r1=r1, r2=r2, scheme="oma", param=0.5, trials=1)
 
 
 def gift_wrap_frontier(points):

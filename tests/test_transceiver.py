@@ -284,6 +284,27 @@ def test_allocation_validation():
         neg.validate(dims, 1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("user, index", [(1, 0), (1, 1), (2, 0), (2, 3), (1, None)])
+def test_allocation_validation_rejects_non_finite_powers(value, user, index):
+    # NaN fails every comparison, so it passed the sign, support and budget
+    # checks; 5x3x3: stream 0 shared, 1-2 user 1's private, 3-4 user 2's
+    dims = derive_dims(5, 3, 3)
+    alloc = PowerAllocation.zeros(dims)
+    if index is None:
+        alloc.p1[:] = alloc.p2[:] = value
+    else:
+        (alloc.p1 if user == 1 else alloc.p2)[index] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        alloc.validate(dims, 1.0)
+
+
+def test_allocation_validation_rejects_a_nan_budget():
+    dims = derive_dims(5, 3, 3)
+    with pytest.raises(ValueError, match="budget"):
+        PowerAllocation.zeros(dims).validate(dims, np.nan)
+
+
 @pytest.mark.parametrize("budget", [1e-13, 1.0, 3.16e8])
 def test_allocation_validation_scales_with_the_budget(budget):
     # the slack is relative to the budget: one ulp of rounding at a large
