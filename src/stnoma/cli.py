@@ -201,7 +201,7 @@ def read_overlay_points(path):
     """Rate pairs from an external CSV (e.g. a bound computed elsewhere).
 
     The header must contain ``R1`` and ``R2`` columns; everything else is
-    ignored. The rates must be finite.
+    ignored. The rates must be finite and nonnegative.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -223,8 +223,11 @@ def read_overlay_points(path):
             point = float(cells[i1]), float(cells[i2])
         except (IndexError, ValueError) as exc:
             raise ScenarioError(f"overlay {path} line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, point)):
-            raise ScenarioError(f"overlay {path} line {lineno}: rates must be finite")
+        # written so that NaN fails
+        if not all(0.0 <= rate < math.inf for rate in point):
+            raise ScenarioError(
+                f"overlay {path} line {lineno}: rates must be finite and >= 0"
+            )
         points.append(point)
     return points
 

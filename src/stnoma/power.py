@@ -33,9 +33,12 @@ On these problem sizes a solver step costs what its numpy calls cost, so an
 evaluation packs every log2 argument of the objective into one array
 (:meth:`_SurrogateProblem.point`, over the one array of interference-free
 gains of :class:`StreamGains`) and takes one ``log2`` of it, and a
-derivative one power of it. A row carries the evaluation of the line-search
+derivative one power of it. One evaluation serves a step's polish and its
+full line-search step. A row carries the evaluation of the line-search
 trial or polish step it accepted into its next iteration, so rows that took
-different step sizes are not evaluated again.
+different step sizes are not evaluated again; when every row that goes on
+was polished or took the full step, the polish's gradient and residual are
+carried too.
 """
 
 import copy
@@ -542,16 +545,19 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     surrogate over the unit budget, every row of ``z`` in lockstep.
 
     The step target is the weighted projection of ``z + g/h``; the Armijo
-    backtracking line search runs on the feasible segment toward it. Each
-    iteration evaluates every running row, and a row stops only in an
-    iteration that does not move it: its plain Euclidean projected-gradient
-    residual is at most ``rtol * (1 + ||g||)`` (a hit), it has taken its
-    ``iter_budget`` steps, its model ascent is below ``gd_rtol`` relative
-    and the polish does not take it, or its line search fails. A stopped
-    row drops out; every other row goes on exactly as it would alone.
-    Updates ``z`` in place and returns per row the iterations used and the
-    objective, residual and gradient norm of its last evaluation, which is
-    at its returned point.
+    backtracking line search runs on the feasible segment toward it. A row
+    whose model ascent is below ``gd_rtol`` relative is objective-flat and
+    polishes: it moves to the target if that lowers its residual. One
+    evaluation serves the polish and the full step t = 1, flat rows at the
+    target and the others at the full step; backtracking from t = 1/2
+    evaluates again. Each iteration evaluates every running row, and a row
+    stops only in an iteration that does not move it: its plain Euclidean
+    projected-gradient residual is at most ``rtol * (1 + ||g||)`` (a hit),
+    it has taken its ``iter_budget`` steps, it is flat and the polish does
+    not take it, or its line search fails. A stopped row drops out; every
+    other row goes on exactly as it would alone. Updates ``z`` in place and
+    returns per row the iterations used and the objective, residual and
+    gradient norm of its last evaluation, which is at its returned point.
     """
     armijo_c = 1e-4
     used = np.zeros(len(z), dtype=int)
@@ -560,8 +566,8 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     sub, za, caps = problem, z.copy(), iter_budget
     # The evaluation at za when the previous iteration computed it there,
     # carried row by row from the line-search trial or the polish that moved
-    # each row; and (branch weights, g, residual) when the polish moved
-    # every row.
+    # each row; and the polish's (branch weights, g, residual) when every row
+    # that goes on sits where the polish evaluated it.
     ev = derived = None
     it = 0
     while act.size:
@@ -587,40 +593,51 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
             gd = np.vecdot(g, d)
             scale = 1.0 + np.abs(f)
             flat = ~stop & (gd <= gd_rtol * scale)
-            if np.count_nonzero(flat):
-                # Objective-flat but possibly not stationary: the full step
-                # can still shrink the gradient mapping, so polish on the
-                # residual.
-                polish = sub.evaluate(target, tau)
-                lt = sub._branch_weights(*polish[1:3], tau)
-                gt = sub._derivative(1, lt, polish[3])
-                rt = _residual(target, gt)
-                moved = flat & (rt < res) & (polish[0] >= f - 1e-12 * scale)
-                n_moved = np.count_nonzero(moved)
-                if n_moved == len(moved):
-                    za, ev, derived = target, polish, (lt, gt, rt)
-                elif n_moved:
-                    za, ev = np.where(moved[:, None], target, za), polish
-                stop |= flat & ~moved
             # The objective is a short sum of logs, so its evaluation noise
             # sits around 1e-14 relative; without this allowance the line
             # search rejects genuine late-stage Newton steps.
             noise = 1e-13 * scale
             pending = ~(stop | flat)
+            # One evaluation serves the polish and the full step t = 1:
+            # objective-flat rows sit at the target, the others at start + d
+            # (feasible: the segment between feasible points).
             t = 1.0
-            while np.count_nonzero(pending):
-                if t < 1e-18:
-                    stop |= pending
-                    break
-                zt = start + t * d  # feasible: segment between feasible points
-                trial = sub.evaluate(zt, tau)
-                ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
+            zt = start + d
+            n_flat = np.count_nonzero(flat)
+            if n_flat:
+                np.copyto(zt, target, where=flat[:, None])
+            trial = sub.evaluate(zt, tau)
+            ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
+            pending ^= ok
+            if n_flat:
+                # Objective-flat but possibly not stationary: the full step
+                # can still shrink the gradient mapping, so polish on the
+                # residual. Its derivation is the next iteration's when
+                # every row that goes on sits at zt.
+                lt = sub._branch_weights(*trial[1:3], tau)
+                gt = sub._derivative(1, lt, trial[3])
+                rt = _residual(zt, gt)
+                moved = flat & (rt < res) & (trial[0] >= f - 1e-12 * scale)
+                stop |= flat & ~moved
+                ok |= moved
+                derived = lt, gt, rt
+            while True:
                 n_ok = np.count_nonzero(ok)
                 if n_ok:
                     za = zt if n_ok == len(ok) else np.where(ok[:, None], zt, za)
                     ev = _carry(ev, trial, ok)
-                pending ^= ok
+                    if t < 1.0:
+                        derived = None
+                if not np.count_nonzero(pending):
+                    break
                 t *= 0.5
+                if t < 1e-18:
+                    stop |= pending
+                    break
+                zt = start + t * d
+                trial = sub.evaluate(zt, tau)
+                ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
+                pending ^= ok
         if np.count_nonzero(stop):
             # a stopped row did not move: za, f, res and gnorm are one point
             done = act[stop]
@@ -632,9 +649,10 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
             keep = np.flatnonzero(~stop)
             act, za, caps = act[keep], za[keep], caps[keep]
             sub = sub.take(keep)
-            # every row that goes on moved, so ev holds its evaluation
-            # (derived is set only when every row moved, and none stops)
+            # every row that goes on moved, so ev holds its evaluation, and
+            # derived, when set, its derivation
             ev = ev and tuple(a[keep] for a in ev)
+            derived = derived and tuple(a[keep] for a in derived)
     return used, *last
 
 

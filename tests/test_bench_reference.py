@@ -1,0 +1,63 @@
+"""The benchmark counts a verb call as failed when its outputs leave the
+stored ``bench/reference.json`` (relative tolerance ``REFERENCE_RTOL``).
+This runs the unedited ``bench/checks.py`` on a few pool blocks of every
+family, so a solver change that would make the benchmark report incorrect
+outputs fails here first."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from stnoma import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(name, **imports):
+    """The bench module ``name``, with ``imports`` importable by their
+    names while it loads."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, imports):
+        spec.loader.exec_module(module)
+    return module
+
+
+workloads = load("workloads")
+checks = load("checks", workloads=workloads)
+tracing = load("tracing")
+REFERENCE = json.loads((BENCH / "reference.json").read_text())["families"]
+# workloads that differ only in worker count share a family and its reference
+FAMILIES = {w.family: w for w in workloads.WORKLOADS.values()}
+
+
+def scenario(family, block):
+    return cli.load_scenario(environ={}, **FAMILIES[family].scenario_args(block))
+
+
+@pytest.mark.parametrize("block", [0, workloads.POOL - 1])
+@pytest.mark.parametrize(
+    "family", sorted(f for f, w in FAMILIES.items() if w.verb == "region")
+)
+def test_region_block_matches_the_reference(tmp_path, family, block):
+    csv_path, _ = cli.run_region(scenario(family, block), tmp_path, workers=1)
+    _, problems = checks.check_region(
+        Path(csv_path).read_bytes(), FAMILIES[family], block, REFERENCE[family][str(block)]
+    )
+    assert problems == []
+
+
+@pytest.mark.parametrize(
+    "family", sorted(f for f, w in FAMILIES.items() if w.verb == "check")
+)
+def test_check_block_matches_the_reference(family):
+    with tracing.captured_solve_rates() as rates:
+        report = cli.self_check(scenario(family, 0))
+    problems = checks.check_self_check(
+        report, FAMILIES[family], rates, REFERENCE[family]["0"]
+    )
+    assert problems == []

@@ -311,7 +311,8 @@ def test_region_overlay(tmp_path):
 
 def test_region_overlay_bad_file(tmp_path):
     # the overlay is read before the sweep: a bad one leaves no region.csv
-    for k, text in enumerate(["x,y\n1,2\n", "R1,R2\n5.0,inf\n", "R1,R2\nnan,2\n"]):
+    bad = ["x,y\n1,2\n", "R1,R2\n5.0,inf\n", "R1,R2\nnan,2\n", "R1,R2\n-1.0,2\n"]
+    for k, text in enumerate(bad):
         overlay = tmp_path / f"bound{k}.csv"
         overlay.write_text(text, encoding="utf-8")
         out = tmp_path / f"out{k}"

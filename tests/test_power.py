@@ -794,10 +794,41 @@ def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
             assert info.grad_norm == np.linalg.norm(g)
             assert info.converged == (info.residual <= 1e-6 * (1.0 + info.grad_norm))
 
+
+def stage_calls(monkeypatch):
+    """Log, in call order, every surrogate evaluation (with its point),
+    every derivation of a gradient and its residual, and every Newton target
+    (with its point) of the solver."""
+    log = []
+    evaluate, residual, project = _SurrogateProblem.evaluate, power._residual, power._project
+
+    def evaluated(self, z, tau=0.0):
+        log.append(("evaluate", z.copy()))
+        return evaluate(self, z, tau)
+
+    def derived(z, g):
+        log.append(("residual", None))
+        return residual(z, g)
+
+    def projected(v, weights, budget):
+        out = project(v, weights, budget)
+        if weights is not None:  # only the Newton target is projected in a metric
+            log.append(("target", out.copy()))
+        return out
+
+    monkeypatch.setattr(_SurrogateProblem, "evaluate", evaluated)
+    monkeypatch.setattr(power, "_residual", derived)
+    monkeypatch.setattr(power, "_project", projected)
+    return log
+
+
 @pytest.mark.parametrize(
-    "shape, outer, inner", [((5, 3, 3), 142, 1674), ((6, 4, 4), 150, 1804)]
+    "shape, outer, inner, evaluations, derivations",
+    [((5, 3, 3), 142, 1674, 204, 204), ((6, 4, 4), 150, 1804, 328, 233)],
 )
-def test_region_trial_solver_work_pinned(shape, outer, inner):
+def test_region_trial_solver_work_pinned(
+    monkeypatch, shape, outer, inner, evaluations, derivations
+):
     # the solver work of trial 0 at seed 0 with the benchmark physics and 21
     # weights; a change here changes the work every region point costs
     n, m1, m2 = shape
@@ -808,11 +839,15 @@ def test_region_trial_solver_work_pinned(shape, outer, inner):
     cfg = scenario.config()
     rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
     dec = simultaneous_triangularize(sample_channels(rng, n, m1, m2))
+    log = stage_calls(monkeypatch)
     record = ccp_allocate_draws(
         [dec], cfg, scenario.mu_grid(), settings=scenario.solver_settings()
     )
+    monkeypatch.undo()
     assert record.iterations.sum() == outer
     assert record.inner.iterations.sum() == inner
+    kinds = [kind for kind, _ in log]
+    assert (kinds.count("evaluate"), kinds.count("residual")) == (evaluations, derivations)
 
 
 def test_rows_carry_the_evaluations_of_different_steps(monkeypatch):
@@ -835,6 +870,55 @@ def test_rows_carry_the_evaluations_of_different_steps(monkeypatch):
     for d, dec in enumerate(decs):
         for i, mu in enumerate(mus):
             assert_same_solve(record, d, i, alone(dec, CFG335, mu))
+
+
+@pytest.mark.parametrize("backtracks, start", [
+    (0, [0.1] * 6),
+    (1, [0.02514018838227714, 0.02360699482764004, 0.09409707768052226,
+         0.5824621226620944, 0.09160366509046447, 0.15695898319901908]),
+])
+def test_one_evaluation_serves_the_polish_and_the_full_step(monkeypatch, backtracks, start):
+    # Row 0 starts at its optimum, so its Newton step is objective-flat and
+    # it polishes; row 1 starts at ``start`` and takes the Armijo search.
+    # One evaluation serves the polish and the full step t = 1: row 0 sits at
+    # the Newton target, row 1 at start + d. When row 1 takes the full step,
+    # the polish's derivation is the next iteration's; when it backtracks,
+    # the next iteration derives its own. Each row is its one-row stage, bit
+    # for bit.
+    _, dec = setup_case(121)
+    mu, anchor = 0.8, np.full(dec.dims.shared, 0.3)
+    one = _SurrogateProblem(dec, CFG335, [mu], [anchor])
+    optimum, _ = power._maximize(one, np.zeros((1, one.size)), SolverSettings())
+    problem = _SurrogateProblem(dec, CFG335, [mu, mu], [anchor, anchor])
+    z0 = np.stack([optimum[0], start])
+    # exact objective, one step per row, no residual hit, and a flatness test
+    # the optimum's model ascent (1e-13 relative) passes
+    tau, caps, rtol, gd_rtol = 0.0, np.array([1, 1]), 0.0, 1e-9
+    log = stage_calls(monkeypatch)
+    z = z0.copy()
+    result = power._ascent_stage(problem, z, tau, caps, rtol, gd_rtol)
+    monkeypatch.undo()
+    kinds = [kind for kind, _ in log]
+    # the start's evaluation and derivation, the target, then one evaluation
+    # and the polish's derivation
+    assert kinds[:5] == ["evaluate", "residual", "target", "evaluate", "residual"]
+    target, point = log[2][1], log[3][1]
+    assert point[0].tobytes() == target[0].tobytes()
+    # row 1 took the line search: on a concave objective a flat row rises by
+    # at most its model ascent, and row 1 rose by more
+    before = problem.value(z0)
+    assert result[1][1] - before[1] > gd_rtol * (1.0 + abs(before[1]))
+    # the backtracking trials, then the second iteration, at the cap, derives
+    # only when nothing was carried
+    assert kinds[5:] == ["evaluate"] * backtracks + ["residual"] * (backtracks > 0)
+    for r in range(2):
+        z_alone = z0[r : r + 1].copy()
+        alone = power._ascent_stage(
+            problem.take([r]), z_alone, tau, caps[r : r + 1], rtol, gd_rtol
+        )
+        assert z_alone.tobytes() == z[r : r + 1].tobytes()
+        for a, b in zip(result, alone):
+            assert a[r : r + 1].tobytes() == b.tobytes()
 
 
 def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
