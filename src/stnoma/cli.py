@@ -405,9 +405,11 @@ def self_check(scenario, corrupt=None):
     """Invariant battery over ``scenario.trials`` random channels.
 
     Checks decomposition residuals, the surrogate underestimator property,
-    and feasibility of the optimized allocation. The ``corrupt`` hook, if
-    given, mangles each decomposition before checking and exists for testing
-    the detector itself.
+    and feasibility of the optimized allocation. A decomposition with a
+    non-finite entry fails by name, and the trial's other checks, which
+    cannot run on it, are skipped. The ``corrupt`` hook, if given, mangles
+    each decomposition before checking and exists for testing the detector
+    itself.
     """
     cfg = scenario.config()
     settings = scenario.solver_settings()
@@ -422,16 +424,27 @@ def self_check(scenario, corrupt=None):
         dec = simultaneous_triangularize(ch)
         if corrupt is not None:
             dec = corrupt(dec)
+        alloc = _random_feasible_allocation(rng, dims, cfg.power_budget)
+        anchor = rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared)
+        nonfinite = [
+            name for name in ("x_mat", "q1", "q2", "r1", "r2")
+            if not np.isfinite(getattr(dec, name)).all()
+        ]
+        if nonfinite:
+            # no residual, rate or solve is defined on it
+            failures.append(
+                f"trial {trial}: decomposition not finite in {', '.join(nonfinite)}"
+            )
+            continue
         report = verify_decomposition(dec, ch)
         for name, value in report.failures(DECOMPOSITION_TOL).items():
             failures.append(f"trial {trial}: decomposition {name} = {value:.3e}")
 
-        alloc = _random_feasible_allocation(rng, dims, cfg.power_budget)
-        anchor = rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared)
         r1 = rate_user1(alloc, dec, cfg)
         for l in range(dims.shared):
             under = rate_underestimator(alloc, anchor, dec, cfg, l)
-            if under > r1[l] + UNDERESTIMATOR_TOL:
+            # written so that NaN fails
+            if not under <= r1[l] + UNDERESTIMATOR_TOL:
                 failures.append(
                     f"trial {trial}: underestimator above rate on stream {l} "
                     f"by {under - r1[l]:.3e}"

@@ -33,8 +33,10 @@ On these problem sizes a solver step costs what its numpy calls cost, so an
 evaluation packs every log2 argument of the objective into one array
 (:meth:`_SurrogateProblem.point`, over the one array of interference-free
 gains of :class:`StreamGains`) and takes one ``log2`` of it, and a
-derivative one power of it. One evaluation serves a step's polish and its
-full line-search step. A row carries the evaluation of the line-search
+derivative one power of it; the value is two row dot products, with the
+linearization's constant kept per row, and the projection's threshold one
+maximum over the sorted prefixes. One evaluation serves a step's polish and
+its full line-search step. A row carries the evaluation of the line-search
 trial or polish step it accepted into its next iteration, so rows that took
 different step sizes are not evaluated again; when every row that goes on
 was polished or took the full step, the polish's gradient and residual are
@@ -221,9 +223,9 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
 
 @functools.lru_cache(maxsize=64)
 def _grid(rows, n):
-    """Flat offsets of the rows of a (rows, n) array, the column indices,
-    and the counts 1..n; read-only, as every caller shares them."""
-    grid = n * np.arange(rows), np.arange(n), np.arange(1.0, n + 1.0)
+    """Flat offsets of the rows of a (rows, n) array and the counts 1..n;
+    read-only, as every caller shares them."""
+    grid = n * np.arange(rows), np.arange(1.0, n + 1.0)
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -236,8 +238,12 @@ def _project(v, weights, budget):
 
     The solution is ``max(0, v - theta / weights)`` for a multiplier
     ``theta >= 0``; coordinate i turns off at the breakpoint
-    ``v_i * weights_i``. Sorting the breakpoints gives every candidate
-    threshold at once (Duchi et al. 2008, in a diagonal metric); O(n log n).
+    ``v_i * weights_i``. Sorting the breakpoints in decreasing order gives
+    every prefix threshold at once (Duchi et al. 2008, in a diagonal metric),
+    and the threshold is the largest of them (Condat 2016); O(n log n). Rows
+    already inside the budget are clipped, not projected: their threshold is
+    0, and the clip keeps the bits of a row that sits on the budget boundary,
+    which the prefix threshold can move by one rounding.
     """
     if v.ndim == 1:
         rows = None if weights is None else weights[None]
@@ -247,20 +253,14 @@ def _project(v, weights, budget):
     n_inside = np.count_nonzero(inside)
     if n_inside == len(v):
         return x
-    starts, cols, counts = _grid(*v.shape)
+    starts, counts = _grid(*v.shape)
     breakpoints = v if weights is None else v * weights
     # flat indices of each row's breakpoints in decreasing order
     order = np.argsort(breakpoints, axis=1)[:, ::-1] + starts[:, None]
-    ranked = v.take(order)
-    theta = ranked.cumsum(axis=1) - budget
+    theta = v.take(order).cumsum(axis=1) - budget
     # unit weights sum to the exact counts
     theta /= counts if weights is None else (1.0 / weights.take(order)).cumsum(axis=1)
-    # at unit weights the breakpoints are the entries
-    hits = (ranked if weights is None else breakpoints.take(order)) > theta
-    # the last hit; rounding can empty the set for budgets at the float
-    # resolution of the entries, and the single-coordinate threshold is then
-    # the right answer
-    theta = theta.take(starts + np.maximum.reduce(hits * cols, axis=1))[:, None]
+    theta = np.maximum.reduce(theta, axis=1, keepdims=True)
     proj = np.maximum(v - (theta if weights is None else theta / weights), 0.0)
     return np.where(inside[:, None], x, proj) if n_inside else proj
 
@@ -298,7 +298,7 @@ class _SurrogateProblem(StreamGains):
     """
 
     # The per-row state; take() selects rows of each.
-    _ROW_FIELDS = ("mu", "mu2", "free_mu", "anchor", "anchored", "jac", "slope")
+    _ROW_FIELDS = ("mu", "mu2", "free_mu", "anchor", "anchored", "jac", "slope", "offset")
 
     def __init__(self, dec, cfg, mu, anchor):
         super().__init__(dec, cfg)
@@ -340,8 +340,9 @@ class _SurrogateProblem(StreamGains):
         if not ((self.anchor >= 0.0) & (self.anchor < math.inf)).all():
             raise ValueError("anchor powers must be finite and >= 0")
 
-        zeros = np.zeros_like(self.anchor)
-        _, arg12_q, _, arg22_q = self.shared_args(zeros, self.anchor)
+        # arg12 and arg22 of shared_args at the anchor; neither reads p1s
+        arg12_q = self.sigma2 + (self.c1 @ self.anchor[..., None])[..., 0]
+        arg22_q = self.sigma2 + self.anchor * self.w2
         self.anchored = np.log2(arg12_q) + np.log2(arg22_q)
         # Full anchored jacobian of the concave remainders: row l linearizes
         # stream l's bound; the summed objective and gradient need only its
@@ -350,6 +351,14 @@ class _SurrogateProblem(StreamGains):
         diag = np.arange(m)
         self.jac[..., diag, diag] += self.w2 / (LN2 * arg22_q)
         self.slope = self.jac.sum(axis=-2)
+        # the constant of the summed linearization: sum(anchored - slope * anchor)
+        self.offset = np.add.reduce(self.anchored, axis=-1) - np.vecdot(self.slope, self.anchor)
+
+    def __copy__(self):
+        # the attributes alone; copy.copy's generic reduce path costs more
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        return new
 
     def reanchored(self, anchor):
         """The same rows' surrogate at other anchors, without rebuilding
@@ -367,13 +376,16 @@ class _SurrogateProblem(StreamGains):
         for name in self._ROW_FIELDS:
             setattr(new, name, getattr(self, name).take(rows, axis=0))
         if self.c1.ndim > 2:
-            powers = self.gain_powers
-            gains = tuple(gain.take(rows, axis=0) for gain in powers[1])
-            for name, gain in zip(self.GAINS, gains):
+            new.gain_powers = {}
+            for k, (c1, _, w2, free) in self.gain_powers.items():
+                c1 = c1.take(rows, axis=0)
+                # the diagonal of the taken c1 (of c1**2) is the taken c1_diag
+                new.gain_powers[k] = (
+                    c1, np.diagonal(c1, 0, -2, -1), w2.take(rows, axis=0),
+                    free.take(rows, axis=0),
+                )
+            for name, gain in zip(self.GAINS, new.gain_powers[1]):
                 setattr(new, name, gain)
-            new.gain_powers = {
-                1: gains, 2: tuple(gain.take(rows, axis=0) for gain in powers[2])
-            }
         return new
 
     def powers(self, z):
@@ -438,24 +450,23 @@ class _SurrogateProblem(StreamGains):
     def evaluate(self, z, tau=0.0):
         """``(f, b1, b2, point)``: the surrogate objective at ``z``, its two
         min branches, from which :meth:`_branch_weights` gives the weights
-        its derivatives read, and the :meth:`point` those read. ``f`` is the
-        weighted (soft) minima less the summed linearization, then the
-        interference-free rates of user 2's shared and both users' private
-        streams."""
-        m, n1 = self.m, self.dims.private1
+        its derivatives read, and the :meth:`point` those read. ``f`` is two
+        row dot products: the interference-free rates (user 2's shared and
+        both users' private streams) with their weights ``free_mu``, plus
+        ``mu`` times the summed (soft) minima less the linearization
+        (``slope`` dotted with user 2's shared powers, plus ``offset``).
+        ``f`` is the only output whose rounding depends on that grouping;
+        the branches and the point, which set the derivatives and so the
+        iterates, keep their bits."""
+        m = self.m
         point = self.point(z)
         logs = np.log2(point)
         b1 = logs[..., :m] + logs[..., 3 * m : 4 * m]
         b2 = logs[..., 2 * m : 3 * m] + logs[..., m : 2 * m]
-        free = logs[..., 4 * m :]
         p2s = z[..., self.n_p1 : self.n_p1 + m]
-        under = (
-            self._softmin(b1, b2, tau) - self.anchored - self.slope * (p2s - self.anchor)
-        )
-        total = self.mu * np.add.reduce(under, axis=-1)
-        total += self.mu2 * np.add.reduce(free[..., n1 : n1 + m], axis=-1)
-        total += self.mu * np.add.reduce(free[..., :n1], axis=-1)
-        total += self.mu2 * np.add.reduce(free[..., n1 + m :], axis=-1)
+        under = np.add.reduce(self._softmin(b1, b2, tau), axis=-1)
+        under -= np.vecdot(self.slope, p2s) + self.offset
+        total = np.vecdot(logs[..., 4 * m :], self.free_mu) + self.mu * under
         return total, b1, b2, point
 
     def value(self, z, tau=0.0):
@@ -499,7 +510,8 @@ class _SurrogateProblem(StreamGains):
         # the identity at k = 1 keeps the gradient free of x**1 copies
         den = LN2 * (point if k == 1 else point**k)
         m, n_p1 = self.m, self.n_p1
-        den11, den12, den21, den22 = (den[..., i * m : (i + 1) * m] for i in range(4))
+        den11, den12 = den[..., :m], den[..., m : 2 * m]
+        den21, den22 = den[..., 2 * m : 3 * m], den[..., 3 * m : 4 * m]
         out = np.empty(den.shape[:-1] + (self.size,))
         out[..., m:] = self.free_mu * free / den[..., 4 * m :]
         if m:

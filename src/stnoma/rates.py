@@ -52,6 +52,9 @@ class StreamGains:
             self.w2 / self.sigma2,
             dec.diag2[m:] ** 2 / (cfg.pathloss2 * self.sigma2),
         ])
+        # written so that NaN fails
+        if not (np.isfinite(self.c1).all() and np.isfinite(self.free).all()):
+            raise ValueError("stream gains must be finite")
 
     @classmethod
     def rows(cls, decs, cfg, draw):

@@ -74,6 +74,22 @@ class PowerAllocation:
         if not total <= power_budget + tol:
             raise ValueError(f"total power {total} exceeds budget {power_budget}")
 
+    @staticmethod
+    def passes(p1, p2, dims: StreamDims, power_budget):
+        """Whether each row of the powers ``p1``, ``p2`` (last axis: the L
+        streams) passes :meth:`validate`: its tests as one array test."""
+        tol = 1e-9 * power_budget
+        k = dims.user1_streams
+        total = p1.sum(axis=-1) + p2.sum(axis=-1)
+        # written so that NaN fails
+        return (
+            np.isfinite(total)
+            & np.all((p1 >= -tol) & (p2 >= -tol), axis=-1)
+            & np.all(np.abs(p2[..., dims.shared : k]) <= tol, axis=-1)
+            & np.all(np.abs(p1[..., k:]) <= tol, axis=-1)
+            & (total <= power_budget + tol)
+        )
+
 
 @dataclass(frozen=True)
 class CancelledSignals:

@@ -143,13 +143,15 @@ class ResidualReport:
 
     @property
     def max_residual(self):
-        return max(self.as_dict().values())
+        # NaN if any residual is: Python's max would keep whichever came first
+        return float(np.max(list(self.as_dict().values())))
 
     def ok(self, tol=1e-9):
-        return self.max_residual <= tol
+        return not self.failures(tol)
 
     def failures(self, tol=1e-9):
-        return {k: v for k, v in self.as_dict().items() if v > tol}
+        # written so that NaN fails
+        return {k: v for k, v in self.as_dict().items() if not v <= tol}
 
 
 def _rel(num, den):

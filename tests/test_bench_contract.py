@@ -2,26 +2,12 @@
 (``bench/tracing.py``), so a refactor that drops or renames one of them
 crashes every traced run. This checks the names from the unedited tracer."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
+from bench_modules import load
 from stnoma import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", BENCH / "tracing.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = load_tracing()
+tracing = load("tracing")
 
 
 @pytest.mark.parametrize(

@@ -4,28 +4,13 @@ This runs the unedited ``bench/checks.py`` on a few pool blocks of every
 family, so a solver change that would make the benchmark report incorrect
 outputs fails here first."""
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
+from bench_modules import BENCH, load
 from stnoma import cli
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load(name, **imports):
-    """The bench module ``name``, with ``imports`` importable by their
-    names while it loads."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, imports):
-        spec.loader.exec_module(module)
-    return module
-
 
 workloads = load("workloads")
 checks = load("checks", workloads=workloads)

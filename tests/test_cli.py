@@ -203,6 +203,22 @@ def test_self_check_detects_corruption():
     assert any("column_norm" in f for f in report.failures)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["r1", "r2", "x_mat"])
+def test_self_check_fails_a_non_finite_decomposition(name, value):
+    # a NaN passed every residual and underestimator test, and the solver
+    # returned zero powers that validate; an inf raised a numpy warning
+    def corrupt(dec):
+        bad = getattr(dec, name).copy()
+        bad[0, 0] = value
+        return replace(dec, **{name: bad})
+
+    report = self_check(replace(SMALL, trials=2), corrupt=corrupt)
+    assert not report.ok
+    assert report.failures[0].startswith("trial 0: decomposition")
+    assert name in report.failures[0]
+
+
 def test_main_check_exit_codes(tmp_path, capsys):
     rc = main(["check", "--trials", "2"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -241,6 +242,76 @@ def test_surrogate_value_matches_per_stream_ops():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+def summed_value(problem, z, tau):
+    """The surrogate's value as a sum over streams: each stream's bound
+    less its linearization, then each interference-free rate times its
+    user's weight."""
+    m, n1 = problem.m, problem.dims.private1
+    _, b1, b2, point = problem.evaluate(z, tau)
+    free = np.log2(point)[..., 4 * m :]
+    p2s = z[..., problem.n_p1 : problem.n_p1 + m]
+    under = problem._softmin(b1, b2, tau) - problem.anchored - problem.slope * (p2s - problem.anchor)
+    return (
+        problem.mu * under.sum(axis=-1)
+        + problem.mu2 * free[..., n1 : n1 + m].sum(axis=-1)
+        + problem.mu * free[..., :n1].sum(axis=-1)
+        + problem.mu2 * free[..., n1 + m :].sum(axis=-1)
+    )
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_value_is_the_sum_over_streams(shape):
+    # the value, two row dot products and the linearization's constant,
+    # is the sum over streams up to rounding, with and without shared and
+    # private streams, on the exact and a smoothed objective
+    cfg = make_cfg(*shape)
+    decs = [setup_case(seed, cfg)[1] for seed in (116, 117)]
+    rng = np.random.default_rng(119)
+    d = decs[0].dims
+    anchors = rng.random((4, d.shared)) * 0.3
+    problem = _SurrogateProblem.over_draws(decs, cfg, [0, 1, 0, 1], [0.0, 0.3, 0.7, 1.0], anchors)
+    z = np.stack([problem.pack(random_alloc(rng, d)) for _ in range(4)])
+    for tau in (0.0, 1e-2):
+        got, want = problem.value(z, tau), summed_value(problem, z, tau)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_take_is_the_surrogate_built_on_the_rows():
+    # every row field, every gain and both gain powers of the taken rows
+    # are those of the surrogate built on them alone, bit for bit
+    decs = [setup_case(seed)[1] for seed in (121, 221)]
+    rng = np.random.default_rng(122)
+    draw, mu = np.array([0, 1, 1, 0, 1]), np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    anchor = rng.random((5, decs[0].dims.shared)) * 0.3
+    problem = _SurrogateProblem.over_draws(decs, CFG335, draw, mu, anchor)
+    rows = np.array([1, 3, 4])
+    got = problem.take(rows)
+    want = _SurrogateProblem.over_draws(decs, CFG335, draw[rows], mu[rows], anchor[rows])
+    pairs = [(getattr(got, n), getattr(want, n)) for n in _SurrogateProblem._ROW_FIELDS + StreamGains.GAINS]
+    for k in (1, 2):
+        pairs += zip(got.gain_powers[k], want.gain_powers[k])
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_copy_reanchored_leaves_the_original():
+    # a copy shares the original's arrays until re-anchored, and
+    # re-anchoring replaces them rather than writing into them
+    decs = [setup_case(seed)[1] for seed in (121, 221)]
+    anchor = np.full((2, decs[0].dims.shared), 0.1)
+    problem = _SurrogateProblem.over_draws(decs, CFG335, [0, 1], [0.3, 0.6], anchor)
+    before = {name: getattr(problem, name).copy() for name in _SurrogateProblem._ROW_FIELDS}
+    moved = copy.copy(problem)
+    assert moved.c1 is problem.c1
+    moved._anchor_rows(anchor + 0.2)
+    for name, value in before.items():
+        assert getattr(problem, name).tobytes() == value.tobytes()
+    assert moved.offset.tobytes() != problem.offset.tobytes()
+    rebuilt = _SurrogateProblem.over_draws(decs, CFG335, [0, 1], [0.3, 0.6], anchor + 0.2)
+    for name in _SurrogateProblem._ROW_FIELDS:
+        assert getattr(moved, name).tobytes() == getattr(rebuilt, name).tobytes()
+
+
 @pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
 def test_packed_point_is_the_shared_and_free_arguments(shape):
     # one log2 serves the whole objective: the point is shared_args, then
@@ -366,6 +437,74 @@ def test_weighted_projection_matches_bisection(case):
     np.testing.assert_allclose(x, bisection_projection(v, weights, budget), rtol=0, atol=atol)
     unit = np.ones_like(v)
     np.testing.assert_array_equal(_project(v, unit, budget), project_power_budget(v, budget))
+
+
+def last_hit_projection(v, weights, budget):
+    """Oracle: the projection with the threshold of the last prefix whose
+    threshold lies below its own breakpoint (the rule ``_project`` used
+    before the largest prefix threshold), the same steps otherwise."""
+    if v.ndim == 1:
+        rows = None if weights is None else weights[None]
+        return last_hit_projection(v[None], rows, budget)[0]
+    x = np.maximum(v, 0.0)
+    inside = np.add.reduce(x, axis=1) <= budget
+    rows, n = v.shape
+    starts, cols, counts = n * np.arange(rows), np.arange(n), np.arange(1.0, n + 1.0)
+    breakpoints = v if weights is None else v * weights
+    order = np.argsort(breakpoints, axis=1)[:, ::-1] + starts[:, None]
+    theta = v.take(order).cumsum(axis=1) - budget
+    theta /= counts if weights is None else (1.0 / weights.take(order)).cumsum(axis=1)
+    hits = breakpoints.take(order) > theta
+    # no hit (budgets at the float resolution of the entries): the first
+    theta = theta.take(starts + np.maximum.reduce(hits * cols, axis=1))[:, None]
+    proj = np.maximum(v - (theta if weights is None else theta / weights), 0.0)
+    return np.where(inside[:, None], x, proj)
+
+
+@st.composite
+def projection_rows(draw, tied):
+    """1 to 29 rows of 1 to 12 entries, 1-D or 2-D, at unit or diagonal
+    weights, with the budget at 0, at 1 or at a few units of the float
+    resolution of the entries. Random entries are untied; entries rounded
+    to 0.1 (and weights that are powers of two) tie often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 29)), draw(st.integers(1, 12)))
+    v = rng.standard_normal(shape) * rng.uniform(0.1, 5.0)
+    weights = None
+    if draw(st.booleans()):
+        weights = 2.0 ** rng.integers(-2, 3, shape) if tied else 10.0 ** rng.uniform(-3, 3, shape)
+    if tied:
+        v = np.round(v, 1)
+    ulps = np.spacing(np.max(np.abs(v)))
+    budget = float(draw(st.sampled_from([0.0, 1.0]) | st.integers(0, 8).map(lambda k: k * ulps)))
+    if draw(st.booleans()):
+        v = v[0]
+        weights = None if weights is None else weights[0]
+    return v, weights, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=projection_rows(tied=False))
+def test_projection_threshold_is_the_last_hit_on_untied_rows(case):
+    # the largest prefix threshold is the last hit's, bit for bit, on
+    # untied rows and on rows already projected onto the budget (as the
+    # warm start is)
+    v, weights, budget = case
+    assert _project(v, weights, budget).tobytes() == last_hit_projection(v, weights, budget).tobytes()
+    x = last_hit_projection(v, weights, budget)
+    assert _project(x, weights, budget).tobytes() == last_hit_projection(x, weights, budget).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=projection_rows(tied=True))
+def test_projection_threshold_within_one_rounding_on_tied_rows(case):
+    # at tied breakpoints the two rules may pick thresholds one rounding
+    # apart, which moves an entry by at most two roundings of the row's
+    # largest entry
+    v, weights, budget = case
+    got, want = _project(v, weights, budget), last_hit_projection(v, weights, budget)
+    scale = np.max(np.abs(v), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * scale)
 
 
 # --- inner solver ---------------------------------------------------------------

@@ -1,8 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from stnoma.rates import rate_breakdown, rate_user1, rate_user2, weighted_sum_rate
+from stnoma.rates import (
+    StreamGains,
+    rate_breakdown,
+    rate_user1,
+    rate_user2,
+    weighted_sum_rate,
+)
 from stnoma.system import SystemConfig, sample_channels
 from stnoma.transceiver import PowerAllocation, build_symbol_vector, receive_and_detect, transmit
 from stnoma.triangularize import simultaneous_triangularize
@@ -204,3 +212,14 @@ def test_sinr_matches_decoded_interference_power():
         for lp in range(l, d.shared)
     ) + (dec.q1 @ noise[0])[l]
     assert abs(leftover - want) <= 1e-9 * max(abs(want), 1e-300)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["r1", "r2"])
+def test_stream_gains_reject_non_finite_factors(name, value):
+    # a NaN gain made every rate NaN and the solver return zero powers
+    _, dec, _ = setup_case(3)
+    bad = getattr(dec, name).copy()
+    bad[0, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        StreamGains(replace(dec, **{name: bad}), CFG)

@@ -17,6 +17,7 @@ from stnoma.region import (
     st_noma_region,
 )
 from stnoma.system import SystemConfig, sample_channels
+from stnoma.transceiver import PowerAllocation
 
 CFG = SystemConfig(
     n_bs=5, m1=3, m2=3, pathloss1=62500.0, pathloss2=2500.0,
@@ -234,6 +235,41 @@ def test_failing_joint_solve_names_its_trials(monkeypatch):
     monkeypatch.setattr(region, "ccp_allocate_draws", failing)
     with pytest.raises(ValueError, match=r"^seed 7, trials 0-2: mu must lie"):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
+
+
+def test_non_finite_draw_names_its_trials(monkeypatch):
+    triangularize = region.simultaneous_triangularize
+
+    def nan_factor(ch):
+        dec = triangularize(ch)
+        dec.r1[0, 0] = np.nan
+        return dec
+
+    monkeypatch.setattr(region, "simultaneous_triangularize", nan_factor)
+    with pytest.raises(ValueError, match=r"^seed 7, trials 0-1: stream gains must be finite$"):
+        st_noma_region(CFG, [0.5], trials=2, seed=7, workers=1)
+
+
+def test_invalid_row_is_named_with_the_message_of_validate(monkeypatch):
+    # one array test covers the chunk's rows; the first failing row is
+    # worded by validate and named by its trial
+    solve = region.ccp_allocate_draws
+
+    def bad_rows(decs, cfg, mus, settings=None):
+        record = solve(decs, cfg, mus, settings)
+        record.p1[1, 2, 0] = -0.1
+        record.p2[2, 0, 1] = 0.1  # a private1 stream, on a later trial
+        return record
+
+    monkeypatch.setattr(region, "ccp_allocate_draws", bad_rows)
+    settings = SolverSettings(ccp_max_iters=2)
+    with pytest.raises(ValueError) as info:
+        region._trial_point(CFG, (0.2, 0.5, 0.8), settings, 7, [4, 5, 6])
+    bad = PowerAllocation.zeros(CFG.dims)
+    bad.p1[0] = -0.1
+    with pytest.raises(ValueError) as want:
+        bad.validate(CFG.dims, CFG.power_budget)
+    assert str(info.value) == f"seed 7, trial 5: {want.value}"
 
 
 def test_rate_region_point_rejects_negative():

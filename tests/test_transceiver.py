@@ -325,3 +325,41 @@ def test_allocation_validation_scales_with_the_budget(budget):
     leak.p2[1] = 1e-6 * budget  # private1 stream
     with pytest.raises(ValueError, match="private1"):
         leak.validate(dims, budget)
+
+
+@pytest.mark.parametrize("budget", [1e-13, 1.0, 3.16e8])
+def test_rows_pass_exactly_when_validate_accepts_them(budget):
+    # the array test and validate agree row by row, on valid rows, on rows
+    # a few ulps over the budget, and on rows broken in each way validate
+    # names; 5x3x3: stream 0 shared, 1-2 user 1's private, 3-4 user 2's
+    dims = derive_dims(5, 3, 3)
+    rng = np.random.default_rng(31)
+    rows = []
+    for _ in range(200):
+        p1, p2 = rng.random(5), rng.random(5)
+        p1[3:], p2[1:3] = 0.0, 0.0
+        scale = budget / (p1.sum() + p2.sum()) * (1.0 + rng.integers(-4, 5) * 1e-16)
+        p1, p2 = p1 * scale, p2 * scale
+        broken = rng.integers(6)
+        if broken == 1:
+            p1[rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+        elif broken == 2:
+            p2[0] = -1e-6 * budget
+        elif broken == 3:
+            p2[1] = 1e-6 * budget
+        elif broken == 4:
+            p1[4] = -1e-6 * budget
+        elif broken == 5:
+            p1[0] *= 1.0 + 1e-6
+        rows.append((p1, p2))
+    p1, p2 = (np.array(a).reshape(20, 10, 5) for a in zip(*rows))
+    passes = PowerAllocation.passes(p1, p2, dims, budget)
+    assert passes.shape == (20, 10)
+    for (t, i), ok in np.ndenumerate(passes):
+        try:
+            PowerAllocation(p1[t, i], p2[t, i]).validate(dims, budget)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert ok == accepted
+    assert 0 < passes.sum() < passes.size

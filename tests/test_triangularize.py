@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,16 @@ def test_verify_detects_corrupted_precoder():
     assert report.column_norm == pytest.approx(1.0, abs=1e-9)
     assert not report.ok(1e-9)
     assert "column_norm" in report.failures(1e-9)
+
+
+@pytest.mark.parametrize("name", ["factorization1", "column_norm"])
+def test_a_nan_residual_fails(name):
+    # NaN passed the `v > tol` test, and max() kept or dropped it by order
+    ch = make_channels(5, 5, 3, 3)
+    report = replace(verify_decomposition(simultaneous_triangularize(ch), ch), **{name: np.nan})
+    assert np.isnan(report.max_residual)
+    assert not report.ok(1e-9)
+    assert list(report.failures(1e-9)) == [name]
 
 
 def test_verify_detects_corrupted_detector():
