@@ -426,10 +426,7 @@ def self_check(scenario, corrupt=None):
             dec = corrupt(dec)
         alloc = _random_feasible_allocation(rng, dims, cfg.power_budget)
         anchor = rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared)
-        nonfinite = [
-            name for name in ("x_mat", "q1", "q2", "r1", "r2")
-            if not np.isfinite(getattr(dec, name)).all()
-        ]
+        nonfinite = dec.non_finite_factors()
         if nonfinite:
             # no residual, rate or solve is defined on it
             failures.append(

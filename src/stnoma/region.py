@@ -102,8 +102,8 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
     per-mu NOMA rate pairs, shape ``(trials, mu, 2)``, and both
     point-to-point capacities, shape ``(trials, 2)``. One lockstep CCP run
     covers every (draw, weight) row and gives its rates. A ``ValueError`` (a
-    non-generic draw, say) is re-raised naming the seed and the trial, or
-    the trials of the joint solve."""
+    non-generic draw or a non-finite decomposition, say) is re-raised naming
+    the seed and the trial, or the trials of the joint solve."""
     try:
         chs, decs = [], []
         for trial in trials:
@@ -111,6 +111,9 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
             chs.append(sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2))
             decs.append(simultaneous_triangularize(chs[-1]))
+            nonfinite = decs[-1].non_finite_factors()
+            if nonfinite:
+                raise ValueError(f"decomposition not finite in {', '.join(nonfinite)}")
         where = f"trials {trials[0]}-{trials[-1]}"
         record = ccp_allocate_draws(decs, cfg, mu_grid, settings=settings)
         # one array test of every row; validate words the first failure

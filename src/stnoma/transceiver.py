@@ -7,12 +7,11 @@ there is no constellation demapping. User 1 never needs estimates of user 2's
 symbols, i.e. only user 2 performs SIC.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .system import StreamDims
+from .system import PRIVATE1, PRIVATE2, StreamDims
 
 __all__ = [
     "PowerAllocation",
@@ -54,41 +53,45 @@ class PowerAllocation:
         """Raise ValueError on non-finite powers, and on negative powers,
         support-pattern violations or a power budget overshoot, each beyond
         1e-9 of the budget."""
-        tol = 1e-9 * power_budget
         if self.p1.shape[0] != dims.total:
             raise ValueError("allocation length != stream count")
-        # a NaN or infinite power makes the total non-finite; NaN would
-        # pass every comparison below
-        total = self.total_power
-        if not math.isfinite(total):
-            raise ValueError("non-finite stream power")
-        if (self.p1 < -tol).any() or (self.p2 < -tol).any():
-            raise ValueError("negative stream power")
-        for l in dims.private1_indices():
-            if abs(self.p2[l]) > tol:
-                raise ValueError(f"user 2 power on private1 stream {l}")
-        for l in dims.private2_indices():
-            if abs(self.p1[l]) > tol:
-                raise ValueError(f"user 1 power on private2 stream {l}")
-        # written so that a NaN budget fails
-        if not total <= power_budget + tol:
-            raise ValueError(f"total power {total} exceeds budget {power_budget}")
+        total, tests = self._tests(self.p1, self.p2, dims, power_budget)
+        for message, failing in tests:
+            if failing.any():
+                raise ValueError(message.format(
+                    l=int(np.argmax(failing)), total=float(total[0]),
+                    budget=power_budget,
+                ))
 
     @staticmethod
     def passes(p1, p2, dims: StreamDims, power_budget):
         """Whether each row of the powers ``p1``, ``p2`` (last axis: the L
         streams) passes :meth:`validate`: its tests as one array test."""
+        _, tests = PowerAllocation._tests(p1, p2, dims, power_budget)
+        return ~np.concatenate([f for _, f in tests], axis=-1).any(axis=-1)
+
+    @staticmethod
+    def _tests(p1, p2, dims: StreamDims, power_budget):
+        """The tests of :meth:`validate` on rows of powers (last axis: the L
+        streams): the rows' totals, and, in the order that validate words
+        them, ``(message, failing)`` pairs, where ``failing`` marks a row's
+        failing streams, or the row itself in a last axis of length 1."""
         tol = 1e-9 * power_budget
-        k = dims.user1_streams
-        total = p1.sum(axis=-1) + p2.sum(axis=-1)
-        # written so that NaN fails
-        return (
-            np.isfinite(total)
-            & np.all((p1 >= -tol) & (p2 >= -tol), axis=-1)
-            & np.all(np.abs(p2[..., dims.shared : k]) <= tol, axis=-1)
-            & np.all(np.abs(p1[..., k:]) <= tol, axis=-1)
-            & (total <= power_budget + tol)
-        )
+        owner = np.array(dims.ownership, dtype=str)
+        total = p1.sum(axis=-1, keepdims=True) + p2.sum(axis=-1, keepdims=True)
+        return total, [
+            # a NaN or infinite power makes the total non-finite; NaN would
+            # pass every comparison below
+            ("non-finite stream power", ~np.isfinite(total)),
+            ("negative stream power", (p1 < -tol) | (p2 < -tol)),
+            ("user 2 power on private1 stream {l}",
+             (np.abs(p2) > tol) & (owner == PRIVATE1)),
+            ("user 1 power on private2 stream {l}",
+             (np.abs(p1) > tol) & (owner == PRIVATE2)),
+            # written so that a NaN budget fails
+            ("total power {total} exceeds budget {budget}",
+             ~(total <= power_budget + tol)),
+        ]
 
 
 @dataclass(frozen=True)

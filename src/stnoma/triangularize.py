@@ -48,6 +48,13 @@ class StDecomposition:
         """Per-stream channel gains of user 2 (real, >= 0)."""
         return np.diagonal(self.r2).real
 
+    def non_finite_factors(self):
+        """Names of the factors that hold a NaN or infinite entry."""
+        return [
+            name for name in ("x_mat", "q1", "q2", "r1", "r2")
+            if not np.isfinite(getattr(self, name)).all()
+        ]
+
     def effective1(self):
         """Full L-wide effective channel of user 1: [r1, 0]."""
         m1 = self.r1.shape[0]

@@ -3,19 +3,20 @@ keeps every output byte for byte.
 
 Usage, from the repository root::
 
-    python tests/pool_digest.py [--jobs N]
+    python tests/pool_digest.py
 
 For each reference family of ``bench/workloads.py`` it runs every block of
-the pool (``POOL`` seeds) as the benchmark does and prints one SHA-256 over
-all of the family's outputs, in block order, with the largest relative
-deviation from ``bench/reference.json``. A region block contributes its
-``region.csv`` bytes; a check block its report and the weighted sum rate
-of every solve, captured as ``bench/tracing.py`` captures them. Run it at
-two commits: equal digests mean equal outputs on every block. The bench
-modules are loaded read-only.
+the pool (``POOL`` seeds) as the benchmark does, one process per available
+CPU, and prints one SHA-256 over all of the family's outputs, in block
+order, the largest relative deviation from ``bench/reference.json``, and
+the number of problems that the benchmark's own output checks
+(``bench/checks.py``) find; any problem is also printed. A region block
+contributes its ``region.csv`` bytes; a check block its report and the
+weighted sum rate of every solve, captured as ``bench/tracing.py`` captures
+them. Run it at two commits: equal digests mean equal outputs on every
+block. The bench modules are loaded read-only.
 """
 
-import argparse
 import hashlib
 import json
 import math
@@ -49,8 +50,8 @@ def _deviation(values, reference):
 
 
 def block_output(task):
-    """``(family, block, output bytes, values, reference values)`` of one
-    pool block."""
+    """``(family, block, output bytes, problems, values, reference values)``
+    of one pool block; the problems are those of ``bench/checks.py``."""
     family, block = task
     workload = FAMILIES[family]
     reference = json.loads((BENCH / "reference.json").read_text())
@@ -60,35 +61,35 @@ def block_output(task):
         with tracing.captured_solve_rates() as rates:
             report = cli.self_check(scenario)
         data = repr((report.trials, report.failures, rates)).encode()
-        return family, block, data, rates, reference["wsr"]
+        problems = checks.check_self_check(report, workload, rates, reference)
+        return family, block, data, problems, rates, reference["wsr"]
     with tempfile.TemporaryDirectory() as out:
         csv_path, _ = cli.run_region(scenario, out, workers=1)
         data = Path(csv_path).read_bytes()
+    _, problems = checks.check_region(data, workload, block, reference)
     st = checks.parse_region_csv(data)["st_noma"]
     values = [r for _, r1, r2, *_ in st for r in (r1, r2)]
-    return family, block, data, values, [r for pair in reference["st_noma"] for r in pair]
+    reference = [r for pair in reference["st_noma"] for r in pair]
+    return family, block, data, problems, values, reference
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--jobs", type=int, default=len(os.sched_getaffinity(0)),
-        help="worker processes (default: the CPUs available)",
-    )
-    args = parser.parse_args(argv)
+def main():
     tasks = [(f, b) for f in sorted(FAMILIES) for b in range(workloads.POOL)]
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(max(1, args.jobs)) as pool:
+    with ctx.Pool(len(os.sched_getaffinity(0))) as pool:
         results = pool.map(block_output, tasks, chunksize=1)
     for family in sorted(FAMILIES):
-        digest, worst, blocks = hashlib.sha256(), 0.0, 0
-        for f, _, data, values, reference in results:
+        digest, worst, blocks, failed = hashlib.sha256(), 0.0, 0, 0
+        for f, block, data, problems, values, reference in results:
             if f == family:
                 digest.update(data)
                 worst = max(worst, _deviation(values, reference))
                 blocks += 1
+                failed += len(problems)
+                for problem in problems:
+                    print(f"FAILED {family} block {block}: {problem}")
         print(f"{family}  {blocks} blocks  sha256 {digest.hexdigest()}  "
-              f"max rel dev {worst:.3e}")
+              f"max rel dev {worst:.3e}  {failed} problems")
 
 
 if __name__ == "__main__":

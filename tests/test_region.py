@@ -237,17 +237,21 @@ def test_failing_joint_solve_names_its_trials(monkeypatch):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 
 
-def test_non_finite_draw_names_its_trials(monkeypatch):
+def test_non_finite_draw_names_its_trial(monkeypatch):
+    # the draw is tested as it is sampled, not in the chunk's joint solve
     triangularize = region.simultaneous_triangularize
+    calls = []
 
     def nan_factor(ch):
         dec = triangularize(ch)
-        dec.r1[0, 0] = np.nan
+        calls.append(ch)
+        if len(calls) == 2:
+            dec.r2[0, 0] = np.nan
         return dec
 
     monkeypatch.setattr(region, "simultaneous_triangularize", nan_factor)
-    with pytest.raises(ValueError, match=r"^seed 7, trials 0-1: stream gains must be finite$"):
-        st_noma_region(CFG, [0.5], trials=2, seed=7, workers=1)
+    with pytest.raises(ValueError, match=r"^seed 7, trial 1: decomposition not finite in r2$"):
+        st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 
 
 def test_invalid_row_is_named_with_the_message_of_validate(monkeypatch):

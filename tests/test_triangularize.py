@@ -148,3 +148,12 @@ def test_residuals_across_configurations(cfg):
         ch = sample_channels(rng, n, m1, m2)
         dec = simultaneous_triangularize(ch)
         assert verify_decomposition(dec, ch).ok(1e-9)
+
+
+def test_non_finite_factors_are_named_in_order():
+    dec = simultaneous_triangularize(make_channels(2, 5, 3, 3))
+    assert dec.non_finite_factors() == []
+    bad_q1, bad_x = dec.q1.copy(), dec.x_mat.copy()
+    bad_q1[1, 0] = complex(0.0, np.nan)  # a NaN in the imaginary part alone
+    bad_x[0, 2] = np.inf
+    assert replace(dec, q1=bad_q1, x_mat=bad_x).non_finite_factors() == ["x_mat", "q1"]
