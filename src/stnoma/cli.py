@@ -13,7 +13,6 @@ flags win over both. Exit codes: 0 success, 1 invariant failure, 2 invalid
 scenario.
 """
 
-import argparse
 import math
 import os
 import sys
@@ -470,7 +469,7 @@ _FLAGS = {
     "--workers": ("region", dict(
         type=int, default=1,
         help="most worker processes for the trials (>= 1); the pool holds at "
-             "most one per CPU and per two trials",
+             "most one per usable CPU and per two trials",
     )),
     "--overlay": ("region", dict(
         help="CSV with R1,R2 columns to draw on top of the region plot"
@@ -479,6 +478,8 @@ _FLAGS = {
 
 
 def main(argv=None):
+    import argparse  # only the command line needs it, not ``import stnoma``
+
     parser = argparse.ArgumentParser(
         prog="stnoma",
         description="Two-user downlink MIMO-NOMA precoding experiments",

@@ -9,7 +9,6 @@ count, and byte-reproducible for a fixed seed.
 
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -137,15 +136,31 @@ def _trial_point_star(args):
     return _trial_point(*args)
 
 
+def Pool(processes):
+    """``multiprocessing.Pool``, imported on the first call: a run that starts
+    no pool never loads ``multiprocessing``."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes=processes)
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_trials(cfg, mu_grid, settings, seed, trials, workers):
     """All trials in contiguous chunks, one per process, reduced in fixed
     trial order regardless of worker count. The pool holds at most one
-    process per CPU and per two trials: a chunk's draws share one lockstep
-    CCP run, so two draws cost a process about what one does, and a pool
-    that splits them pays its start-up for nothing."""
+    process per usable CPU and per two trials: a chunk's draws share one
+    lockstep CCP run, so two draws cost a process about what one does, and a
+    pool that splits them pays its start-up for nothing."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    processes = max(1, min(workers, os.cpu_count() or 1, trials // 2))
+    processes = max(1, min(workers, _usable_cpus(), trials // 2))
     # chunk lengths differ by at most one
     chunks = np.array_split(np.arange(trials), processes)
     tasks = [(cfg, tuple(mu_grid), settings, seed, c.tolist()) for c in chunks]

@@ -13,8 +13,10 @@ the number of problems that the benchmark's own output checks
 (``bench/checks.py``) find; any problem is also printed. A region block
 contributes its ``region.csv`` bytes; a check block its report and the
 weighted sum rate of every solve, captured as ``bench/tracing.py`` captures
-them. Run it at two commits: equal digests mean equal outputs on every
-block. The bench modules are loaded read-only.
+them. It also prints one SHA-256 over the ``convergence.csv`` bytes of the
+default scenario at the benchmark's two seeds. Run it at two commits: equal
+digests mean equal outputs on every block and both traces. The bench modules
+are loaded read-only.
 """
 
 import hashlib
@@ -40,6 +42,7 @@ checks = load("checks", workloads=workloads)
 tracing = load("tracing")
 # workloads that differ only in worker count share a family and its reference
 FAMILIES = {w.family: w for w in workloads.WORKLOADS.values()}
+CONVERGENCE_SEEDS = (workloads.DEFAULT_SEED, workloads.HELDOUT_SEED)
 
 
 def _deviation(values, reference):
@@ -73,11 +76,20 @@ def block_output(task):
     return family, block, data, problems, values, reference
 
 
+def convergence_output(seed):
+    """``convergence.csv`` bytes of the default scenario at ``seed``."""
+    scenario = cli.load_scenario(environ={}, seed=seed)
+    with tempfile.TemporaryDirectory() as out:
+        (csv_path,) = cli.run_convergence(scenario, out)
+        return Path(csv_path).read_bytes()
+
+
 def main():
     tasks = [(f, b) for f in sorted(FAMILIES) for b in range(workloads.POOL)]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(len(os.sched_getaffinity(0))) as pool:
         results = pool.map(block_output, tasks, chunksize=1)
+        traces = pool.map(convergence_output, CONVERGENCE_SEEDS)
     for family in sorted(FAMILIES):
         digest, worst, blocks, failed = hashlib.sha256(), 0.0, 0, 0
         for f, block, data, problems, values, reference in results:
@@ -90,6 +102,9 @@ def main():
                     print(f"FAILED {family} block {block}: {problem}")
         print(f"{family}  {blocks} blocks  sha256 {digest.hexdigest()}  "
               f"max rel dev {worst:.3e}  {failed} problems")
+    seeds = ", ".join(map(str, CONVERGENCE_SEEDS))
+    print(f"convergence.csv  seeds {seeds}  "
+          f"sha256 {hashlib.sha256(b''.join(traces)).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,11 +131,30 @@ def test_region_worker_count_invariant(tmp_path):
 
 def test_region_worker_count_invariant_through_a_pool(tmp_path, monkeypatch):
     # 4 trials at two workers start a real 2-process pool
-    monkeypatch.setattr("stnoma.region.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("stnoma.region._usable_cpus", lambda: 2)
     scenario = replace(SMALL, trials=4)
     a = run_region(scenario, tmp_path / "w1", workers=1)[0]
     b = run_region(scenario, tmp_path / "w2", workers=2)[0]
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_loads_neither_multiprocessing_nor_argparse():
+    # a fresh interpreter set up as the benchmark's set-up step does; the
+    # pool imports multiprocessing and main() argparse when they run
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import stnoma\n"
+        "from stnoma.cli import load_scenario\n"
+        "load_scenario(environ={})\n"
+        "print(sorted({'multiprocessing', 'argparse'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_region_at_a_150_db_budget(tmp_path):

@@ -111,7 +111,7 @@ def test_st_region_worker_invariant_through_a_pool(monkeypatch):
         return multiprocessing.Pool(processes=processes)
 
     monkeypatch.setattr(region, "Pool", spy_pool)
-    monkeypatch.setattr(region.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(region, "_usable_cpus", lambda: 2)
     grid = [0.0, 0.5, 1.0]
     a = st_noma_region(CFG, grid, trials=4, seed=9, workers=1)
     b = st_noma_region(CFG, grid, trials=4, seed=9, workers=2)
@@ -145,15 +145,34 @@ class RecordingPool:
      (8, 1, 64, []), (2, 2, 64, []), (3, 5, 64, [2])],
 )
 def test_run_trials_pool_capped(monkeypatch, workers, trials, cpus, expected):
-    # one process per worker, per CPU and per two trials; no pool for one
+    # one process per worker, per usable CPU and per two trials; no pool for one
     monkeypatch.setattr(region, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(region.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(region, "_usable_cpus", lambda: cpus)
     pairs, caps = region._run_trials(
         CFG, [0.5], SolverSettings(ccp_max_iters=1), 3, trials, workers
     )
     assert RecordingPool.sizes == expected
     assert pairs.shape == (trials, 1, 2) and caps.shape == (trials, 2)
+
+
+def test_pool_sized_by_the_affinity_set(monkeypatch):
+    # a process pinned to one of two CPUs (`taskset -c 0`) starts no pool
+    monkeypatch.setattr(region, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(region.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(region.os, "cpu_count", lambda: 2)
+    assert region._usable_cpus() == 1
+    region._run_trials(CFG, [0.5], SolverSettings(ccp_max_iters=1), 3, 4, 2)
+    assert RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_set(monkeypatch, count, expected):
+    # platforms without sched_getaffinity fall back to the CPU count
+    monkeypatch.delattr(region.os, "sched_getaffinity")
+    monkeypatch.setattr(region.os, "cpu_count", lambda: count)
+    assert region._usable_cpus() == expected
 
 
 def test_failing_trial_names_seed_and_trial(monkeypatch):
@@ -169,7 +188,7 @@ def test_failing_trial_names_seed_and_trial(monkeypatch):
 
 def test_region_csv_identical_across_uneven_chunks(tmp_path, monkeypatch):
     # 7 trials run as one chunk, as chunks of 4 + 3 and as 3 + 2 + 2
-    monkeypatch.setattr(region.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(region, "_usable_cpus", lambda: 3)
     scenario = Scenario(trials=7, mu_steps=3, seed=4)
     csvs = [
         run_region(scenario, tmp_path / f"w{workers}", workers=workers)[0].read_bytes()
@@ -196,7 +215,7 @@ def test_run_trials_in_contiguous_chunks(monkeypatch, workers, trials, chunks):
 
     monkeypatch.setattr(region, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(region.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(region, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(region, "_trial_point", recording)
     settings = SolverSettings(ccp_max_iters=2)
     pairs, caps = region._run_trials(CFG, [0.2, 0.7], settings, 3, trials, workers)
