@@ -14,9 +14,7 @@ from .power import (
     SolverSettings,
     ccp_allocate,
     ccp_allocate_draws,
-    dc_components,
     maximize_surrogate,
-    min_difference_identity,
     project_power_budget,
     rate_underestimator,
 )

@@ -24,7 +24,7 @@ import numpy as np
 from .power import SolverSettings, ccp_allocate, rate_underestimator
 from .rates import rate_user1
 from .region import RateRegionPoint, ergodic_region
-from .system import config_from_scenario, sample_channels
+from .system import Record, config_from_scenario, sample_channels
 from .transceiver import PowerAllocation
 from .triangularize import simultaneous_triangularize, verify_decomposition
 
@@ -375,12 +375,10 @@ def run_convergence(scenario, out_dir):
     return (csv_path,)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record, frozen=False):
     """Outcome of the invariant battery."""
 
-    trials: int
-    failures: list
+    __slots__ = ("trials", "failures")
 
     @property
     def ok(self):

@@ -46,13 +46,12 @@ carried too.
 import copy
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .rates import StreamGains
 from .rates import weighted_sum_rate  # noqa: F401  bench/tracing.py patches it here
-from .system import StreamDims
+from .system import Record, SystemConfig
 from .transceiver import PowerAllocation
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "CcpState",
     "CcpRecord",
     "InnerSolveResult",
-    "dc_components",
-    "min_difference_identity",
     "rate_underestimator",
     "project_power_budget",
     "maximize_surrogate",
@@ -76,14 +73,12 @@ LN2 = math.log(2.0)
 RESIDUAL_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(Record):
     """Tolerances and iteration caps of both optimization loops. The outer
     loop stops once no power moves by ``ccp_tol`` of the budget or more."""
 
-    ccp_max_iters: int = 10
-    ccp_tol: float = 1e-4
-    inner_max_iters: int = 10000
+    __slots__ = ("ccp_max_iters", "ccp_tol", "inner_max_iters")
+    _defaults = {"ccp_max_iters": 10, "ccp_tol": 1e-4, "inner_max_iters": 10000}
 
     def __post_init__(self):
         # written so that a NaN tolerance fails
@@ -95,35 +90,26 @@ class SolverSettings:
             raise ValueError("all solver settings must be positive and finite")
 
 
-@dataclass(frozen=True)
-class InnerSolveResult:
+class InnerSolveResult(Record):
     """Outcome of one surrogate maximization, or of rows of them with an
     array in each field. The residual and the gradient norm are in units of
     the power budget."""
 
-    value: float
-    iterations: int
-    converged: bool
-    residual: float
-    grad_norm: float
+    __slots__ = ("value", "iterations", "converged", "residual", "grad_norm")
+    TYPES = (float, int, bool, float, float)  # of each field, in order
 
     def at(self, index):
         """The result of one solve, out of a result of arrays."""
-        return InnerSolveResult(
-            **{f.name: f.type(getattr(self, f.name)[index]) for f in fields(self)}
-        )
+        return InnerSolveResult(*(t(a[index]) for t, a in zip(self.TYPES, self.astuple())))
 
 
-@dataclass
-class CcpState:
-    """Trajectory of the outer loop."""
+class CcpState(Record, frozen=False):
+    """Trajectory of the outer loop; ``inner_results`` holds one
+    :class:`InnerSolveResult` per outer iteration."""
 
-    q: np.ndarray
-    allocation: PowerAllocation
-    iterations: int
-    objective_trace: np.ndarray
-    converged: bool
-    inner_results: tuple = field(default=())
+    __slots__ = ("q", "allocation", "iterations", "objective_trace", "converged",
+                 "inner_results")
+    _defaults = {"inner_results": ()}
 
     def __post_init__(self):
         q = np.asarray(self.q)
@@ -134,8 +120,7 @@ class CcpState:
             raise ValueError("trace length must equal the iteration count")
 
 
-@dataclass(frozen=True)
-class CcpRecord:
+class CcpRecord(Record):
     """Every row of one lockstep CCP run (:func:`ccp_allocate_draws`), as
     arrays whose leading axes are (draws, weights).
 
@@ -146,14 +131,7 @@ class CcpRecord:
     with zeros to ``ccp_max_iters`` past ``iterations``.
     """
 
-    dims: StreamDims
-    p1: np.ndarray
-    p2: np.ndarray
-    rates: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    trace: np.ndarray
-    inner: InnerSolveResult
+    __slots__ = ("dims", "p1", "p2", "rates", "iterations", "converged", "trace", "inner")
 
     def allocation(self, d, i):
         """The final :class:`PowerAllocation` of weight ``i`` on draw ``d``."""
@@ -173,33 +151,6 @@ class CcpRecord:
         )
 
 
-def _check_shared(dims, l):
-    if not 0 <= l < dims.shared:
-        raise ValueError(f"stream {l} is not shared")
-
-
-def dc_components(alloc, dec, cfg, l):
-    """The four concave pieces of user 1's shared-stream rate ``l``.
-
-    Returns ``(c11, c12, c21, c22)`` with the rate at user 1 equal to
-    ``c11 - c12`` and the rate at user 2 equal to ``c21 - c22``: the log2 of
-    :meth:`StreamGains.shared_args` at stream ``l``.
-    """
-    _check_shared(dec.dims, l)
-    m = dec.dims.shared
-    args = StreamGains(dec, cfg).shared_args(alloc.p1[:m], alloc.p2[:m])
-    return tuple(math.log2(arg[l]) for arg in args)
-
-
-def min_difference_identity(a, b, c, d):
-    """Both evaluations of ``min(a-b, c-d) == min(a+d, c+b) - (b+d)``.
-
-    Returns the left- and right-hand side; they agree for all real inputs
-    and the identity is what moves the concave pieces into a DC form.
-    """
-    return min(a - b, c - d), min(a + d, c + b) - (b + d)
-
-
 def rate_underestimator(alloc, anchor, dec, cfg, l):
     """Concave lower bound on user 1's shared-stream rate ``l``.
 
@@ -216,7 +167,8 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     anchor : (shared,) array_like
         Nonnegative anchor powers for user 2's shared streams.
     """
-    _check_shared(dec.dims, l)
+    if not 0 <= l < dec.dims.shared:
+        raise ValueError(f"stream {l} is not shared")
     problem = _SurrogateProblem(dec, cfg, 1.0, anchor)
     return float(problem.bounds(problem.pack(alloc))[l])
 
@@ -701,7 +653,8 @@ def _per_budget(cfg):
     """``cfg`` with powers in units of its budget: a budget of 1 and the
     noise divided by the budget. Every rate is unchanged, and at a 1 W
     budget this is ``cfg`` to the bit."""
-    return replace(cfg, power_budget=1.0, noise_power=cfg.noise_power / cfg.power_budget)
+    return SystemConfig(cfg.n_bs, cfg.m1, cfg.m2, cfg.pathloss1, cfg.pathloss2, 1.0,
+                        cfg.noise_power / cfg.power_budget)
 
 
 def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
@@ -768,7 +721,7 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
     converged = np.zeros(rows, dtype=bool)
     rates = np.zeros((rows, 2))
     trace = np.zeros(padded)
-    inner = InnerSolveResult(*(np.zeros(padded, f.type) for f in fields(InnerSolveResult)))
+    inner = InnerSolveResult(*(np.zeros(padded, t) for t in InnerSolveResult.TYPES))
     p1 = p2 = np.zeros((rows, dims.total))
     if decs:
         problem = _SurrogateProblem.over_draws(
@@ -783,8 +736,8 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
         for it in range(1, settings.ccp_max_iters + 1):
             prev = z[act]
             new, result = _maximize(problem, project_power_budget(prev, 1.0), settings)
-            for f in fields(InnerSolveResult):
-                getattr(inner, f.name)[act, it - 1] = getattr(result, f.name)
+            for a, value in zip(inner.astuple(), result.astuple()):
+                a[act, it - 1] = value
             br = problem.breakdown(*problem.powers(new))
             r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)
             rates[act, 0], rates[act, 1] = r1, r2
@@ -822,7 +775,7 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
     return CcpRecord(
         dims,
         *by_draw(p1 * budget, p2 * budget, rates, iterations, converged, trace),
-        InnerSolveResult(*by_draw(*(getattr(inner, f.name) for f in fields(inner)))),
+        InnerSolveResult(*by_draw(*inner.astuple())),
     )
 
 

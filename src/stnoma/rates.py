@@ -9,9 +9,9 @@ for SIC), so its rate is the instantaneous minimum of the two decoding
 points. User 2's shared streams see no interference after SIC.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .system import Record
 
 __all__ = [
     "StreamGains",
@@ -106,14 +106,10 @@ class StreamGains:
         return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(Record):
     """Per-stream rates plus the shared-stream intermediates of user 1."""
 
-    r1: np.ndarray
-    r2: np.ndarray
-    r1_at_user1: np.ndarray
-    r1_at_user2: np.ndarray
+    __slots__ = ("r1", "r2", "r1_at_user1", "r1_at_user2")
 
     @property
     def total1(self):

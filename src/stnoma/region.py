@@ -8,7 +8,6 @@ count, and byte-reproducible for a fixed seed.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .power import SolverSettings, ccp_allocate_draws
 from .power import ccp_allocate  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user1  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user2  # noqa: F401  bench/tracing.py patches it here
-from .system import sample_channels
+from .system import Record, sample_channels
 from .transceiver import PowerAllocation
 from .triangularize import simultaneous_triangularize
 
@@ -32,15 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RateRegionPoint:
-    """One (R1, R2) point with its provenance."""
+class RateRegionPoint(Record):
+    """One (R1, R2) point with its provenance; ``param`` (mu or tau) is
+    ``None`` for a corner or a hybrid vertex."""
 
-    r1: float
-    r2: float
-    scheme: str
-    param: float | None
-    trials: int
+    __slots__ = ("r1", "r2", "scheme", "param", "trials")
 
     def __post_init__(self):
         # written so that NaN fails
@@ -70,7 +65,8 @@ def p2p_capacity(h, pathloss, power_budget, noise_power):
         if level > inv[k - 1]:
             active = k
             break
-    return float(np.sum(np.log2(level * gains[:active])))
+    # at a vanishing SNR the sum of logs of ratios near 1 can round below 0
+    return max(0.0, float(np.sum(np.log2(level * gains[:active]))))
 
 
 def oma_region(ch, cfg, tau_grid):

@@ -4,11 +4,10 @@ The downlink has one base station with ``n_bs`` antennas and two users with
 ``m1`` and ``m2`` antennas. User 1 is the far user (larger path loss). Stream
 ownership splits the symbol vector into shared (NOMA) streams received by
 both users and private streams sent through the other user's channel null
-space.
+space. :class:`Record` is the base of the package's plain record classes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +29,68 @@ PRIVATE1 = "private1"
 PRIVATE2 = "private2"
 
 
+def _refuse(self, *args):
+    raise AttributeError(f"cannot assign to a field of {type(self).__qualname__}")
+
+
+class Record:
+    """Base of the package's plain record classes: a dataclass costs about a
+    millisecond to create at import, a class of this kind next to nothing.
+
+    A subclass names its fields in ``__slots__``, in positional order, any
+    defaults in ``_defaults``, and validates in ``__post_init__``. It gets
+    a dataclass's constructor, ``repr``, value ``==`` and pickling (through
+    the constructor, which validates again). It is frozen and hashed by
+    value, or, declared with ``frozen=False``, mutable and unhashable.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, frozen=True):
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def astuple(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.astuple() == other.astuple()
+
+    def __hash__(self):
+        return hash(self.astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self.astuple()
+
+
 def dbm_to_watts(dbm):
     """Convert a power level in dBm to watts."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """Static system parameters.
 
     ``pathloss1 > pathloss2`` is required: user 1 is the far user and
@@ -44,13 +98,8 @@ class SystemConfig:
     path loss and power must be finite and positive.
     """
 
-    n_bs: int
-    m1: int
-    m2: int
-    pathloss1: float
-    pathloss2: float
-    power_budget: float
-    noise_power: float
+    __slots__ = ("n_bs", "m1", "m2", "pathloss1", "pathloss2", "power_budget",
+                 "noise_power")
 
     def __post_init__(self):
         if min(self.n_bs, self.m1, self.m2) < 1:
@@ -73,8 +122,7 @@ class SystemConfig:
         return derive_dims(self.n_bs, self.m1, self.m2)
 
 
-@dataclass(frozen=True)
-class StreamDims:
+class StreamDims(Record):
     """Derived stream counts and the per-stream ownership map.
 
     ``total`` is the symbol vector length L = min(m1 + m2, n_bs). The first
@@ -82,10 +130,7 @@ class StreamDims:
     to user 1, the last ``private2`` streams only to user 2.
     """
 
-    total: int
-    shared: int
-    private1: int
-    private2: int
+    __slots__ = ("total", "shared", "private1", "private2")
 
     def __post_init__(self):
         if self.shared + self.private1 + self.private2 != self.total:
@@ -122,12 +167,10 @@ class StreamDims:
         return range(self.shared + self.private1, self.total)
 
 
-@dataclass(frozen=True)
-class ChannelPair:
+class ChannelPair(Record):
     """Small-scale fading matrices of both users, shape (m_k, n_bs)."""
 
-    h1: np.ndarray
-    h2: np.ndarray
+    __slots__ = ("h1", "h2")
 
     def __post_init__(self):
         for name, h in (("h1", self.h1), ("h2", self.h2)):

@@ -7,11 +7,9 @@ there is no constellation demapping. User 1 never needs estimates of user 2's
 symbols, i.e. only user 2 performs SIC.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .system import PRIVATE1, PRIVATE2, StreamDims
+from .system import PRIVATE1, PRIVATE2, Record, StreamDims
 
 __all__ = [
     "PowerAllocation",
@@ -24,16 +22,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class PowerAllocation:
+class PowerAllocation(Record, frozen=False):
     """Per-stream transmit powers (watts) of both users, length L each.
 
     The support pattern is fixed by stream ownership: user 2 gets zero power
     on user 1's private streams and vice versa.
     """
 
-    p1: np.ndarray
-    p2: np.ndarray
+    __slots__ = ("p1", "p2")
 
     def __post_init__(self):
         self.p1 = np.asarray(self.p1, dtype=float)
@@ -94,12 +90,10 @@ class PowerAllocation:
         ]
 
 
-@dataclass(frozen=True)
-class CancelledSignals:
+class CancelledSignals(Record):
     """Per-stream scalars left after self-interference cancellation."""
 
-    user: int
-    values: np.ndarray
+    __slots__ = ("user", "values")
 
 
 def build_symbol_vector(s1, s2, alloc):

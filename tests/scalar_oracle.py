@@ -1,13 +1,17 @@
 """Scalar per-stream rate formulas, one stream at a time.
 
 Written independently of the library's vectorized ``StreamGains``: the rate
-and power tests compare ``rate_breakdown``, ``dc_components`` and
-``rate_underestimator`` against these loops.
+and power tests compare ``rate_breakdown``, ``rate_underestimator`` and the
+DC split read off ``StreamGains.shared_args`` (:func:`gains_dc_components`)
+against these loops. The DC split and the min-of-differences identity live
+here because only the tests use them.
 """
 
 import math
 
 import numpy as np
+
+from stnoma.rates import StreamGains
 
 # (n_bs, m1, m2) compared against the oracle: the reference shape, two and
 # four shared streams, no shared stream, no private stream.
@@ -88,3 +92,23 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     shift = float(c1row @ delta) / (math.log(2.0) * arg12_q)
     shift += w2 * (alloc.p2[l] - anchor[l]) / (math.log(2.0) * arg22_q)
     return min(c11 + c22, c21 + c12) - anchored - shift
+
+
+def gains_dc_components(alloc, dec, cfg, l):
+    """The four concave pieces of user 1's shared-stream rate ``l``, read
+    off the library's gains: the log2 of :meth:`StreamGains.shared_args` at
+    stream ``l``, ordered as :func:`dc_components` orders them."""
+    m = dec.dims.shared
+    if not 0 <= l < m:
+        raise ValueError(f"stream {l} is not shared")
+    args = StreamGains(dec, cfg).shared_args(alloc.p1[:m], alloc.p2[:m])
+    return tuple(math.log2(arg[l]) for arg in args)
+
+
+def min_difference_identity(a, b, c, d):
+    """Both evaluations of ``min(a-b, c-d) == min(a+d, c+b) - (b+d)``.
+
+    Returns the left- and right-hand side; they agree for all real inputs
+    and the identity is what moves the concave pieces into a DC form.
+    """
+    return min(a - b, c - d), min(a + d, c + b) - (b + d)

@@ -1,0 +1,94 @@
+"""Start-up cost of the package, as the benchmark's ``setup_s`` measures it.
+
+Usage, from the repository root::
+
+    python tests/startup_probe.py [--runs 21] [--src path/to/src]
+
+Starts ``--runs`` fresh interpreters, one after another. Each imports numpy
+and then runs the benchmark's own set-up step (``SETUP_CODE`` of
+``bench/measure.py``: ``import stnoma`` and ``load_scenario`` with the
+``region_ref`` scenario) on the package under ``--src`` (default: this
+checkout's ``src``). It prints the median milliseconds of that step after
+numpy, and of the part spent creating dataclasses (timed around
+``dataclasses._process_class``), with the dataclasses created. Pass another
+checkout's ``src`` to compare two commits on the same host. Where bytecode
+is not written (``PYTHONDONTWRITEBYTECODE=1``) and ``--src`` holds no fresh
+``__pycache__``, every start-up also compiles the sources, as the
+benchmark's does. The bench modules are loaded read-only.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
+
+import stnoma.cli  # noqa: E402,F401  loaded first, as the bench modules import it
+from bench_modules import load  # noqa: E402
+
+workloads = load("workloads")
+checks = load("checks", workloads=workloads)
+tracing = load("tracing")
+measure = load("measure", checks=checks, tracing=tracing, workloads=workloads)
+
+# Runs before the set-up step: numpy loads untimed, as in the benchmark's
+# baseline probe, and every dataclass creation is timed.
+PRELUDE = """\
+import sys, time
+import numpy
+start = time.perf_counter()
+import dataclasses
+made, spent = [], [0.0]
+process_class = dataclasses._process_class
+def timed(cls, *args):
+    t = time.perf_counter()
+    try:
+        return process_class(cls, *args)
+    finally:
+        spent[0] += time.perf_counter() - t
+        made.append(f"{cls.__module__}.{cls.__qualname__}")
+dataclasses._process_class = timed
+"""
+POSTLUDE = """
+elapsed = time.perf_counter() - start
+import json
+print(json.dumps([1e3 * elapsed, 1e3 * spent[0], made]))
+"""
+
+
+def start_up(code, src):
+    """``(ms after numpy, ms creating dataclasses, dataclasses made)`` of one
+    fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        cwd=Path(src).parent, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    if out[0] != "ready":
+        raise RuntimeError(f"set-up interpreter printed {out[0]!r}")
+    return json.loads(out[1])
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--runs", type=int, default=21)
+    p.add_argument("--src", type=Path, default=TESTS.parent / "src")
+    args = p.parse_args(argv)
+    if args.runs < 1:
+        p.error("--runs must be >= 1")
+    workload = workloads.WORKLOADS["region_ref"]
+    setup = measure.SETUP_CODE.format(args=workload.scenario_args(0))
+    runs = [start_up(PRELUDE + setup + POSTLUDE, args.src.resolve()) for _ in range(args.runs)]
+    total = statistics.median(ms for ms, _, _ in runs)
+    creating = statistics.median(ms for _, ms, _ in runs)
+    made = runs[0][2]
+    print(f"{args.src}: {args.runs} start-ups, median {total:.1f} ms for import stnoma "
+          f"+ load_scenario after numpy, {creating:.1f} ms of it creating "
+          f"{len(made)} dataclasses: {', '.join(made)}")
+
+
+if __name__ == "__main__":
+    main()

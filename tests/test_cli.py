@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -147,14 +148,28 @@ def test_import_loads_neither_multiprocessing_nor_argparse():
         "import stnoma\n"
         "from stnoma.cli import load_scenario\n"
         "load_scenario(environ={})\n"
-        "print(sorted({'multiprocessing', 'argparse'} & set(sys.modules)))\n"
+        "import dataclasses, json\n"
+        "loaded = sorted({'multiprocessing', 'argparse'} & set(sys.modules))\n"
+        "modules = sorted(n for n in sys.modules if n.startswith('stnoma.'))\n"
+        "made = sorted(f'{n}.{k}' for n in modules\n"
+        "              for k, v in vars(sys.modules[n]).items()\n"
+        "              if dataclasses.is_dataclass(v) and isinstance(v, type)\n"
+        "              and v.__module__ == n)\n"
+        "print(json.dumps([loaded, modules, made]))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", code, str(src)],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "[]\n"
+    loaded, modules, made = json.loads(out)
+    assert loaded == []
+    # every module loads; the other records are plain classes (stnoma.system.Record)
+    assert modules == [f"stnoma.{name}" for name in (
+        "cli", "linalg", "power", "rates", "region", "system", "transceiver",
+        "triangularize")]
+    assert made == ["stnoma.cli.Scenario", "stnoma.triangularize.ResidualReport",
+                    "stnoma.triangularize.StDecomposition"]
 
 
 def test_region_at_a_150_db_budget(tmp_path):
@@ -191,6 +206,20 @@ def test_main_workers_below_one_exit_2(tmp_path, workers):
                "--mu-steps", "3", "--workers", workers])
     assert rc == 2
     assert not (tmp_path / "region.csv").exists()
+
+
+@pytest.mark.parametrize("pt_dbm", ["-180", "-400"])
+def test_region_at_a_vanishing_budget(tmp_path, monkeypatch, pt_dbm):
+    # the p2p capacity of trial 1 rounded to -1.6e-16 at -180 dBm, and the
+    # run died with a traceback after the whole sweep
+    monkeypatch.setenv("STNOMA_PT_DBM", pt_dbm)
+    rc = main(["region", "--out", str(tmp_path), "--trials", "2", "--mu-steps", "3"])
+    assert rc == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "region.csv").read_text(encoding="utf-8").splitlines()]
+    cols = [rows[0].index(name) for name in ("R1", "R2")]
+    rates = np.array([[float(row[i]) for i in cols] for row in rows[1:]])
+    assert np.isfinite(rates).all() and (rates >= 0.0).all()
 
 
 def test_convergence_outputs(tmp_path):

@@ -76,6 +76,34 @@ def test_p2p_rejects_a_nan_or_negative_budget(budget):
         p2p_capacity(np.eye(2, dtype=complex), 1.0, budget, 1.0)
 
 
+@pytest.mark.parametrize("pt_dbm", [-180.0, -400.0])
+def test_p2p_capacity_is_not_negative_at_a_vanishing_snr(pt_dbm):
+    # water-filling over gains far below 1 summed log2 of ratios near 1 to
+    # -1.6e-16 at -180 dBm, and the OMA point built from it was rejected
+    cfg = Scenario(pt_dbm=pt_dbm).config()
+    ch = sample_channels(np.random.default_rng(np.random.SeedSequence([0, 1])), 5, 3, 3)
+    for h, pathloss in ((ch.h1, cfg.pathloss1), (ch.h2, cfg.pathloss2)):
+        assert p2p_capacity(h, pathloss, cfg.power_budget, cfg.noise_power) >= 0.0
+
+
+@pytest.mark.parametrize("pt_dbm", [
+    30.0,
+    pytest.param(60.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "the inner solver's stop res <= rtol * (1 + ||g||) passes the zero "
+        "start once ||g|| > ~1/rtol, so ST-NOMA rates collapse to 0 at high "
+        "budgets"
+    ))),
+])
+def test_st_noma_beats_oma_at_equal_weights(pt_dbm):
+    # at the reference physics ST-NOMA's mu = 0.5 weighted sum rate is well
+    # above OMA's at tau = 0.5 (17.7 against 12.2 bits at 30 dBm); a solver
+    # that stops at its zero start falls below it
+    cfg = Scenario(pt_dbm=pt_dbm).config()
+    points = ergodic_region(cfg, [0.5], [0.5], trials=2, seed=0)
+    st, oma = points["st_noma"][0], points["oma"][0]
+    assert st.r1 + st.r2 >= oma.r1 + oma.r2
+
+
 def test_oma_corners_and_midpoint():
     rng = np.random.default_rng(1)
     ch = sample_channels(rng, 5, 3, 3)
