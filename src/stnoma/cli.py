@@ -402,11 +402,11 @@ def self_check(scenario, corrupt=None):
     """Invariant battery over ``scenario.trials`` random channels.
 
     Checks decomposition residuals, the surrogate underestimator property,
-    and feasibility of the optimized allocation. A decomposition with a
-    non-finite entry fails by name, and the trial's other checks, which
-    cannot run on it, are skipped. The ``corrupt`` hook, if given, mangles
-    each decomposition before checking and exists for testing the detector
-    itself.
+    and feasibility of the optimized allocation. A non-generic draw, which
+    has no decomposition, and a decomposition with a non-finite entry fail
+    by name, and the trial's other checks, which cannot run on them, are
+    skipped. The ``corrupt`` hook, if given, mangles each decomposition
+    before checking and exists for testing the detector itself.
     """
     cfg = scenario.config()
     settings = scenario.solver_settings()
@@ -418,11 +418,16 @@ def self_check(scenario, corrupt=None):
             np.random.SeedSequence([scenario.seed, trial])
         )
         ch = sample_channels(trial_rng, cfg.n_bs, cfg.m1, cfg.m2)
-        dec = simultaneous_triangularize(ch)
-        if corrupt is not None:
-            dec = corrupt(dec)
+        # drawn before any skip, so that later trials keep their draws
         alloc = _random_feasible_allocation(rng, dims, cfg.power_budget)
         anchor = rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared)
+        try:
+            dec = simultaneous_triangularize(ch)
+        except ValueError as exc:  # a non-generic draw
+            failures.append(f"trial {trial}: decomposition: {exc}")
+            continue
+        if corrupt is not None:
+            dec = corrupt(dec)
         nonfinite = dec.non_finite_factors()
         if nonfinite:
             # no residual, rate or solve is defined on it

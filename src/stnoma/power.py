@@ -40,7 +40,8 @@ its full line-search step. A row carries the evaluation of the line-search
 trial or polish step it accepted into its next iteration, so rows that took
 different step sizes are not evaluated again; when every row that goes on
 was polished or took the full step, the polish's gradient and residual are
-carried too.
+carried too. A stage whose rows all stop in one iteration, as every stage of
+a one-row run does, returns its working arrays without scattering them.
 """
 
 import copy
@@ -67,6 +68,11 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+
+# The scalars of a solver step's array arithmetic, as 0-d arrays: numpy
+# converts a Python float operand on every call, which on these short rows
+# costs about half as much again as the operation. The bits are the same.
+_ZERO, _ONE, _LN2 = np.array(0.0), np.array(1.0), np.array(LN2)
 
 # Projected-gradient residual certificate: ||z - proj(z + g)|| must not
 # exceed RESIDUAL_RTOL * (1 + ||g||) at return.
@@ -200,20 +206,19 @@ def _project(v, weights, budget):
     if v.ndim == 1:
         rows = None if weights is None else weights[None]
         return _project(v[None], rows, budget)[0]
-    x = np.maximum(v, 0.0)
+    x = np.maximum(v, _ZERO)
     inside = np.add.reduce(x, axis=1) <= budget
     n_inside = np.count_nonzero(inside)
     if n_inside == len(v):
         return x
     starts, counts = _grid(*v.shape)
-    breakpoints = v if weights is None else v * weights
-    # flat indices of each row's breakpoints in decreasing order
-    order = np.argsort(breakpoints, axis=1)[:, ::-1] + starts[:, None]
+    # flat indices of each row's breakpoints (v * weights) in decreasing order
+    order = (v if weights is None else v * weights).argsort(axis=1)[:, ::-1] + starts[:, None]
     theta = v.take(order).cumsum(axis=1) - budget
     # unit weights sum to the exact counts
     theta /= counts if weights is None else (1.0 / weights.take(order)).cumsum(axis=1)
     theta = np.maximum.reduce(theta, axis=1, keepdims=True)
-    proj = np.maximum(v - (theta if weights is None else theta / weights), 0.0)
+    proj = np.maximum(v - (theta if weights is None else theta / weights), _ZERO)
     return np.where(inside[:, None], x, proj) if n_inside else proj
 
 
@@ -278,10 +283,17 @@ class _SurrogateProblem(StreamGains):
 
     @functools.cached_property
     def gain_powers(self):
-        """The gains in the k-th derivatives (k = 1, 2) raised to the k-th
-        power, computed once per link."""
-        gains = tuple(getattr(self, name) for name in self.GAINS)
+        """The gains of the shared-stream terms of the k-th derivatives
+        (k = 1, 2), ``(c1, c1_diag, w2)`` raised to the k-th power, computed
+        once per link."""
+        gains = self.c1, self.c1_diag, self.w2
         return {1: gains, 2: tuple(gain**2 for gain in gains)}
+
+    @functools.cached_property
+    def free_terms(self):
+        """The numerators ``free_mu * free**k`` of the interference-free
+        terms of the k-th derivatives (k = 1, 2), formed once per row set."""
+        return {1: self.free_mu * self.free, 2: self.free_mu * self.free**2}
 
     def _anchor_rows(self, anchor):
         m = self.m
@@ -307,9 +319,11 @@ class _SurrogateProblem(StreamGains):
         self.offset = np.add.reduce(self.anchored, axis=-1) - np.vecdot(self.slope, self.anchor)
 
     def __copy__(self):
-        # the attributes alone; copy.copy's generic reduce path costs more
+        # the attributes alone; copy.copy's generic reduce path costs more.
+        # The copy forms its own free_terms, as take changes the rows.
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
+        new.__dict__.pop("free_terms", None)
         return new
 
     def reanchored(self, anchor):
@@ -328,16 +342,13 @@ class _SurrogateProblem(StreamGains):
         for name in self._ROW_FIELDS:
             setattr(new, name, getattr(self, name).take(rows, axis=0))
         if self.c1.ndim > 2:
+            new.free = self.free.take(rows, axis=0)
             new.gain_powers = {}
-            for k, (c1, _, w2, free) in self.gain_powers.items():
+            for k, (c1, _, w2) in self.gain_powers.items():
                 c1 = c1.take(rows, axis=0)
                 # the diagonal of the taken c1 (of c1**2) is the taken c1_diag
-                new.gain_powers[k] = (
-                    c1, np.diagonal(c1, 0, -2, -1), w2.take(rows, axis=0),
-                    free.take(rows, axis=0),
-                )
-            for name, gain in zip(self.GAINS, new.gain_powers[1]):
-                setattr(new, name, gain)
+                new.gain_powers[k] = c1, c1.diagonal(0, -2, -1), w2.take(rows, axis=0)
+            new.c1, new.c1_diag, new.w2 = new.gain_powers[1]
         return new
 
     def powers(self, z):
@@ -370,7 +381,7 @@ class _SurrogateProblem(StreamGains):
         interference-free streams, whose powers are ``z[..., m:]``."""
         m, n_p1 = self.m, self.n_p1
         args = self.shared_args(z[..., :m], z[..., n_p1 : n_p1 + m])
-        return np.concatenate([*args, 1.0 + z[..., m:] * self.free], axis=-1)
+        return np.concatenate([*args, _ONE + z[..., m:] * self.free], axis=-1)
 
     def branches(self, z):
         """The two concave min branches per shared stream."""
@@ -458,17 +469,17 @@ class _SurrogateProblem(StreamGains):
         ``weight * gain**k / (ln 2 * arg**k)`` (``weight`` alone for the
         cross terms, whose gains ``c1`` enter through the matrix product);
         the linearized remainder adds ``-slope`` at k = 1 only."""
-        c1, c1_diag, w2, free = self.gain_powers[k]
+        c1, c1_diag, w2 = self.gain_powers[k]
         # the identity at k = 1 keeps the gradient free of x**1 copies
-        den = LN2 * (point if k == 1 else point**k)
+        den = _LN2 * (point if k == 1 else point**k)
         m, n_p1 = self.m, self.n_p1
         den11, den12 = den[..., :m], den[..., m : 2 * m]
         den21, den22 = den[..., 2 * m : 3 * m], den[..., 3 * m : 4 * m]
         out = np.empty(den.shape[:-1] + (self.size,))
-        out[..., m:] = self.free_mu * free / den[..., 4 * m :]
+        out[..., m:] = self.free_terms[k] / den[..., 4 * m :]
         if m:
             mu = self.mu[..., None]
-            rest = 1.0 - lam
+            rest = _ONE - lam
             # user 2's decoding point of stream l, in both p1s and p2s
             at2 = rest * w2 / den21
             # d/dp1s: branch 1 through arg11, branch 2 through arg21.
@@ -491,7 +502,7 @@ class _SurrogateProblem(StreamGains):
 def _residual(z, g):
     """Norm of the projected-gradient step ``z - proj(z + g)`` onto the unit
     budget, per row."""
-    return _norm(z - _project(z + g, None, 1.0))
+    return _norm(z - _project(z + g, None, _ONE))
 
 
 def _carry(into, evaluation, rows):
@@ -522,19 +533,28 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     other row goes on exactly as it would alone. Updates ``z`` in place and
     returns per row the iterations used and the objective, residual and
     gradient norm of its last evaluation, which is at its returned point.
+    When every row stops in the same iteration and none before, as in every
+    stage of a one-row run, those are the working arrays themselves; only a
+    stage whose rows stop apart scatters each drop into its results.
     """
     armijo_c = 1e-4
-    used = np.zeros(len(z), dtype=int)
-    last = np.empty((3, len(z)))  # objective, residual, gradient norm
-    act = np.arange(len(z))
-    sub, za, caps = problem, z.copy(), iter_budget
+    # the stage's scalars as 0-d arrays, as _ONE: the two tolerances, the
+    # curvature guards and the line search's allowance for evaluation noise
+    rtol, gd_rtol = np.array(rtol), np.array(gd_rtol)
+    h_div, h_min, noise_rtol = np.array(200.0), np.array(1e-300), np.array(1e-13)
+    # Allocated at the first stop that leaves rows running: the original
+    # index of each running row, and per row the iterations used and the
+    # objective, residual and gradient norm.
+    act = used = last = None
+    # za is only ever rebound, never written, so it starts as z itself
+    sub, za, caps = problem, z, iter_budget
     # The evaluation at za when the previous iteration computed it there,
     # carried row by row from the line-search trial or the polish that moved
     # each row; and the polish's (branch weights, g, residual) when every row
     # that goes on sits where the polish evaluated it.
     ev = derived = None
     it = 0
-    while act.size:
+    while True:
         it += 1
         f, b1, b2, point = ev or sub.evaluate(za, tau)
         if derived:
@@ -545,22 +565,22 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
             res = _residual(za, g)
         ev = derived = None
         gnorm = _norm(g)
-        stop = (res <= rtol * (1.0 + gnorm)) | (it > caps)
-        if np.count_nonzero(stop) < act.size:
+        stop = (res <= rtol * (_ONE + gnorm)) | (it > caps)
+        if np.count_nonzero(stop) < len(stop):
             # Guard tiny curvatures so the Newton target stays finite and a
             # zero-gradient coordinate never moves.
             h = sub._derivative(2, lam, point)
-            h = np.maximum(h, np.abs(g) / 200.0)  # 100 * (budget + 1)
-            h = np.maximum(h, 1e-300)
-            target = _project(za + g / h, h, 1.0)
+            h = np.maximum(h, np.abs(g) / h_div)  # 100 * (budget + 1)
+            h = np.maximum(h, h_min)
+            target = _project(za + g / h, h, _ONE)
             start, d = za, target - za
             gd = np.vecdot(g, d)
-            scale = 1.0 + np.abs(f)
+            scale = _ONE + np.abs(f)
             flat = ~stop & (gd <= gd_rtol * scale)
             # The objective is a short sum of logs, so its evaluation noise
             # sits around 1e-14 relative; without this allowance the line
             # search rejects genuine late-stage Newton steps.
-            noise = 1e-13 * scale
+            noise = noise_rtol * scale
             pending = ~(stop | flat)
             # One evaluation serves the polish and the full step t = 1:
             # objective-flat rows sit at the target, the others at start + d
@@ -602,22 +622,32 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
                 trial = sub.evaluate(zt, tau)
                 ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
                 pending ^= ok
-        if np.count_nonzero(stop):
-            # a stopped row did not move: za, f, res and gnorm are one point
-            done = act[stop]
-            used[done] = np.minimum(it, caps[stop])
-            for out, value in zip((z, *last), (za, f, res, gnorm)):
-                out[done] = value[stop]
-            if stop.all():
-                break
-            keep = np.flatnonzero(~stop)
-            act, za, caps = act[keep], za[keep], caps[keep]
-            sub = sub.take(keep)
-            # every row that goes on moved, so ev holds its evaluation, and
-            # derived, when set, its derivation
-            ev = ev and tuple(a[keep] for a in ev)
-            derived = derived and tuple(a[keep] for a in derived)
-    return used, *last
+        # a stopped row did not move: za, f, res and gnorm are one point
+        n_stop = np.count_nonzero(stop)
+        if act is None and n_stop == len(stop):
+            # every row stops in this iteration and none before (or there
+            # are no rows): the working arrays are the result
+            z[...] = za
+            return np.minimum(it, caps), f, res, gnorm
+        if not n_stop:
+            continue
+        if act is None:
+            act = np.arange(len(z))
+            used = np.zeros(len(z), dtype=int)
+            last = np.empty((3, len(z)))
+        done = act[stop]
+        used[done] = np.minimum(it, caps[stop])
+        for out, value in zip((z, *last), (za, f, res, gnorm)):
+            out[done] = value[stop]
+        if n_stop == len(stop):
+            return used, *last
+        keep = (~stop).nonzero()[0]
+        act, za, caps = act[keep], za[keep], caps[keep]
+        sub = sub.take(keep)
+        # every row that goes on moved, so ev holds its evaluation, and
+        # derived, when set, its derivation
+        ev = ev and tuple(a[keep] for a in ev)
+        derived = derived and tuple(a[keep] for a in derived)
 
 
 # Softmin smoothing levels; the solver walks them in order and finishes on
@@ -748,7 +778,7 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
             if it == 1:
                 done[:] = False
             converged[act[done]] = True
-            keep = np.flatnonzero(~done)
+            keep = (~done).nonzero()[0]
             act = act[keep]
             if not act.size or it == settings.ccp_max_iters:
                 break

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stnoma import cli
 from stnoma.cli import (
     DEFAULT_CONVERGENCE_CONFIGS,
     Scenario,
@@ -268,6 +269,45 @@ def test_self_check_fails_a_non_finite_decomposition(name, value):
     assert not report.ok
     assert report.failures[0].startswith("trial 0: decomposition")
     assert name in report.failures[0]
+
+
+def test_self_check_names_a_non_generic_draw_by_its_trial(monkeypatch, capsys):
+    # a rank-deficient h1 has no decomposition; check names its trial and
+    # skips that trial's other checks, and the later trials keep their draws
+    calls = []
+    bound = cli.rate_underestimator
+
+    def logged(alloc, anchor, dec, cfg, l):
+        calls.append((alloc.p1.tobytes(), alloc.p2.tobytes(), anchor.tobytes()))
+        return bound(alloc, anchor, dec, cfg, l)
+
+    monkeypatch.setattr(cli, "rate_underestimator", logged)
+    assert self_check(SMALL).ok
+    clean = calls[:]
+    calls.clear()
+    sample = cli.sample_channels
+    drawn = []
+
+    def rank_deficient_at_trial_1(rng, n_bs, m1, m2):
+        ch = sample(rng, n_bs, m1, m2)
+        drawn.append(ch)
+        if len(drawn) == 2:
+            h1 = ch.h1.copy()
+            h1[-1] = h1[0]
+            ch = type(ch)(h1, ch.h2)
+        return ch
+
+    monkeypatch.setattr(cli, "sample_channels", rank_deficient_at_trial_1)
+    report = self_check(SMALL)
+    assert report.failures == [
+        "trial 1: decomposition: h1 is non-generic: null-space dimension 3 != 2"
+    ]
+    shared = len(clean) // SMALL.trials
+    assert shared and len(clean) == SMALL.trials * shared
+    assert calls == clean[:shared] + clean[2 * shared :]
+    drawn.clear()
+    assert main(["check", "--trials", "3", "--seed", "2"]) == 1
+    assert "trial 1: decomposition: h1 is non-generic" in capsys.readouterr().out
 
 
 def test_main_check_exit_codes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -987,6 +988,21 @@ def test_region_trial_solver_work_pinned(
     assert (kinds.count("evaluate"), kinds.count("residual")) == (evaluations, derivations)
 
 
+def test_check_trial_solver_work_pinned():
+    # the work of check's solve of trial 0 at seed 0 with the benchmark
+    # physics: one row at mu = 0.5, capped at 10 outer iterations; a change
+    # here changes the work every check trial costs
+    scenario = Scenario(n=5, m1=3, m2=3, d1=250.0, d2=50.0, pathloss_exponent=2.0,
+                        pt_dbm=30.0, sigma2_dbm=-35.0, trials=20, seed=0)
+    cfg = scenario.config()
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    dec = simultaneous_triangularize(sample_channels(rng, 5, 3, 3))
+    _, state = ccp_allocate(dec, cfg, 0.5, settings=scenario.solver_settings())
+    assert (state.iterations, state.converged) == (10, False)
+    inner = [r.iterations for r in state.inner_results]
+    assert inner == [19, 11, 11, 11, 11, 11, 10, 10, 10, 10]
+
+
 def test_rows_carry_the_evaluations_of_different_steps(monkeypatch):
     # rows that accept different step sizes in one iteration carry each
     # accepted evaluation, copied in by mask, to the next iteration in place
@@ -1056,6 +1072,71 @@ def test_one_evaluation_serves_the_polish_and_the_full_step(monkeypatch, backtra
         assert z_alone.tobytes() == z[r : r + 1].tobytes()
         for a, b in zip(result, alone):
             assert a[r : r + 1].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cap", [2, 10000])
+def test_rows_stopping_together_return_as_beside_a_row_that_does_not(cap):
+    # Two copies of one row stop in the same iteration, so on their own the
+    # stage returns its working arrays; beside a third row they drop out
+    # into the results (at cap 2, before it; uncapped, after it). Both ways,
+    # and each row alone, give the same bits.
+    _, dec = setup_case(122)
+    anchor = np.full(dec.dims.shared, 0.2)
+    problem = _SurrogateProblem(dec, CFG335, [0.6, 0.6, 0.3], [anchor] * 3)
+    caps, tau, rtol, gd_rtol = np.array([cap, cap, 22]), 0.0, 1e-6, 1e-15
+
+    def stage(rows):
+        z = np.zeros((len(rows), problem.size))
+        return (z, *power._ascent_stage(problem.take(rows), z, tau, caps[rows], rtol, gd_rtol))
+
+    beside = stage([0, 1, 2])
+    pair = stage([0, 1])
+    used = beside[1]
+    assert used[0] == used[1] != used[2]
+    assert (used[0] == cap) == (cap == 2)
+    for a, b in zip(beside, pair):
+        assert a.dtype == b.dtype and a[:2].tobytes() == b.tobytes()
+    for r in range(3):
+        for a, b in zip(beside, stage([r])):
+            assert a.dtype == b.dtype and a[r : r + 1].tobytes() == b.tobytes()
+
+
+def test_stage_of_one_row_and_of_none():
+    # one row returns the evaluation at the point it writes into z; no rows
+    # return empty results of the same types and leave z as it is
+    _, dec = setup_case(123)
+    problem = _SurrogateProblem(dec, CFG335, [0.5], [np.full(dec.dims.shared, 0.1)])
+    z = np.zeros((1, problem.size))
+    used, f, res, gnorm = power._ascent_stage(problem, z, 0.0, np.array([10000]), 1e-6, 1e-15)
+    assert used.dtype == int and used.shape == f.shape == res.shape == gnorm.shape == (1,)
+    assert used[0] > 1 and z.any()
+    value, g = problem.value_and_grad(z)
+    assert f.tobytes() == value.tobytes()
+    assert res.tobytes() == _residual(z, g).tobytes()
+    assert gnorm[0] == np.linalg.norm(g)
+    none = problem.take(np.array([], dtype=int))
+    z = np.zeros((0, problem.size))
+    out = power._ascent_stage(none, z, 0.0, np.zeros(0, dtype=int), 1e-6, 1e-15)
+    assert [(a.dtype, a.shape) for a in out] == [(np.dtype(int), (0,))] + [
+        (np.dtype(float), (0,))
+    ] * 3
+    assert z.shape == (0, problem.size)
+
+
+@pytest.mark.parametrize("shape, digest", [
+    ((5, 3, 3), "ffbedcf63eb36f7a"),
+    ((6, 4, 4), "c511fd2f0ea3bbc7"),
+])
+def test_surrogate_maximum_pinned(shape, digest):
+    # the bits of a maximize_surrogate result: allocation, value, residual,
+    # gradient norm and iterations
+    cfg = make_cfg(*shape)
+    _, dec = setup_case(124, cfg)
+    anchor = np.linspace(0.05, 0.2, dec.dims.shared)
+    alloc, info = maximize_surrogate(anchor, dec, cfg, 0.6)
+    fields = [alloc.p1, alloc.p2, info.value, info.residual, info.grad_norm, info.iterations]
+    got = hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in fields)).hexdigest()
+    assert (got[:16], info.converged) == (digest, True)
 
 
 def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
