@@ -355,7 +355,8 @@ def run_convergence(scenario, out_dir):
 
     One seeded channel per antenna triple ``(m1, m2, n)`` of
     ``DEFAULT_CONVERGENCE_CONFIGS``; at most ``ccp_max_iters`` rows per
-    configuration.
+    configuration. A ``ValueError`` (a non-generic draw or a non-finite
+    decomposition, say) is re-raised naming the seed and the configuration.
     """
     settings = scenario.solver_settings()
     out_dir = Path(out_dir)
@@ -363,11 +364,16 @@ def run_convergence(scenario, out_dir):
     rows = []
     for index, (m1, m2, n_bs) in enumerate(DEFAULT_CONVERGENCE_CONFIGS):
         cfg = replace(scenario, n=n_bs, m1=m1, m2=m2).config()
-        rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
-        ch = sample_channels(rng, n_bs, m1, m2)
-        dec = simultaneous_triangularize(ch)
-        _, state = ccp_allocate(dec, cfg, mu=0.5, settings=settings)
         label = f"{m1}x{m2}x{n_bs}"
+        rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
+        try:
+            dec = simultaneous_triangularize(sample_channels(rng, n_bs, m1, m2))
+            nonfinite = dec.non_finite_factors()
+            if nonfinite:
+                raise ValueError(f"decomposition not finite in {', '.join(nonfinite)}")
+            _, state = ccp_allocate(dec, cfg, mu=0.5, settings=settings)
+        except ValueError as exc:
+            raise ValueError(f"seed {scenario.seed}, config {label}: {exc}") from exc
         for i, value in enumerate(state.objective_trace, start=1):
             rows.append((label, i, float(value)))
     csv_path = out_dir / "convergence.csv"

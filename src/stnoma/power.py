@@ -41,7 +41,11 @@ trial or polish step it accepted into its next iteration, so rows that took
 different step sizes are not evaluated again; when every row that goes on
 was polished or took the full step, the polish's gradient and residual are
 carried too. A stage whose rows all stop in one iteration, as every stage of
-a one-row run does, returns its working arrays without scattering them.
+a one-row run does, returns its working arrays without scattering them, and
+hands the next stage its last evaluation and derivation: that stage starts
+at the same point, so it takes only its value at its own smoothing level
+from the carried branches, and reuses the gradient and residual when its
+branch weights come out the same bit for bit.
 """
 
 import copy
@@ -420,7 +424,9 @@ class _SurrogateProblem(StreamGains):
         (``slope`` dotted with user 2's shared powers, plus ``offset``).
         ``f`` is the only output whose rounding depends on that grouping;
         the branches and the point, which set the derivatives and so the
-        iterates, keep their bits."""
+        iterates, keep their bits. Only the minima depend on ``tau``;
+        :meth:`value_from` repeats the value's lines, so keep the two in
+        step."""
         m = self.m
         point = self.point(z)
         logs = np.log2(point)
@@ -431,6 +437,19 @@ class _SurrogateProblem(StreamGains):
         under -= np.vecdot(self.slope, p2s) + self.offset
         total = np.vecdot(logs[..., 4 * m :], self.free_mu) + self.mu * under
         return total, b1, b2, point
+
+    def value_from(self, z, point, b1, b2, tau):
+        """The value :meth:`evaluate` gives at ``z`` from its point and
+        branches there, by the same operations in the same order, so with
+        the same bits; a stage that starts where the last one stopped takes
+        its value at its own ``tau`` this way. Kept out of :meth:`evaluate`,
+        which would otherwise pay a call on every evaluation."""
+        m = self.m
+        logs = np.log2(point)
+        p2s = z[..., self.n_p1 : self.n_p1 + m]
+        under = np.add.reduce(self._softmin(b1, b2, tau), axis=-1)
+        under -= np.vecdot(self.slope, p2s) + self.offset
+        return np.vecdot(logs[..., 4 * m :], self.free_mu) + self.mu * under
 
     def value(self, z, tau=0.0):
         """Surrogate objective; ``tau > 0`` smooths the minimum from below
@@ -515,7 +534,7 @@ def _carry(into, evaluation, rows):
     return into
 
 
-def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
+def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
     surrogate over the unit budget, every row of ``z`` in lockstep.
 
@@ -536,6 +555,18 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     When every row stops in the same iteration and none before, as in every
     stage of a one-row run, those are the working arrays themselves; only a
     stage whose rows stop apart scatters each drop into its results.
+
+    A caller that chains stages passes the list ``carry``, through which
+    each stage hands the next its last evaluation and derivation at the
+    returned ``z``, ``(b1, b2, point, lam, g, res)``: a stage takes what it
+    finds there, so nothing keeps those arrays alive past their use, and
+    leaves its own only when it ends through that fast exit. A stage that
+    starts from a carry takes the value at its own ``tau`` from the carried
+    point and branches (:meth:`_SurrogateProblem.value_from`) instead of
+    evaluating, and reuses the gradient and residual when its branch
+    weights equal the carried ones bit for bit (a signed zero does not
+    pass). Otherwise it derives them again for every row, which gives each
+    row the bits it would get alone.
     """
     armijo_c = 1e-4
     # the stage's scalars as 0-d arrays, as _ONE: the two tolerances, the
@@ -551,8 +582,14 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     # The evaluation at za when the previous iteration computed it there,
     # carried row by row from the line-search trial or the polish that moved
     # each row; and the polish's (branch weights, g, residual) when every row
-    # that goes on sits where the polish evaluated it.
+    # that goes on sits where the polish evaluated it. A carry from the
+    # previous stage seeds both at z.
     ev = derived = None
+    if carry:
+        b1, b2, point, lam, g, res = carry.pop()
+        ev = problem.value_from(z, point, b1, b2, tau), b1, b2, point
+        if problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes():
+            derived = lam, g, res
     it = 0
     while True:
         it += 1
@@ -628,6 +665,8 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
             # every row stops in this iteration and none before (or there
             # are no rows): the working arrays are the result
             z[...] = za
+            if carry is not None:
+                carry.append((b1, b2, point, lam, g, res))
             return np.minimum(it, caps), f, res, gnorm
         if not n_stop:
             continue
@@ -660,9 +699,11 @@ def _maximize(problem, z, settings):
     feasible rows of ``z`` (see :func:`maximize_surrogate`), in lockstep
     stage by stage. Returns the final rows and an :class:`InnerSolveResult`
     of arrays over the rows, read off the exact stage's last evaluation of
-    each row."""
+    each row. Each stage hands the next its carry (see
+    :func:`_ascent_stage`); the first starts without one."""
     z = z.copy()
     iterations = np.zeros(len(z), dtype=int)
+    carry = []
     for tau in _TAU_STAGES if problem.m else (0.0,):
         stage_budget = settings.inner_max_iters - iterations
         if tau > 0.0:
@@ -672,7 +713,7 @@ def _maximize(problem, z, settings):
         stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
         gd_rtol = max(tau * 1e-3, 1e-15)
         used, f, res, gnorm = _ascent_stage(
-            problem, z, tau, stage_budget, stage_rtol, gd_rtol
+            problem, z, tau, stage_budget, stage_rtol, gd_rtol, carry
         )
         iterations += used
     converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)

@@ -238,6 +238,39 @@ def test_convergence_outputs(tmp_path):
         assert all(b >= a - 1e-9 for a, b in zip(series, series[1:]))
 
 
+def test_convergence_names_a_non_generic_draw(monkeypatch, tmp_path):
+    # a rank-deficient h1 at the second configuration is named by the seed
+    # and the configuration, not raised bare
+    sample = cli.sample_channels
+
+    def rank_deficient_h1(rng, n_bs, m1, m2):
+        ch = sample(rng, n_bs, m1, m2)
+        if (m1, m2, n_bs) == (3, 3, 5):
+            h1 = ch.h1.copy()
+            h1[-1] = h1[0]
+            ch = type(ch)(h1, ch.h2)
+        return ch
+
+    monkeypatch.setattr(cli, "sample_channels", rank_deficient_h1)
+    with pytest.raises(ValueError, match=r"^seed 4, config 3x3x5: h1 is non-generic") as info:
+        run_convergence(replace(SMALL, seed=4), tmp_path)
+    assert str(info.value).endswith(str(info.value.__cause__))
+
+
+def test_convergence_names_a_non_finite_decomposition(monkeypatch, tmp_path):
+    triangularize = cli.simultaneous_triangularize
+
+    def nan_factor(ch):
+        dec = triangularize(ch)
+        if ch.h1.shape == (4, 6):
+            dec.r2[0, 0] = np.nan
+        return dec
+
+    monkeypatch.setattr(cli, "simultaneous_triangularize", nan_factor)
+    with pytest.raises(ValueError, match=r"^seed 4, config 4x4x6: decomposition not finite in r2$"):
+        run_convergence(replace(SMALL, seed=4), tmp_path)
+
+
 def test_self_check_clean():
     report = self_check(replace(SMALL, trials=4))
     assert report.ok

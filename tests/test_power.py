@@ -962,7 +962,7 @@ def stage_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "shape, outer, inner, evaluations, derivations",
-    [((5, 3, 3), 142, 1674, 204, 204), ((6, 4, 4), 150, 1804, 328, 233)],
+    [((5, 3, 3), 142, 1674, 201, 201), ((6, 4, 4), 150, 1804, 324, 229)],
 )
 def test_region_trial_solver_work_pinned(
     monkeypatch, shape, outer, inner, evaluations, derivations
@@ -988,19 +988,48 @@ def test_region_trial_solver_work_pinned(
     assert (kinds.count("evaluate"), kinds.count("residual")) == (evaluations, derivations)
 
 
-def test_check_trial_solver_work_pinned():
+# check's scenario with the benchmark physics; block 0 of the bench's
+# check_ref workload is its seed 0
+CHECK_SCENARIO = Scenario(n=5, m1=3, m2=3, d1=250.0, d2=50.0, pathloss_exponent=2.0,
+                          pt_dbm=30.0, sigma2_dbm=-35.0, trials=20, seed=0)
+
+
+def check_draw(trial):
+    rng = np.random.default_rng(np.random.SeedSequence([CHECK_SCENARIO.seed, trial]))
+    return simultaneous_triangularize(sample_channels(rng, 5, 3, 3))
+
+
+def test_check_trial_solver_work_pinned(monkeypatch):
     # the work of check's solve of trial 0 at seed 0 with the benchmark
     # physics: one row at mu = 0.5, capped at 10 outer iterations; a change
-    # here changes the work every check trial costs
-    scenario = Scenario(n=5, m1=3, m2=3, d1=250.0, d2=50.0, pathloss_exponent=2.0,
-                        pt_dbm=30.0, sigma2_dbm=-35.0, trials=20, seed=0)
-    cfg = scenario.config()
-    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    dec = simultaneous_triangularize(sample_channels(rng, 5, 3, 3))
-    _, state = ccp_allocate(dec, cfg, 0.5, settings=scenario.solver_settings())
+    # here changes the work every check trial costs. Every stage after an
+    # outer iteration's first starts from its predecessor's carry, so 40 of
+    # the 10 x 5 stages neither evaluate nor derive on entry.
+    cfg = CHECK_SCENARIO.config()
+    log = stage_calls(monkeypatch)
+    _, state = ccp_allocate(check_draw(0), cfg, 0.5, settings=CHECK_SCENARIO.solver_settings())
+    monkeypatch.undo()
     assert (state.iterations, state.converged) == (10, False)
     inner = [r.iterations for r in state.inner_results]
     assert inner == [19, 11, 11, 11, 11, 11, 10, 10, 10, 10]
+    kinds = [kind for kind, _ in log]
+    assert (kinds.count("evaluate"), kinds.count("residual")) == (74, 74)
+
+
+def test_check_solves_pinned():
+    # one digest over every CcpState field of the 20 ccp_allocate solves of
+    # check at seed 0 (mu = 0.5), read before stages handed on their
+    # evaluations: a rounding change on the one-row path shows here
+    cfg, settings = CHECK_SCENARIO.config(), CHECK_SCENARIO.solver_settings()
+    digest = hashlib.sha256()
+    for trial in range(CHECK_SCENARIO.trials):
+        alloc, state = ccp_allocate(check_draw(trial), cfg, 0.5, settings)
+        fields = [state.q, alloc.p1, alloc.p2, state.iterations, state.objective_trace,
+                  state.converged]
+        fields += [a for r in state.inner_results for a in r.astuple()]
+        for a in fields:
+            digest.update(np.asarray(a).tobytes())
+    assert digest.hexdigest()[:16] == "b6abc9d45b0607cc"
 
 
 def test_rows_carry_the_evaluations_of_different_steps(monkeypatch):
@@ -1121,6 +1150,84 @@ def test_stage_of_one_row_and_of_none():
         (np.dtype(float), (0,))
     ] * 3
     assert z.shape == (0, problem.size)
+
+
+def stage_entries(monkeypatch, problem, z0):
+    """``_maximize`` of ``problem`` from ``z0``, and per stage what its first
+    iteration computed before the Newton target (or before the stage
+    returned): ``["evaluate", "residual"]`` fresh, ``["residual"]`` from a
+    carry whose branch weights changed, ``[]`` from a carry it reused."""
+    log = stage_calls(monkeypatch)
+    stage = power._ascent_stage
+
+    def logged(*args):
+        log.append(("stage", None))
+        return stage(*args)
+
+    monkeypatch.setattr(power, "_ascent_stage", logged)
+    z, result = power._maximize(problem, z0, SolverSettings())
+    monkeypatch.undo()
+    entries = []
+    for kind, _ in log:
+        if kind == "stage":
+            entries.append([])
+            before_target = True
+        elif kind == "target":
+            before_target = False
+        elif before_target:
+            entries[-1].append(kind)
+    return z, result, entries
+
+
+@pytest.mark.parametrize("shape, rows, reused", [
+    # far from every kink: check's first solve of trial 0 (zero anchor and
+    # start), whose weights stay saturated across all stages, beside a row
+    # of another draw that starts from the uniform allocation
+    ((5, 3, 3), [("check", 0.5, 0.0, 0.0), (121, 0.8, 0.3, None)], [True] * 4),
+    # near a kink: the softmin weights at tau = 1e-9 are not the exact
+    # stage's hard 0/1, so that stage derives again
+    ((6, 4, 4), [(100, 0.1, 0.2, None), (100, 0.9, 0.1, None)], [True, True, True, False]),
+])
+def test_stage_carry_gives_the_bits_of_a_fresh_start(monkeypatch, shape, rows, reused):
+    # Alone, every stage fast-exits and hands its evaluation to the next,
+    # which reuses the derivation only where the branch weights are the
+    # same. In lockstep beside a row that stops at other iterations, every
+    # stage ends by a drop and the next starts fresh. Both give the same bits.
+    # A row is (draw: check's trial 0 or a setup_case seed, mu, anchor and
+    # start powers; a start of None is the uniform allocation).
+    cfg = make_cfg(*shape)
+    decs = [check_draw(0) if seed == "check" else setup_case(seed, cfg)[1]
+            for seed, *_ in rows]
+    m = decs[0].dims.shared
+    mus = [mu for _, mu, _, _ in rows]
+    anchors = np.array([np.full(m, anchor) for _, _, anchor, _ in rows])
+    problem = _SurrogateProblem.over_draws(decs, cfg, np.arange(2), mus, anchors)
+    z0 = np.array([np.full(problem.size, 1.0 / problem.size if start is None else start)
+                   for *_, start in rows])
+    z_one, r_one, alone = stage_entries(monkeypatch, problem.take([0]), z0[:1])
+    fresh = ["evaluate", "residual"]
+    assert alone == [fresh] + [[] if same else ["residual"] for same in reused]
+    z_pair, r_pair, beside = stage_entries(monkeypatch, problem, z0)
+    assert beside == [fresh] * 5
+    assert z_one.tobytes() == z_pair[:1].tobytes()
+    for a, b in zip(r_one.astuple(), r_pair.astuple()):
+        assert a.dtype == b.dtype and a.tobytes() == b[:1].tobytes()
+
+
+def test_value_from_is_the_value_of_evaluate():
+    # the carried value at another tau has evaluate's bits, on rows at and
+    # off the kinks and on a draw without a private stream
+    for shape in ((5, 3, 3), (6, 4, 4), (3, 3, 3)):
+        cfg = make_cfg(*shape)
+        rng, dec = setup_case(125, cfg)
+        rows = 6
+        mus, anchors = rng.random(rows), rng.random((rows, dec.dims.shared)) * 0.2
+        problem = _SurrogateProblem(dec, cfg, mus, anchors)
+        z = np.stack([problem.pack(random_alloc(rng, dec.dims)) for _ in range(rows)])
+        _, b1, b2, point = problem.evaluate(z)
+        for tau in power._TAU_STAGES:
+            want = problem.evaluate(z, tau)[0]
+            assert problem.value_from(z, point, b1, b2, tau).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape, digest", [
