@@ -313,6 +313,17 @@ def _svg_region_plot(path, points_by_scheme):
 # --- verbs ------------------------------------------------------------------
 
 
+def _output_dir(path):
+    """``path`` made a directory, before any work; a path that cannot be
+    one (under or at a file, say) is a :class:`ScenarioError`."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {path}: {exc.strerror or exc}")
+    return path
+
+
 def run_region(scenario, out_dir, workers=1, overlay_csv=None):
     """Rate-region sweep; writes ``region.csv`` and ``region.svg``.
 
@@ -323,8 +334,7 @@ def run_region(scenario, out_dir, workers=1, overlay_csv=None):
     cfg = scenario.config()
     settings = scenario.solver_settings()
     overlay = [] if overlay_csv is None else read_overlay_points(overlay_csv)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     points = ergodic_region(
         cfg,
         scenario.mu_grid(),
@@ -359,8 +369,7 @@ def run_convergence(scenario, out_dir):
     decomposition, say) is re-raised naming the seed and the configuration.
     """
     settings = scenario.solver_settings()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
     rows = []
     for index, (m1, m2, n_bs) in enumerate(DEFAULT_CONVERGENCE_CONFIGS):
         cfg = replace(scenario, n=n_bs, m1=m1, m2=m2).config()
@@ -509,23 +518,17 @@ def main(argv=None):
             trials=getattr(args, "trials", None),
             mu_steps=getattr(args, "mu_steps", None),
         )
+        if args.verb == "region":
+            paths = run_region(
+                scenario, args.out, workers=args.workers, overlay_csv=args.overlay
+            )
+        elif args.verb == "convergence":
+            paths = run_convergence(scenario, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.verb == "region":
-        try:
-            paths = run_region(
-                scenario, args.out, workers=args.workers, overlay_csv=args.overlay
-            )
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for p in paths:
-            print(p)
-        return 0
-    if args.verb == "convergence":
-        paths = run_convergence(scenario, args.out)
+    if args.verb != "check":
         for p in paths:
             print(p)
         return 0

@@ -22,7 +22,7 @@ single shared stream the two forms coincide.)
 
 Every routine works on rows. ``ccp_allocate_draws`` runs every rate weight
 on every channel draw in lockstep, one row per (draw, weight) pair: each row
-reads its own draw's gains, the rows share each numpy call of a step, a row
+carries its own draw's gains, the rows share each numpy call of a step, a row
 that stops drops out, and every row is bit for bit the run it would be
 alone; it returns one :class:`CcpRecord` of arrays. ``ccp_allocate`` (one
 row) and ``maximize_surrogate`` (one surrogate) are its special cases. The
@@ -179,7 +179,7 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     """
     if not 0 <= l < dec.dims.shared:
         raise ValueError(f"stream {l} is not shared")
-    problem = _SurrogateProblem(dec, cfg, 1.0, anchor)
+    problem = _SurrogateProblem.over_draws([dec], cfg, 0, 1.0, anchor)
     return float(problem.bounds(problem.pack(alloc))[l])
 
 
@@ -246,34 +246,27 @@ def _norm(x):
 
 
 class _SurrogateProblem(StreamGains):
-    """Vectorized value/gradient of the concave surrogate objective, for one
-    weight and anchor or for rows of them.
+    """Vectorized value and derivatives of the concave surrogate objective,
+    one link, weight and anchor per row.
 
     Variables are packed as ``z = [p1 shared, p1 private1, p2 shared,
     p2 private2]``; the fixed-zero coordinates of the allocation never enter
-    the solver. The coefficients are the link's :class:`StreamGains`: one
-    link every row shares, or one link per row (:meth:`over_draws`). ``mu``
-    (shape ``rows``) and ``anchor`` (``rows + (shared,)``) set the rows;
-    ``z`` then carries the same leading axes, and each row computes exactly
-    as it would alone.
+    the solver. It is built one way, :meth:`over_draws`: row ``i`` lies on
+    the link of ``decs[draw[i]]``, whose :class:`StreamGains` it carries
+    (:meth:`StreamGains.rows`), with its own ``mu`` and ``anchor`` (shapes
+    ``rows`` and ``rows + (shared,)``); ``z`` then carries the same leading
+    axes, and each row computes exactly as it would alone. A scalar ``draw``
+    and ``mu`` give one row without a row axis.
     """
 
     # The per-row state; take() selects rows of each.
     _ROW_FIELDS = ("mu", "mu2", "free_mu", "anchor", "anchored", "jac", "slope", "offset")
 
-    def __init__(self, dec, cfg, mu, anchor):
-        super().__init__(dec, cfg)
-        self._start(mu, anchor)
-
     @classmethod
     def over_draws(cls, decs, cfg, draw, mu, anchor):
         """The surrogate whose row ``i`` lies on the link of
-        ``decs[draw[i]]``."""
-        new = cls.rows(decs, cfg, draw)
-        new._start(mu, anchor)
-        return new
-
-    def _start(self, mu, anchor):
+        ``decs[draw[i]]``, at weight ``mu[i]`` and anchor ``anchor[i]``."""
+        self = cls.rows(decs, cfg, draw)
         d = self.dims
         self.m = d.shared
         self.n_p1 = self.m + d.private1
@@ -284,12 +277,13 @@ class _SurrogateProblem(StreamGains):
         counts = [d.private1, self.m, d.private2]
         self.free_mu = np.repeat(np.stack([self.mu, self.mu2, self.mu2], -1), counts, -1)
         self._anchor_rows(anchor)
+        return self
 
     @functools.cached_property
     def gain_powers(self):
         """The gains of the shared-stream terms of the k-th derivatives
         (k = 1, 2), ``(c1, c1_diag, w2)`` raised to the k-th power, computed
-        once per link."""
+        once and taken with the rows."""
         gains = self.c1, self.c1_diag, self.w2
         return {1: gains, 2: tuple(gain**2 for gain in gains)}
 
@@ -339,20 +333,19 @@ class _SurrogateProblem(StreamGains):
 
     def take(self, rows):
         """The surrogate of the rows at the indices ``rows`` (increasing),
-        with their gains when every row has its own link."""
+        with their gains."""
         if len(rows) == len(self.mu):
             return self
         new = copy.copy(self)
         for name in self._ROW_FIELDS:
             setattr(new, name, getattr(self, name).take(rows, axis=0))
-        if self.c1.ndim > 2:
-            new.free = self.free.take(rows, axis=0)
-            new.gain_powers = {}
-            for k, (c1, _, w2) in self.gain_powers.items():
-                c1 = c1.take(rows, axis=0)
-                # the diagonal of the taken c1 (of c1**2) is the taken c1_diag
-                new.gain_powers[k] = c1, c1.diagonal(0, -2, -1), w2.take(rows, axis=0)
-            new.c1, new.c1_diag, new.w2 = new.gain_powers[1]
+        new.free = self.free.take(rows, axis=0)
+        new.gain_powers = {}
+        for k, (c1, _, w2) in self.gain_powers.items():
+            c1 = c1.take(rows, axis=0)
+            # the diagonal of the taken c1 (of c1**2) is the taken c1_diag
+            new.gain_powers[k] = c1, c1.diagonal(0, -2, -1), w2.take(rows, axis=0)
+        new.c1, new.c1_diag, new.w2 = new.gain_powers[1]
         return new
 
     def powers(self, z):
@@ -387,14 +380,10 @@ class _SurrogateProblem(StreamGains):
         args = self.shared_args(z[..., :m], z[..., n_p1 : n_p1 + m])
         return np.concatenate([*args, _ONE + z[..., m:] * self.free], axis=-1)
 
-    def branches(self, z):
-        """The two concave min branches per shared stream."""
-        return self.evaluate(z)[1:3]
-
     def bounds(self, z):
         """Per-stream concave lower bounds on user 1's shared-stream rates:
         the exact minimum less the linearized remainder, row by row."""
-        b1, b2 = self.branches(z)
+        _, b1, b2, _ = self.evaluate(z)
         p2s = z[..., self.n_p1 : self.n_p1 + self.m]
         return np.minimum(b1, b2) - self.anchored - self.jac @ (p2s - self.anchor)
 
@@ -424,70 +413,37 @@ class _SurrogateProblem(StreamGains):
         (``slope`` dotted with user 2's shared powers, plus ``offset``).
         ``f`` is the only output whose rounding depends on that grouping;
         the branches and the point, which set the derivatives and so the
-        iterates, keep their bits. Only the minima depend on ``tau``;
-        :meth:`value_from` repeats the value's lines, so keep the two in
-        step."""
+        iterates, keep their bits. Only the minima depend on ``tau``."""
         m = self.m
         point = self.point(z)
         logs = np.log2(point)
         b1 = logs[..., :m] + logs[..., 3 * m : 4 * m]
         b2 = logs[..., 2 * m : 3 * m] + logs[..., m : 2 * m]
-        p2s = z[..., self.n_p1 : self.n_p1 + m]
-        under = np.add.reduce(self._softmin(b1, b2, tau), axis=-1)
-        under -= np.vecdot(self.slope, p2s) + self.offset
-        total = np.vecdot(logs[..., 4 * m :], self.free_mu) + self.mu * under
-        return total, b1, b2, point
+        return self._value(z, logs, b1, b2, tau), b1, b2, point
 
-    def value_from(self, z, point, b1, b2, tau):
-        """The value :meth:`evaluate` gives at ``z`` from its point and
-        branches there, by the same operations in the same order, so with
-        the same bits; a stage that starts where the last one stopped takes
-        its value at its own ``tau`` this way. Kept out of :meth:`evaluate`,
-        which would otherwise pay a call on every evaluation."""
+    def _value(self, z, logs, b1, b2, tau):
+        """The value :meth:`evaluate` gives at ``z`` from the ``log2`` of its
+        point and its branches there; a stage that starts where the last one
+        stopped takes its value at its own ``tau`` this way."""
         m = self.m
-        logs = np.log2(point)
         p2s = z[..., self.n_p1 : self.n_p1 + m]
         under = np.add.reduce(self._softmin(b1, b2, tau), axis=-1)
         under -= np.vecdot(self.slope, p2s) + self.offset
         return np.vecdot(logs[..., 4 * m :], self.free_mu) + self.mu * under
 
-    def value(self, z, tau=0.0):
-        """Surrogate objective; ``tau > 0`` smooths the minimum from below
-        (softmin), used by the continuation stages of the solver."""
-        return self.evaluate(z, tau)[0]
-
-    def value_and_grad(self, z, tau=0.0, branch_weights=None, with_hess=False):
-        """Objective, (super)gradient, and optionally the diagonal Hessian
-        magnitude, all in one pass.
-
-        ``branch_weights`` overrides the per-stream convex weight on the
-        first min branch; by default the weights come from the (soft)
-        minimum itself: the active branch for ``tau == 0``, the softmin
-        blend otherwise. Any weights in [0, 1] give a valid supergradient of
-        the exact objective at kinks. Every term is a weighted log2 of an
-        affine argument, so one rule (``_derivative``) gives the gradient
-        (k = 1) and the Hessian diagonal magnitude (k = 2). The latter
-        treats the branch weights as locally constant; it is a
-        preconditioner, not an exact second derivative.
-        """
-        total, b1, b2, point = self.evaluate(z, tau)
-        if branch_weights is None:
-            lam = self._branch_weights(b1, b2, tau)
-        else:
-            lam = np.asarray(branch_weights, dtype=float)
-        g = self._derivative(1, lam, point)
-        if with_hess:
-            return total, g, self._derivative(2, lam, point)
-        return total, g
-
     def _derivative(self, k, lam, point):
         """Magnitudes of the k-th derivatives of the objective along each
-        coordinate (k = 1, 2), with branch weights ``lam``, from the packed
-        :meth:`point`. A term ``weight * log2(arg)``, with ``arg`` affine in
-        the coordinate at slope ``gain``, contributes
+        coordinate (k = 1, 2), with branch weights ``lam`` on the first min
+        branch, from the packed :meth:`point`. A term ``weight * log2(arg)``,
+        with ``arg`` affine in the coordinate at slope ``gain``, contributes
         ``weight * gain**k / (ln 2 * arg**k)`` (``weight`` alone for the
         cross terms, whose gains ``c1`` enter through the matrix product);
-        the linearized remainder adds ``-slope`` at k = 1 only."""
+        the linearized remainder adds ``-slope`` at k = 1 only.
+
+        At k = 1 this is a supergradient of the exact objective for any
+        weights in [0, 1], so also at a kink, where the branches tie. At
+        k = 2 it treats the weights as constant, so it is a preconditioner,
+        not an exact second derivative."""
         c1, c1_diag, w2 = self.gain_powers[k]
         # the identity at k = 1 keeps the gradient free of x**1 copies
         den = _LN2 * (point if k == 1 else point**k)
@@ -513,9 +469,6 @@ class _SurrogateProblem(StreamGains):
                 shared -= self.slope
             out[..., n_p1 : n_p1 + m] += mu * shared
         return out
-
-    def grad(self, z, branch_weights=None):
-        return self.value_and_grad(z, branch_weights=branch_weights)[1]
 
 
 def _residual(z, g):
@@ -562,7 +515,7 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     finds there, so nothing keeps those arrays alive past their use, and
     leaves its own only when it ends through that fast exit. A stage that
     starts from a carry takes the value at its own ``tau`` from the carried
-    point and branches (:meth:`_SurrogateProblem.value_from`) instead of
+    point and branches (:meth:`_SurrogateProblem._value`) instead of
     evaluating, and reuses the gradient and residual when its branch
     weights equal the carried ones bit for bit (a signed zero does not
     pass). Otherwise it derives them again for every row, which gives each
@@ -587,7 +540,7 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     ev = derived = None
     if carry:
         b1, b2, point, lam, g, res = carry.pop()
-        ev = problem.value_from(z, point, b1, b2, tau), b1, b2, point
+        ev = problem._value(z, np.log2(point), b1, b2, tau), b1, b2, point
         if problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes():
             derived = lam, g, res
     it = 0
@@ -753,7 +706,8 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
     if settings is None:
         settings = SolverSettings()
     budget = cfg.power_budget
-    problem = _SurrogateProblem(dec, _per_budget(cfg), [mu], [np.divide(anchor, budget)])
+    anchor = [np.divide(anchor, budget)]
+    problem = _SurrogateProblem.over_draws([dec], _per_budget(cfg), [0], [mu], anchor)
     z, result = _maximize(problem, np.zeros((1, problem.size)), settings)
     p1, p2 = problem.powers(z[0])
     return PowerAllocation(p1 * budget, p2 * budget), result.at(0)

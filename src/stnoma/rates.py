@@ -60,16 +60,15 @@ class StreamGains:
     def rows(cls, decs, cfg, draw):
         """Gains whose row ``i`` is the link of ``decs[draw[i]]``; each row
         computes exactly as that link's own gains would. The decompositions
-        must share one stream layout. A single link keeps its arrays, which
-        broadcast over the rows."""
+        must share one stream layout. A scalar ``draw`` gives that link's
+        gains without a row axis."""
         links = [StreamGains(dec, cfg) for dec in decs]
         if any(link.dims != links[0].dims for link in links):
             raise ValueError("every draw must have the same stream dimensions")
         new = cls.__new__(cls)
         new.dims, new.sigma2 = links[0].dims, links[0].sigma2
         for name in cls.GAINS:
-            gains = [getattr(link, name) for link in links]
-            setattr(new, name, gains[0] if len(links) == 1 else np.stack(gains)[draw])
+            setattr(new, name, np.stack([getattr(link, name) for link in links])[draw])
         return new
 
     def shared_args(self, p1s, p2s):

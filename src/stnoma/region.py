@@ -50,9 +50,11 @@ def p2p_capacity(h, pathloss, power_budget, noise_power):
     ``g_i = s_i^2 / (pathloss * noise)``, powers ``p_i = max(0, level - 1/g_i)``
     with the level chosen to spend the whole budget.
     """
-    # written so that a NaN budget fails
+    # written so that NaN fails
     if not power_budget >= 0.0:
         raise ValueError("power budget must be >= 0")
+    if not (0.0 < pathloss < np.inf and 0.0 < noise_power < np.inf):
+        raise ValueError("path loss and noise power must be finite and > 0")
     s = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)
     gains = np.sort(s[s > 0.0] ** 2 / (pathloss * noise_power))[::-1]
     if gains.size == 0 or power_budget == 0.0:

@@ -7,20 +7,23 @@ Usage, from the repository root::
 
 Each checkout's ``src/stnoma`` is copied under its own package name
 (``stnoma_parent``, ``stnoma_change``; the package imports itself only
-relatively), so both load into one process. The change defaults to this
-checkout. For every workload of ``bench/workloads.py`` (or of
-``--workloads``) that runs in one process, and every block seed of
-``--blocks``, each side samples and decomposes the block's draws untimed,
-and then solves them as the verb does: ``check`` one ``ccp_allocate`` per
-trial at mu = 0.5, ``region`` one ``ccp_allocate_draws`` over every draw
-and the rate-weight grid. A pair is both sides' process CPU time over all
-blocks, the two sides interleaved block by block, and the side that goes
-first alternates from block to block and from pair to pair. Per workload it
-prints the median change/parent ratio, its quartiles, and the pairs the
-change won.
+relatively), so both load into one process, and the parent's a second time
+as ``stnoma_control``. The change defaults to this checkout. For every
+workload of ``bench/workloads.py`` (or of ``--workloads``) that runs in one
+process, and every block seed of ``--blocks``, each side samples and
+decomposes the block's draws untimed, and then solves them as the verb
+does: ``check`` one ``ccp_allocate`` per trial at mu = 0.5, ``region`` one
+``ccp_allocate_draws`` over every draw and the rate-weight grid. A round is each side's process CPU time over all
+blocks, the three sides interleaved block by block, and the side that goes
+first rotates from block to block and from round to round. Per workload it
+prints the median change/parent ratio, its quartiles, the parent-against-
+itself (A/A, control/parent) ratio and quartiles of the same rounds, and
+the pairs the change won. A change ratio inside the A/A quartiles reads
+``unresolved``: that difference is within what the parent differs from its
+own copy; outside them it reads ``faster`` or ``slower``.
 
 Pairing is the point: on a shared host the speed drifts between runs far
-more than a prototype changes it, and the two sides of a pair see the same
+more than a prototype changes it, and the sides of a round see the same
 drift. This sizes a prototype; the numbers that count are those of the
 benchmark, ``bench/run.py``. The bench modules are loaded read-only.
 """
@@ -46,7 +49,7 @@ sys.path.insert(0, str(TESTS))
 from bench_modules import load  # noqa: E402
 
 workloads = load("workloads")
-SIDES = ("parent", "change")
+SIDES = ("parent", "control", "change")  # control: a second copy of the parent
 PACKAGES = {f"stnoma_{side}" for side in SIDES}
 
 
@@ -83,18 +86,18 @@ def cpu_seconds(fn):
     return process_time() - start
 
 
-def time_pairs(solves, reps):
-    """``reps`` pairs of (parent, change) CPU seconds over the blocks of
+def time_rounds(solves, reps):
+    """``reps`` rounds of ``{side: CPU seconds}`` over the blocks of
     ``solves``, a list of one ``{side: solve}`` per block."""
-    pairs = []
+    rounds = []
     for rep in range(reps):
         total = dict.fromkeys(SIDES, 0.0)
         for b, solve in enumerate(solves):
-            order = SIDES if (rep + b) % 2 == 0 else SIDES[::-1]
-            for side in order:
+            first = (rep + b) % len(SIDES)
+            for side in SIDES[first:] + SIDES[:first]:
                 total[side] += cpu_seconds(solve[side])
-        pairs.append((total["parent"], total["change"]))
-    return pairs
+        rounds.append(total)
+    return rounds
 
 
 def summary(pairs):
@@ -106,6 +109,11 @@ def summary(pairs):
     else:
         low = median = high = ratios[0]
     return median, low, high, sum(r < 1.0 for r in ratios)
+
+
+def verdict(ratio, low, high):
+    """How a change/parent ratio reads against the A/A quartiles."""
+    return "faster" if ratio < low else "slower" if ratio > high else "unresolved"
 
 
 def main(argv=None):
@@ -123,26 +131,28 @@ def main(argv=None):
         sys.path.insert(0, tmp)
         try:
             packages = {side: load_package(path, side, tmp)
-                        for side, path in zip(SIDES, (args.parent, args.change))}
+                        for side, path in zip(SIDES, (args.parent, args.parent, args.change))}
             for workload in workloads.WORKLOADS.values():
                 if workload.name not in args.workloads or workload.workers > 1:
                     continue  # in one process its solves are those of its family
                 solves = [{side: block_solve(pkg, workload, block)
                            for side, pkg in packages.items()} for block in args.blocks]
-                report(workload.name, time_pairs(solves, args.reps))
+                report(workload.name, time_rounds(solves, args.reps))
         finally:
             sys.path.remove(tmp)
             for name in [n for n in sys.modules if n.split(".")[0] in PACKAGES]:
                 del sys.modules[name]
 
 
-def report(name, pairs):
-    median, low, high, won = summary(pairs)
-    parent_ms = 1e3 * statistics.median(p for p, _ in pairs)
-    change_ms = 1e3 * statistics.median(c for _, c in pairs)
+def report(name, rounds):
+    median, low, high, won = summary([(r["parent"], r["change"]) for r in rounds])
+    aa_median, aa_low, aa_high, _ = summary([(r["parent"], r["control"]) for r in rounds])
+    parent_ms = 1e3 * statistics.median(r["parent"] for r in rounds)
+    change_ms = 1e3 * statistics.median(r["change"] for r in rounds)
     print(f"{name:15s} parent {parent_ms:8.1f} ms  change {change_ms:8.1f} ms  "
-          f"ratio median {median:.3f} [{low:.3f}, {high:.3f}]  won {won}/{len(pairs)}",
-          flush=True)
+          f"ratio median {median:.3f} [{low:.3f}, {high:.3f}]  "
+          f"A/A {aa_median:.3f} [{aa_low:.3f}, {aa_high:.3f}] {verdict(median, aa_low, aa_high)}  "
+          f"won {won}/{len(rounds)}", flush=True)
 
 if __name__ == "__main__":
     main()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,6 +124,15 @@ def test_region_rerun_byte_identical(tmp_path):
     assert (a / "region.svg").read_bytes() == (b / "region.svg").read_bytes()
 
 
+def test_region_one_trial_pinned(tmp_path):
+    # the default scenario at one trial: all 21 rate weights on one link, a
+    # run whose rows once shared that link's gains instead of each
+    # carrying its own; the digest was read before they did
+    csv_path, _ = run_region(Scenario(trials=1), tmp_path)
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == "3c35619eb7efa4687c2f4c4541b9afec273962646fbbc5f5eab590806959bc76"
+
+
 def test_region_worker_count_invariant(tmp_path):
     a = (tmp_path / "w1")
     b = (tmp_path / "w2")
@@ -207,6 +217,25 @@ def test_main_workers_below_one_exit_2(tmp_path, workers):
                "--mu-steps", "3", "--workers", workers])
     assert rc == 2
     assert not (tmp_path / "region.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["region", "convergence"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_main_unusable_out_exit_2(tmp_path, monkeypatch, capsys, verb, below):
+    # an --out at or under a file died with a NotADirectoryError or
+    # FileExistsError traceback and exit 1; it exits 2 before any solve
+    def solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "ergodic_region", solve)
+    monkeypatch.setattr(cli, "ccp_allocate", solve)
+    blocker = tmp_path / "some_file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / below if below else blocker
+    assert main([verb, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: "), err
+    assert blocker.is_file()
 
 
 @pytest.mark.parametrize("pt_dbm", ["-180", "-400"])

@@ -198,19 +198,21 @@ def test_surrogate_gradient_matches_finite_differences():
     cfg = make_cfg(6, 4, 4)
     rng, dec = setup_case(15, cfg)
     d = dec.dims
-    problem = _SurrogateProblem(dec, cfg, 0.6, rng.random(d.shared) * 0.2)
+    problem = _SurrogateProblem.over_draws([dec], cfg, 0, 0.6, rng.random(d.shared) * 0.2)
     z = problem.pack(random_alloc(rng, d)) + 1e-3
-    b1, b2 = problem.branches(z)
+    f, b1, b2, point = problem.evaluate(z)
     assert np.all(np.abs(b1 - b2) > 1e-6)  # smooth point
-    _, g, h = problem.value_and_grad(z, with_hess=True)
+    lam = problem._branch_weights(b1, b2, 0.0)
+    g, h = problem._derivative(1, lam, point), problem._derivative(2, lam, point)
     eps = 1e-7
     for i in range(problem.size):
         zp, zm = z.copy(), z.copy()
         zp[i] += eps
         zm[i] -= eps
-        fd = (problem.value(zp) - problem.value(zm)) / (2 * eps)
+        fp, fm = problem.evaluate(zp)[0], problem.evaluate(zm)[0]
+        fd = (fp - fm) / (2 * eps)
         assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-        fd2 = (problem.value(zp) - 2 * problem.value(z) + problem.value(zm)) / eps**2
+        fd2 = (fp - 2 * f + fm) / eps**2
         # curvature preconditioner keeps the dominant diagonal terms only
         assert h[i] >= 0.0
         if abs(fd2) > 1e-3:
@@ -226,8 +228,8 @@ def test_surrogate_value_matches_per_stream_ops():
     mu = 0.4
     alloc = random_alloc(rng, d)
     anchor = rng.random(d.shared) * 0.3
-    problem = _SurrogateProblem(dec, cfg, mu, anchor)
-    got = problem.value(problem.pack(alloc))
+    problem = _SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor)
+    got = problem.evaluate(problem.pack(alloc))[0]
     under = sum(
         oracle.rate_underestimator(alloc, anchor, dec, cfg, l)
         for l in d.shared_indices()
@@ -271,26 +273,30 @@ def test_value_is_the_sum_over_streams(shape):
     problem = _SurrogateProblem.over_draws(decs, cfg, [0, 1, 0, 1], [0.0, 0.3, 0.7, 1.0], anchors)
     z = np.stack([problem.pack(random_alloc(rng, d)) for _ in range(4)])
     for tau in (0.0, 1e-2):
-        got, want = problem.value(z, tau), summed_value(problem, z, tau)
+        got, want = problem.evaluate(z, tau)[0], summed_value(problem, z, tau)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_take_is_the_surrogate_built_on_the_rows():
     # every row field, every gain and both gain powers of the taken rows
-    # are those of the surrogate built on them alone, bit for bit
-    decs = [setup_case(seed)[1] for seed in (121, 221)]
+    # are those of the surrogate built on them alone, bit for bit: rows on
+    # two links, and rows that all lie on one link
     rng = np.random.default_rng(122)
-    draw, mu = np.array([0, 1, 1, 0, 1]), np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    anchor = rng.random((5, decs[0].dims.shared)) * 0.3
-    problem = _SurrogateProblem.over_draws(decs, CFG335, draw, mu, anchor)
+    mu = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     rows = np.array([1, 3, 4])
-    got = problem.take(rows)
-    want = _SurrogateProblem.over_draws(decs, CFG335, draw[rows], mu[rows], anchor[rows])
-    pairs = [(getattr(got, n), getattr(want, n)) for n in _SurrogateProblem._ROW_FIELDS + StreamGains.GAINS]
-    for k in (1, 2):
-        pairs += zip(got.gain_powers[k], want.gain_powers[k])
-    for a, b in pairs:
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for seeds, draw in (((121, 221), [0, 1, 1, 0, 1]), ((121,), [0] * 5)):
+        decs = [setup_case(seed)[1] for seed in seeds]
+        draw = np.array(draw)
+        anchor = rng.random((5, decs[0].dims.shared)) * 0.3
+        problem = _SurrogateProblem.over_draws(decs, CFG335, draw, mu, anchor)
+        got = problem.take(rows)
+        want = _SurrogateProblem.over_draws(decs, CFG335, draw[rows], mu[rows], anchor[rows])
+        names = _SurrogateProblem._ROW_FIELDS + StreamGains.GAINS
+        pairs = [(getattr(got, n), getattr(want, n)) for n in names]
+        for k in (1, 2):
+            pairs += zip(got.gain_powers[k], want.gain_powers[k])
+        for a, b in pairs:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_copy_reanchored_leaves_the_original():
@@ -607,9 +613,9 @@ def test_inner_certificate_at_kinks_matches_weight_grid():
         _, dec = setup_case(seed, cfg)
         anchor = np.zeros(dec.dims.shared)
         alloc, info = maximize_surrogate(anchor, dec, cfg, mu)
-        problem = _SurrogateProblem(dec, cfg, mu, anchor)
+        problem = _SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor)
         z = problem.pack(alloc)
-        b1, b2 = problem.branches(z)
+        _, b1, b2, point = problem.evaluate(z)
         kinks = np.flatnonzero(
             np.abs(b1 - b2) <= 1e-7 * (1.0 + np.abs(b1) + np.abs(b2))
         )
@@ -620,7 +626,7 @@ def test_inner_certificate_at_kinks_matches_weight_grid():
         residuals = []
         for weights in itertools.product(grid, repeat=kinks.size):
             lam[kinks] = weights
-            residuals.append(_residual(z, problem.grad(z, lam)))
+            residuals.append(_residual(z, problem._derivative(1, lam, point)))
         assert info.residual <= min(residuals) + 1e-12, (seed, kinks)
         worst = max(worst, max(residuals))
     assert kinked > 0
@@ -686,8 +692,8 @@ def test_ccp_surrogate_tightness_each_iteration():
     for _ in range(5):
         alloc, _ = maximize_surrogate(q, dec, CFG335, mu, settings=settings)
         q = alloc.p2[: dec.dims.shared].copy()
-        problem = _SurrogateProblem(dec, CFG335, mu, q)
-        tight = problem.value(problem.pack(alloc))
+        problem = _SurrogateProblem.over_draws([dec], CFG335, 0, mu, q)
+        tight = problem.evaluate(problem.pack(alloc))[0]
         truth = weighted_sum_rate(alloc, dec, CFG335, mu)
         assert tight == pytest.approx(truth, abs=1e-9)
 
@@ -924,9 +930,10 @@ def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
             mu = float(rng.random())
             alloc, info = maximize_surrogate(anchor, dec, cfg, mu, settings=settings)
             assert info.iterations <= inner_max_iters
-            problem = _SurrogateProblem(dec, cfg, mu, anchor)
+            problem = _SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor)
             z = problem.pack(alloc)
-            f, g = problem.value_and_grad(z)
+            f, b1, b2, point = problem.evaluate(z)
+            g = problem._derivative(1, problem._branch_weights(b1, b2, 0.0), point)
             assert info.value == f
             assert info.residual == _residual(z, g)
             assert info.grad_norm == np.linalg.norm(g)
@@ -1069,9 +1076,9 @@ def test_one_evaluation_serves_the_polish_and_the_full_step(monkeypatch, backtra
     # for bit.
     _, dec = setup_case(121)
     mu, anchor = 0.8, np.full(dec.dims.shared, 0.3)
-    one = _SurrogateProblem(dec, CFG335, [mu], [anchor])
+    one = _SurrogateProblem.over_draws([dec], CFG335, [0], [mu], [anchor])
     optimum, _ = power._maximize(one, np.zeros((1, one.size)), SolverSettings())
-    problem = _SurrogateProblem(dec, CFG335, [mu, mu], [anchor, anchor])
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [mu, mu], [anchor, anchor])
     z0 = np.stack([optimum[0], start])
     # exact objective, one step per row, no residual hit, and a flatness test
     # the optimum's model ascent (1e-13 relative) passes
@@ -1088,7 +1095,7 @@ def test_one_evaluation_serves_the_polish_and_the_full_step(monkeypatch, backtra
     assert point[0].tobytes() == target[0].tobytes()
     # row 1 took the line search: on a concave objective a flat row rises by
     # at most its model ascent, and row 1 rose by more
-    before = problem.value(z0)
+    before = problem.evaluate(z0)[0]
     assert result[1][1] - before[1] > gd_rtol * (1.0 + abs(before[1]))
     # the backtracking trials, then the second iteration, at the cap, derives
     # only when nothing was carried
@@ -1111,7 +1118,7 @@ def test_rows_stopping_together_return_as_beside_a_row_that_does_not(cap):
     # and each row alone, give the same bits.
     _, dec = setup_case(122)
     anchor = np.full(dec.dims.shared, 0.2)
-    problem = _SurrogateProblem(dec, CFG335, [0.6, 0.6, 0.3], [anchor] * 3)
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0, 0], [0.6, 0.6, 0.3], [anchor] * 3)
     caps, tau, rtol, gd_rtol = np.array([cap, cap, 22]), 0.0, 1e-6, 1e-15
 
     def stage(rows):
@@ -1134,12 +1141,14 @@ def test_stage_of_one_row_and_of_none():
     # one row returns the evaluation at the point it writes into z; no rows
     # return empty results of the same types and leave z as it is
     _, dec = setup_case(123)
-    problem = _SurrogateProblem(dec, CFG335, [0.5], [np.full(dec.dims.shared, 0.1)])
+    anchor = np.full(dec.dims.shared, 0.1)
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0], [0.5], [anchor])
     z = np.zeros((1, problem.size))
     used, f, res, gnorm = power._ascent_stage(problem, z, 0.0, np.array([10000]), 1e-6, 1e-15)
     assert used.dtype == int and used.shape == f.shape == res.shape == gnorm.shape == (1,)
     assert used[0] > 1 and z.any()
-    value, g = problem.value_and_grad(z)
+    value, b1, b2, point = problem.evaluate(z)
+    g = problem._derivative(1, problem._branch_weights(b1, b2, 0.0), point)
     assert f.tobytes() == value.tobytes()
     assert res.tobytes() == _residual(z, g).tobytes()
     assert gnorm[0] == np.linalg.norm(g)
@@ -1222,12 +1231,13 @@ def test_value_from_is_the_value_of_evaluate():
         rng, dec = setup_case(125, cfg)
         rows = 6
         mus, anchors = rng.random(rows), rng.random((rows, dec.dims.shared)) * 0.2
-        problem = _SurrogateProblem(dec, cfg, mus, anchors)
+        problem = _SurrogateProblem.over_draws([dec], cfg, np.zeros(rows, dtype=int), mus, anchors)
         z = np.stack([problem.pack(random_alloc(rng, dec.dims)) for _ in range(rows)])
         _, b1, b2, point = problem.evaluate(z)
+        logs = np.log2(point)
         for tau in power._TAU_STAGES:
             want = problem.evaluate(z, tau)[0]
-            assert problem.value_from(z, point, b1, b2, tau).tobytes() == want.tobytes()
+            assert problem._value(z, logs, b1, b2, tau).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape, digest", [
@@ -1324,7 +1334,7 @@ def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
         method="SLSQP", options={"ftol": 1e-14, "maxiter": 1000},
     )
     z = project_power_budget(np.maximum(result.x[:size], 0.0), cfg.power_budget)
-    return float(_SurrogateProblem(dec, cfg, mu, anchor).value(z))
+    return float(_SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor).evaluate(z)[0])
 
 
 @pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)

@@ -76,6 +76,16 @@ def test_p2p_rejects_a_nan_or_negative_budget(budget):
         p2p_capacity(np.eye(2, dtype=complex), 1.0, budget, 1.0)
 
 
+@pytest.mark.parametrize("pathloss, noise", [
+    (np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (np.inf, 1.0),
+    (1.0, np.nan), (1.0, -1.0), (1.0, 0.0), (1.0, np.inf),
+])
+def test_p2p_rejects_a_bad_path_loss_or_noise_power(pathloss, noise):
+    # a NaN or negative one gave a capacity of 0.0, a zero one a divide warning
+    with pytest.raises(ValueError, match="path loss and noise power"):
+        p2p_capacity(np.eye(2, dtype=complex), pathloss, 1.0, noise)
+
+
 @pytest.mark.parametrize("pt_dbm", [-180.0, -400.0])
 def test_p2p_capacity_is_not_negative_at_a_vanishing_snr(pt_dbm):
     # water-filling over gains far below 1 summed log2 of ratios near 1 to
