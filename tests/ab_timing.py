@@ -13,14 +13,15 @@ workload of ``bench/workloads.py`` (or of ``--workloads``) that runs in one
 process, and every block seed of ``--blocks``, each side samples and
 decomposes the block's draws untimed, and then solves them as the verb
 does: ``check`` one ``ccp_allocate`` per trial at mu = 0.5, ``region`` one
-``ccp_allocate_draws`` over every draw and the rate-weight grid. A round is each side's process CPU time over all
-blocks, the three sides interleaved block by block, and the side that goes
-first rotates from block to block and from round to round. Per workload it
-prints the median change/parent ratio, its quartiles, the parent-against-
-itself (A/A, control/parent) ratio and quartiles of the same rounds, and
-the pairs the change won. A change ratio inside the A/A quartiles reads
-``unresolved``: that difference is within what the parent differs from its
-own copy; outside them it reads ``faster`` or ``slower``.
+``ccp_allocate_draws`` over every draw and the rate-weight grid. A round is
+each side's process CPU time over all blocks, the three sides interleaved
+block by block, and the side that goes first rotates from block to block
+and from round to round. Per workload it prints the median change/parent
+ratio, its quartiles, the parent-against-itself (A/A, control/parent)
+ratio and quartiles of the same rounds, and the pairs the change won. A
+change ratio inside the A/A quartiles reads ``unresolved``: that
+difference is within what the parent differs from its own copy; outside
+them it reads ``faster`` or ``slower``.
 
 Pairing is the point: on a shared host the speed drifts between runs far
 more than a prototype changes it, and the sides of a round see the same
