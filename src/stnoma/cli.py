@@ -150,8 +150,8 @@ def load_scenario(path=None, environ=None, **cli_overrides):
     scenario = Scenario()
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8-sig")
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         scenario = parse_scenario(text)
     scenario = apply_env_overrides(scenario, environ)
@@ -203,7 +203,7 @@ def read_overlay_points(path):
     ignored. The rates must be finite and nonnegative.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read overlay {path}: {exc}") from exc
     if not lines:
@@ -527,6 +527,9 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a draw that fails once the work has started
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.verb != "check":
         for p in paths:

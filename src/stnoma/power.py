@@ -40,12 +40,18 @@ its full line-search step. A row carries the evaluation of the line-search
 trial or polish step it accepted into its next iteration, so rows that took
 different step sizes are not evaluated again; when every row that goes on
 was polished or took the full step, the polish's gradient and residual are
-carried too. A stage whose rows all stop in one iteration, as every stage of
-a one-row run does, returns its working arrays without scattering them, and
-hands the next stage its last evaluation and derivation: that stage starts
-at the same point, so it takes only its value at its own smoothing level
-from the carried branches, and reuses the gradient and residual when its
-branch weights come out the same bit for bit.
+carried too.
+
+A stage of one row (every stage of ``ccp_allocate`` and
+``maximize_surrogate``, and of a lockstep run's outer iterations once one
+row is left) takes a path of its own, chosen by the row count alone: the
+same numpy calls on its ``(1, n)`` arrays, with the row's decisions taken
+as float comparisons, and none of the lockstep's row masks, merges and
+drops. It hands the next stage its last evaluation and
+derivation: that stage starts at the same point, so it takes only its value
+at its own smoothing level from the carried branches, and reuses the
+gradient and residual when its branch weights come out the same bit for bit.
+A lockstep stage of several rows carries nothing to the next.
 """
 
 import copy
@@ -487,6 +493,38 @@ def _carry(into, evaluation, rows):
     return into
 
 
+def _derive(problem, z, b1, b2, point, tau):
+    """``(lam, g, res)`` at ``z``, from the branches and point of its
+    evaluation: the branch weights, the supergradient and the
+    projected-gradient residual."""
+    lam = problem._branch_weights(b1, b2, tau)
+    g = problem._derivative(1, lam, point)
+    return lam, g, _residual(z, g)
+
+
+# The curvature guards of the Newton step, as 0-d arrays, as _ONE
+_H_DIV, _H_MIN = np.array(200.0), np.array(1e-300)
+
+# The line search: the Armijo constant, the allowance for evaluation noise
+# and the polish's allowed drop in the objective (both relative to
+# 1 + |f|), and the smallest step it tries.
+_ARMIJO_C, _NOISE_RTOL, _POLISH_SLACK, _T_MIN = 1e-4, 1e-13, 1e-12, 1e-18
+
+
+def _newton_step(problem, z, lam, g, point):
+    """``(target, d, gd)``: the Newton target, the weighted projection of
+    ``z + g/h`` in the curvature metric ``h``, the step ``d`` to it and the
+    model ascent ``g . d``, per row."""
+    # Guard tiny curvatures so the Newton target stays finite and a
+    # zero-gradient coordinate never moves.
+    h = problem._derivative(2, lam, point)
+    h = np.maximum(h, np.abs(g) / _H_DIV)  # 100 * (budget + 1)
+    h = np.maximum(h, _H_MIN)
+    target = _project(z + g / h, h, _ONE)
+    d = target - z
+    return target, d, np.vecdot(g, d)
+
+
 def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
     surrogate over the unit budget, every row of ``z`` in lockstep.
@@ -501,70 +539,46 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     stops only in an iteration that does not move it: its plain Euclidean
     projected-gradient residual is at most ``rtol * (1 + ||g||)`` (a hit),
     it has taken its ``iter_budget`` steps, it is flat and the polish does
-    not take it, or its line search fails. A stopped row drops out; every
-    other row goes on exactly as it would alone. Updates ``z`` in place and
-    returns per row the iterations used and the objective, residual and
-    gradient norm of its last evaluation, which is at its returned point.
-    When every row stops in the same iteration and none before, as in every
-    stage of a one-row run, those are the working arrays themselves; only a
-    stage whose rows stop apart scatters each drop into its results.
+    not take it, or its line search fails. A stopped row drops out into the
+    results; every other row goes on exactly as it would alone. Updates
+    ``z`` in place and returns per row the iterations used and the
+    objective, residual and gradient norm of its last evaluation, which is
+    at its returned point.
 
-    A caller that chains stages passes the list ``carry``, through which
-    each stage hands the next its last evaluation and derivation at the
-    returned ``z``, ``(b1, b2, point, lam, g, res)``: a stage takes what it
-    finds there, so nothing keeps those arrays alive past their use, and
-    leaves its own only when it ends through that fast exit. A stage that
-    starts from a carry takes the value at its own ``tau`` from the carried
-    point and branches (:meth:`_SurrogateProblem._value`) instead of
-    evaluating, and reuses the gradient and residual when its branch
-    weights equal the carried ones bit for bit (a signed zero does not
-    pass). Otherwise it derives them again for every row, which gives each
-    row the bits it would get alone.
+    The row count picks the path: one row runs :func:`_ascent_row`, which
+    makes the same numpy calls on the same ``(1, n)`` arrays and so gives
+    the same bits, without the masks and drops of the lockstep; only it
+    reads and fills ``carry``.
     """
-    armijo_c = 1e-4
-    # the stage's scalars as 0-d arrays, as _ONE: the two tolerances, the
-    # curvature guards and the line search's allowance for evaluation noise
-    rtol, gd_rtol = np.array(rtol), np.array(gd_rtol)
-    h_div, h_min, noise_rtol = np.array(200.0), np.array(1e-300), np.array(1e-13)
-    # Allocated at the first stop that leaves rows running: the original
-    # index of each running row, and per row the iterations used and the
-    # objective, residual and gradient norm.
-    act = used = last = None
-    # za is only ever rebound, never written, so it starts as z itself
+    if len(z) == 1:
+        return _ascent_row(problem, z, tau, iter_budget, rtol, gd_rtol, carry)
+    used = np.zeros(len(z), dtype=int)
+    last = np.empty((3, len(z)))  # objective, residual, gradient norm
+    if not len(z):
+        return used, *last
+    # the stage's scalars as 0-d arrays, as _ONE: the two tolerances and the
+    # line search's allowance for evaluation noise
+    rtol, gd_rtol, noise_rtol = np.array(rtol), np.array(gd_rtol), np.array(_NOISE_RTOL)
+    # the original index of each running row; za is only ever rebound, never
+    # written, so it starts as z itself
+    act = np.arange(len(z))
     sub, za, caps = problem, z, iter_budget
     # The evaluation at za when the previous iteration computed it there,
     # carried row by row from the line-search trial or the polish that moved
     # each row; and the polish's (branch weights, g, residual) when every row
-    # that goes on sits where the polish evaluated it. A carry from the
-    # previous stage seeds both at z.
+    # that goes on sits where the polish evaluated it.
     ev = derived = None
-    if carry:
-        b1, b2, point, lam, g, res = carry.pop()
-        ev = problem._value(z, np.log2(point), b1, b2, tau), b1, b2, point
-        if problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes():
-            derived = lam, g, res
     it = 0
     while True:
         it += 1
         f, b1, b2, point = ev or sub.evaluate(za, tau)
-        if derived:
-            lam, g, res = derived
-        else:
-            lam = sub._branch_weights(b1, b2, tau)
-            g = sub._derivative(1, lam, point)
-            res = _residual(za, g)
+        lam, g, res = derived or _derive(sub, za, b1, b2, point, tau)
         ev = derived = None
         gnorm = _norm(g)
         stop = (res <= rtol * (_ONE + gnorm)) | (it > caps)
         if np.count_nonzero(stop) < len(stop):
-            # Guard tiny curvatures so the Newton target stays finite and a
-            # zero-gradient coordinate never moves.
-            h = sub._derivative(2, lam, point)
-            h = np.maximum(h, np.abs(g) / h_div)  # 100 * (budget + 1)
-            h = np.maximum(h, h_min)
-            target = _project(za + g / h, h, _ONE)
-            start, d = za, target - za
-            gd = np.vecdot(g, d)
+            target, d, gd = _newton_step(sub, za, lam, g, point)
+            start = za
             scale = _ONE + np.abs(f)
             flat = ~stop & (gd <= gd_rtol * scale)
             # The objective is a short sum of logs, so its evaluation noise
@@ -581,20 +595,17 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
             if n_flat:
                 np.copyto(zt, target, where=flat[:, None])
             trial = sub.evaluate(zt, tau)
-            ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
+            ok = pending & (trial[0] >= f + _ARMIJO_C * t * gd - noise)
             pending ^= ok
             if n_flat:
                 # Objective-flat but possibly not stationary: the full step
                 # can still shrink the gradient mapping, so polish on the
                 # residual. Its derivation is the next iteration's when
                 # every row that goes on sits at zt.
-                lt = sub._branch_weights(*trial[1:3], tau)
-                gt = sub._derivative(1, lt, trial[3])
-                rt = _residual(zt, gt)
-                moved = flat & (rt < res) & (trial[0] >= f - 1e-12 * scale)
+                derived = _derive(sub, zt, *trial[1:], tau)
+                moved = flat & (derived[2] < res) & (trial[0] >= f - _POLISH_SLACK * scale)
                 stop |= flat & ~moved
                 ok |= moved
-                derived = lt, gt, rt
             while True:
                 n_ok = np.count_nonzero(ok)
                 if n_ok:
@@ -605,28 +616,17 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
                 if not np.count_nonzero(pending):
                     break
                 t *= 0.5
-                if t < 1e-18:
+                if t < _T_MIN:
                     stop |= pending
                     break
                 zt = start + t * d
                 trial = sub.evaluate(zt, tau)
-                ok = pending & (trial[0] >= f + armijo_c * t * gd - noise)
+                ok = pending & (trial[0] >= f + _ARMIJO_C * t * gd - noise)
                 pending ^= ok
-        # a stopped row did not move: za, f, res and gnorm are one point
         n_stop = np.count_nonzero(stop)
-        if act is None and n_stop == len(stop):
-            # every row stops in this iteration and none before (or there
-            # are no rows): the working arrays are the result
-            z[...] = za
-            if carry is not None:
-                carry.append((b1, b2, point, lam, g, res))
-            return np.minimum(it, caps), f, res, gnorm
         if not n_stop:
             continue
-        if act is None:
-            act = np.arange(len(z))
-            used = np.zeros(len(z), dtype=int)
-            last = np.empty((3, len(z)))
+        # a stopped row did not move: za, f, res and gnorm are one point
         done = act[stop]
         used[done] = np.minimum(it, caps[stop])
         for out, value in zip((z, *last), (za, f, res, gnorm)):
@@ -642,6 +642,72 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
         derived = derived and tuple(a[keep] for a in derived)
 
 
+def _ascent_row(problem, z, tau, iter_budget, rtol, gd_rtol, carry):
+    """The stage of :func:`_ascent_stage` on one row: the numpy calls the
+    lockstep makes on the same ``(1, n)`` arrays, in the same order, with
+    the row's stop, flatness, polish, Armijo and line-search decisions taken
+    as float comparisons in the same association, so every output has the
+    lockstep's bits. Nothing is masked, merged or dropped.
+
+    A caller that chains stages passes the list ``carry``, through which
+    each stage hands the next its last evaluation and derivation at the
+    returned ``z``, ``(b1, b2, point, lam, g, res)``; a stage takes what it
+    finds there, so nothing keeps those arrays alive past their use. A
+    stage that starts from a carry takes the value at its own ``tau`` from
+    the carried point and branches (:meth:`_SurrogateProblem._value`)
+    instead of evaluating, and reuses the gradient and residual when its
+    branch weights equal the carried ones bit for bit (a signed zero does
+    not pass); otherwise it derives them again, which gives the bits of a
+    fresh start.
+    """
+    cap, rtol, gd_rtol = int(iter_budget[0]), float(rtol), float(gd_rtol)
+    za = z
+    ev = derived = None
+    if carry:
+        b1, b2, point, lam, g, res = carry.pop()
+        ev = problem._value(z, np.log2(point), b1, b2, tau), b1, b2, point
+        if problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes():
+            derived = lam, g, res
+    it = 0
+    while True:
+        it += 1
+        f, b1, b2, point = ev or problem.evaluate(za, tau)
+        lam, g, res = derived or _derive(problem, za, b1, b2, point, tau)
+        gnorm = _norm(g)
+        fs, rs = f.item(), res.item()
+        if rs <= rtol * (1.0 + gnorm.item()) or it > cap:
+            break
+        target, d, gd = _newton_step(problem, za, lam, g, point)
+        gd, scale = gd.item(), 1.0 + abs(fs)
+        if gd <= gd_rtol * scale:
+            # objective-flat: the polish takes the target when that lowers
+            # the residual, and its derivation is the next iteration's
+            ev = problem.evaluate(target, tau)
+            derived = _derive(problem, target, *ev[1:], tau)
+            if not (derived[2].item() < rs and ev[0].item() >= fs - _POLISH_SLACK * scale):
+                break
+            za = target
+            continue
+        derived = None
+        noise = _NOISE_RTOL * scale
+        t, zt = 1.0, za + d
+        while True:
+            ev = problem.evaluate(zt, tau)
+            if ev[0].item() >= fs + _ARMIJO_C * t * gd - noise:
+                break
+            t *= 0.5
+            if t < _T_MIN:
+                break
+            zt = za + t * d
+        if t < _T_MIN:  # the line search failed: the row stops where it is
+            break
+        za = zt
+    z[...] = za
+    if carry is not None:
+        carry.append((b1, b2, point, lam, g, res))
+    return np.minimum(it, iter_budget), f, res, gnorm
+
+
 # Softmin smoothing levels; the solver walks them in order and finishes on
 # the exact objective (0.0 disables the smoothing).
 _TAU_STAGES = (1e-2, 1e-4, 1e-6, 1e-9, 0.0)
@@ -652,8 +718,8 @@ def _maximize(problem, z, settings):
     feasible rows of ``z`` (see :func:`maximize_surrogate`), in lockstep
     stage by stage. Returns the final rows and an :class:`InnerSolveResult`
     of arrays over the rows, read off the exact stage's last evaluation of
-    each row. Each stage hands the next its carry (see
-    :func:`_ascent_stage`); the first starts without one."""
+    each row. The stages of one row hand each other their carry (see
+    :func:`_ascent_row`); the first starts without one."""
     z = z.copy()
     iterations = np.zeros(len(z), dtype=int)
     carry = []

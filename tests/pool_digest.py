@@ -3,7 +3,7 @@ keeps every output byte for byte.
 
 Usage, from the repository root::
 
-    python tests/pool_digest.py
+    python tests/pool_digest.py [--large]
 
 For each reference family of ``bench/workloads.py`` it runs every block of
 the pool (``POOL`` seeds) as the benchmark does, one process per available
@@ -14,11 +14,14 @@ the number of problems that the benchmark's own output checks
 contributes its ``region.csv`` bytes; a check block its report and the
 weighted sum rate of every solve, captured as ``bench/tracing.py`` captures
 them. It also prints one SHA-256 over the ``convergence.csv`` bytes of the
-default scenario at the benchmark's two seeds. Run it at two commits: equal
-digests mean equal outputs on every block and both traces. The bench modules
-are loaded read-only.
+default scenario at the benchmark's two seeds. ``--large`` adds one
+SHA-256 over the ``region.csv`` bytes of the default scenario at each of
+``LARGE_TRIALS`` trials, in one process (``--workers 1``). Run it at two
+commits: equal digests mean equal outputs on every block and both traces.
+The bench modules are loaded read-only.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -43,6 +46,7 @@ tracing = load("tracing")
 # workloads that differ only in worker count share a family and its reference
 FAMILIES = {w.family: w for w in workloads.WORKLOADS.values()}
 CONVERGENCE_SEEDS = (workloads.DEFAULT_SEED, workloads.HELDOUT_SEED)
+LARGE_TRIALS = (100, 1000)
 
 
 def _deviation(values, reference):
@@ -84,12 +88,27 @@ def convergence_output(seed):
         return Path(csv_path).read_bytes()
 
 
-def main():
+def large_region_output(trials):
+    """``region.csv`` bytes of the default scenario at ``trials`` trials,
+    in one process."""
+    scenario = cli.load_scenario(environ={}, trials=trials)
+    with tempfile.TemporaryDirectory() as out:
+        csv_path, _ = cli.run_region(scenario, out, workers=1)
+        return Path(csv_path).read_bytes()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--large", action="store_true",
+                        help="also digest region.csv at 100 and 1000 trials, --workers 1")
+    args = parser.parse_args(argv)
     tasks = [(f, b) for f in sorted(FAMILIES) for b in range(workloads.POOL)]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(len(os.sched_getaffinity(0))) as pool:
+        large = pool.map_async(large_region_output, LARGE_TRIALS if args.large else ())
         results = pool.map(block_output, tasks, chunksize=1)
         traces = pool.map(convergence_output, CONVERGENCE_SEEDS)
+        large = large.get()
     for family in sorted(FAMILIES):
         digest, worst, blocks, failed = hashlib.sha256(), 0.0, 0, 0
         for f, block, data, problems, values, reference in results:
@@ -105,6 +124,8 @@ def main():
     seeds = ", ".join(map(str, CONVERGENCE_SEEDS))
     print(f"convergence.csv  seeds {seeds}  "
           f"sha256 {hashlib.sha256(b''.join(traces)).hexdigest()}")
+    for trials, data in zip(LARGE_TRIALS, large):
+        print(f"region.csv  {trials} trials  workers 1  sha256 {hashlib.sha256(data).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stnoma import cli
+from stnoma import cli, region
 from stnoma.cli import (
     DEFAULT_CONVERGENCE_CONFIGS,
     Scenario,
@@ -18,6 +18,7 @@ from stnoma.cli import (
     load_scenario,
     main,
     parse_scenario,
+    read_overlay_points,
     run_convergence,
     run_region,
     self_check,
@@ -300,6 +301,29 @@ def test_convergence_names_a_non_finite_decomposition(monkeypatch, tmp_path):
         run_convergence(replace(SMALL, seed=4), tmp_path)
 
 
+@pytest.mark.parametrize("verb, owner, expected", [
+    ("region", region, "seed 7, trial 1: h1 is non-generic"),
+    ("convergence", cli, "seed 7, config 3x3x5: h1 is non-generic"),
+])
+def test_main_failing_draw_exit_1(monkeypatch, tmp_path, capsys, verb, owner, expected):
+    # a draw that fails after the work has started ended in a traceback;
+    # the verb prints the message that names it and exits 1
+    triangularize = owner.simultaneous_triangularize
+    calls = []
+
+    def second_non_generic(ch):
+        calls.append(ch)
+        if len(calls) == 2:
+            raise ValueError("h1 is non-generic")
+        return triangularize(ch)
+
+    monkeypatch.setattr(owner, "simultaneous_triangularize", second_non_generic)
+    flags = ["--trials", "3", "--mu-steps", "3"] if verb == "region" else []
+    assert main([verb, "--out", str(tmp_path), "--seed", "7", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_self_check_clean():
     report = self_check(replace(SMALL, trials=4))
     assert report.ok
@@ -448,6 +472,17 @@ def test_main_unknown_key_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_scenario_file_with_a_byte_order_mark(tmp_path, capsys):
+    # Windows editors write a UTF-8 byte-order mark, which read as part of
+    # the first key; a file that is not UTF-8 is an invalid scenario
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufefftrials = 2\nseed = 3\n", encoding="utf-8")
+    assert (load_scenario(path).trials, load_scenario(path).seed) == (2, 3)
+    path.write_bytes("n = 5\n# d\xe9faut\n".encode("latin-1"))
+    assert main(["check", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario {path}: ")
+
+
 def test_main_region_verb(tmp_path, capsys):
     rc = main([
         "region", "--out", str(tmp_path), "--trials", "2", "--mu-steps", "3",
@@ -496,6 +531,14 @@ def test_region_overlay_bad_file(tmp_path):
         "--mu-steps", "3", "--overlay", str(tmp_path / "missing.csv"),
     ])
     assert rc == 2
+
+
+def test_overlay_with_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark, which read
+    # as part of the first header cell
+    overlay = tmp_path / "bound.csv"
+    overlay.write_text("\ufeffR1,R2\n5.0,20.0\n", encoding="utf-8")
+    assert read_overlay_points(overlay) == [(5.0, 20.0)]
 
 
 def test_scenario_mu_grid_validation():

@@ -969,7 +969,8 @@ def stage_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "shape, outer, inner, evaluations, derivations",
-    [((5, 3, 3), 142, 1674, 201, 201), ((6, 4, 4), 150, 1804, 324, 229)],
+    [((5, 3, 3), 142, 1674, 204, 204), ((6, 4, 4), 150, 1804, 328, 233)],
+    ids=["5x3x3", "6x4x4"],  # a re-pin keeps the test's name
 )
 def test_region_trial_solver_work_pinned(
     monkeypatch, shape, outer, inner, evaluations, derivations
@@ -1112,10 +1113,10 @@ def test_one_evaluation_serves_the_polish_and_the_full_step(monkeypatch, backtra
 
 @pytest.mark.parametrize("cap", [2, 10000])
 def test_rows_stopping_together_return_as_beside_a_row_that_does_not(cap):
-    # Two copies of one row stop in the same iteration, so on their own the
-    # stage returns its working arrays; beside a third row they drop out
-    # into the results (at cap 2, before it; uncapped, after it). Both ways,
-    # and each row alone, give the same bits.
+    # Two copies of one row stop in the same iteration, so on their own they
+    # drop out together; beside a third row they drop out before it (at cap
+    # 2) or after it (uncapped). Both ways, and each row alone on the
+    # one-row path, give the same bits.
     _, dec = setup_case(122)
     anchor = np.full(dec.dims.shared, 0.2)
     problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0, 0], [0.6, 0.6, 0.3], [anchor] * 3)
@@ -1161,6 +1162,47 @@ def test_stage_of_one_row_and_of_none():
     assert z.shape == (0, problem.size)
 
 
+def test_failed_line_search_leaves_the_row_where_it_started(monkeypatch):
+    # Every evaluation of the row at mu = 0.3 after the stage's first reads
+    # 1.0 lower than it is, so no trial passes its Armijo test (not even
+    # at a t so small that the trial point is the start): the search halves
+    # t from 1 to 2**-59 (60 trials), fails below 1e-18, and the row stops
+    # in its first iteration at its start, with that point's evaluation.
+    # The row at mu = 0.7 steps on. The one-row path and the row inside the
+    # two-row lockstep give the same bits.
+    _, dec = setup_case(126)
+    anchor = np.full(dec.dims.shared, 0.2)
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.3, 0.7], [anchor] * 2)
+    z0 = np.full((2, problem.size), 1.0 / problem.size)
+    evaluate = _SurrogateProblem.evaluate
+    calls, lowered = [], []
+
+    def no_ascent(self, z, tau=0.0):
+        f, *rest = evaluate(self, z, tau)
+        off = (self.mu == 0.3) & (calls[-1] > 0)
+        calls[-1] += 1
+        lowered[-1] += np.count_nonzero(off)
+        return f - off, *rest
+
+    monkeypatch.setattr(_SurrogateProblem, "evaluate", no_ascent)
+    caps, tau, rtol, gd_rtol = np.array([5, 5]), 0.0, 0.0, 1e-15
+    runs = []
+    for rows in ([0, 1], [0]):
+        calls.append(0)
+        lowered.append(0)
+        z = z0[rows].copy()
+        runs.append((z, *power._ascent_stage(problem.take(rows), z, tau, caps[rows], rtol,
+                                             gd_rtol)))
+    monkeypatch.undo()
+    assert lowered == [60, 60]
+    pair, one = runs
+    assert one[0].tobytes() == z0[:1].tobytes()
+    assert one[1].tolist() == [1] and pair[1].tolist()[1] > 1
+    assert one[2].tobytes() == problem.take([0]).evaluate(z0[:1])[0].tobytes()
+    for a, b in zip(pair, one):
+        assert a.dtype == b.dtype and a[:1].tobytes() == b.tobytes()
+
+
 def stage_entries(monkeypatch, problem, z0):
     """``_maximize`` of ``problem`` from ``z0``, and per stage what its first
     iteration computed before the Newton target (or before the stage
@@ -1198,10 +1240,10 @@ def stage_entries(monkeypatch, problem, z0):
     ((6, 4, 4), [(100, 0.1, 0.2, None), (100, 0.9, 0.1, None)], [True, True, True, False]),
 ])
 def test_stage_carry_gives_the_bits_of_a_fresh_start(monkeypatch, shape, rows, reused):
-    # Alone, every stage fast-exits and hands its evaluation to the next,
-    # which reuses the derivation only where the branch weights are the
-    # same. In lockstep beside a row that stops at other iterations, every
-    # stage ends by a drop and the next starts fresh. Both give the same bits.
+    # Alone, every stage runs the one-row path and hands its evaluation to
+    # the next, which reuses the derivation only where the branch weights
+    # are the same. In lockstep beside another row, no stage hands anything
+    # on and the next starts fresh. Both give the same bits.
     # A row is (draw: check's trial 0 or a setup_case seed, mu, anchor and
     # start powers; a start of None is the uniform allocation).
     cfg = make_cfg(*shape)
