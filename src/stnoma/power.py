@@ -35,12 +35,14 @@ evaluation packs every log2 argument of the objective into one array
 gains of :class:`StreamGains`) and takes one ``log2`` of it, and a
 derivative one power of it; the value is two row dot products, with the
 linearization's constant kept per row, and the projection's threshold one
-maximum over the sorted prefixes. One evaluation serves a step's polish and
-its full line-search step. A row carries the evaluation of the line-search
-trial or polish step it accepted into its next iteration, so rows that took
-different step sizes are not evaluated again; when every row that goes on
-was polished or took the full step, the polish's gradient and residual are
-carried too.
+maximum over the sorted prefixes. The surrogate's per-row arrays (the gains
+and their squares, the weights and the interference-free numerators, the
+anchor terms) are one table, formed once and taken by rows together. One
+evaluation serves a step's polish and its full line-search step. A row
+carries the evaluation of the line-search trial or polish step it accepted
+into its next iteration, so rows that took different step sizes are not
+evaluated again; when every row that goes on was polished or took the full
+step, the polish's gradient and residual are carried too.
 
 A stage of one row (every stage of ``ccp_allocate`` and
 ``maximize_surrogate``, and of a lockstep run's outer iterations once one
@@ -262,11 +264,13 @@ class _SurrogateProblem(StreamGains):
     (:meth:`StreamGains.rows`), with its own ``mu`` and ``anchor`` (shapes
     ``rows`` and ``rows + (shared,)``); ``z`` then carries the same leading
     axes, and each row computes exactly as it would alone. A scalar ``draw``
-    and ``mu`` give one row without a row axis.
+    and ``mu`` give one row without a row axis. All per-row state is one
+    table, ``_ROW_FIELDS``, formed once; :meth:`take` takes every entry.
     """
 
-    # The per-row state; take() selects rows of each.
-    _ROW_FIELDS = ("mu", "mu2", "free_mu", "anchor", "anchored", "jac", "slope", "offset")
+    # The per-row state, all of it, as one table; take() selects rows of each.
+    _ROW_FIELDS = (*StreamGains.GAINS, "c1_sq", "c1_diag_sq", "w2_sq", "mu", "mu2", "free_mu",
+                   "free_num", "free_num_sq", "anchor", "anchored", "jac", "slope", "offset")
 
     @classmethod
     def over_draws(cls, decs, cfg, draw, mu, anchor):
@@ -277,27 +281,18 @@ class _SurrogateProblem(StreamGains):
         self.m = d.shared
         self.n_p1 = self.m + d.private1
         self.size = self.n_p1 + self.m + d.private2
+        # the gains of the shared-stream terms of the second derivatives
+        self.c1_sq, self.c1_diag_sq, self.w2_sq = self.c1**2, self.c1_diag**2, self.w2**2
         self.mu = np.asarray(mu, dtype=float)
         self.mu2 = 1.0 - self.mu  # user 2's weight
-        # the weight of each interference-free stream, in the order of ``free``
+        # the weight of each interference-free stream, in the order of
+        # ``free``, and its numerators in the first and second derivatives
         counts = [d.private1, self.m, d.private2]
         self.free_mu = np.repeat(np.stack([self.mu, self.mu2, self.mu2], -1), counts, -1)
+        self.free_num = self.free_mu * self.free
+        self.free_num_sq = self.free_mu * self.free**2
         self._anchor_rows(anchor)
         return self
-
-    @functools.cached_property
-    def gain_powers(self):
-        """The gains of the shared-stream terms of the k-th derivatives
-        (k = 1, 2), ``(c1, c1_diag, w2)`` raised to the k-th power, computed
-        once and taken with the rows."""
-        gains = self.c1, self.c1_diag, self.w2
-        return {1: gains, 2: tuple(gain**2 for gain in gains)}
-
-    @functools.cached_property
-    def free_terms(self):
-        """The numerators ``free_mu * free**k`` of the interference-free
-        terms of the k-th derivatives (k = 1, 2), formed once per row set."""
-        return {1: self.free_mu * self.free, 2: self.free_mu * self.free**2}
 
     def _anchor_rows(self, anchor):
         m = self.m
@@ -323,11 +318,9 @@ class _SurrogateProblem(StreamGains):
         self.offset = np.add.reduce(self.anchored, axis=-1) - np.vecdot(self.slope, self.anchor)
 
     def __copy__(self):
-        # the attributes alone; copy.copy's generic reduce path costs more.
-        # The copy forms its own free_terms, as take changes the rows.
+        # the attributes alone; copy.copy's generic reduce path costs more
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        new.__dict__.pop("free_terms", None)
         return new
 
     def reanchored(self, anchor):
@@ -338,20 +331,12 @@ class _SurrogateProblem(StreamGains):
         return new
 
     def take(self, rows):
-        """The surrogate of the rows at the indices ``rows`` (increasing),
-        with their gains."""
+        """The surrogate of the rows at the indices ``rows`` (increasing)."""
         if len(rows) == len(self.mu):
             return self
         new = copy.copy(self)
         for name in self._ROW_FIELDS:
             setattr(new, name, getattr(self, name).take(rows, axis=0))
-        new.free = self.free.take(rows, axis=0)
-        new.gain_powers = {}
-        for k, (c1, _, w2) in self.gain_powers.items():
-            c1 = c1.take(rows, axis=0)
-            # the diagonal of the taken c1 (of c1**2) is the taken c1_diag
-            new.gain_powers[k] = c1, c1.diagonal(0, -2, -1), w2.take(rows, axis=0)
-        new.c1, new.c1_diag, new.w2 = new.gain_powers[1]
         return new
 
     def powers(self, z):
@@ -450,14 +435,17 @@ class _SurrogateProblem(StreamGains):
         weights in [0, 1], so also at a kink, where the branches tie. At
         k = 2 it treats the weights as constant, so it is a preconditioner,
         not an exact second derivative."""
-        c1, c1_diag, w2 = self.gain_powers[k]
+        if k == 1:
+            c1, c1_diag, w2, free_num = self.c1, self.c1_diag, self.w2, self.free_num
+        else:
+            c1, c1_diag, w2, free_num = self.c1_sq, self.c1_diag_sq, self.w2_sq, self.free_num_sq
         # the identity at k = 1 keeps the gradient free of x**1 copies
         den = _LN2 * (point if k == 1 else point**k)
         m, n_p1 = self.m, self.n_p1
         den11, den12 = den[..., :m], den[..., m : 2 * m]
         den21, den22 = den[..., 2 * m : 3 * m], den[..., 3 * m : 4 * m]
         out = np.empty(den.shape[:-1] + (self.size,))
-        out[..., m:] = self.free_terms[k] / den[..., 4 * m :]
+        out[..., m:] = free_num / den[..., 4 * m :]
         if m:
             mu = self.mu[..., None]
             rest = _ONE - lam

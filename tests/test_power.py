@@ -278,9 +278,9 @@ def test_value_is_the_sum_over_streams(shape):
 
 
 def test_take_is_the_surrogate_built_on_the_rows():
-    # every row field, every gain and both gain powers of the taken rows
-    # are those of the surrogate built on them alone, bit for bit: rows on
-    # two links, and rows that all lie on one link
+    # every entry of the row table of the taken rows is that of the
+    # surrogate built on them alone, bit for bit: rows on two links, and
+    # rows that all lie on one link
     rng = np.random.default_rng(122)
     mu = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     rows = np.array([1, 3, 4])
@@ -291,12 +291,24 @@ def test_take_is_the_surrogate_built_on_the_rows():
         problem = _SurrogateProblem.over_draws(decs, CFG335, draw, mu, anchor)
         got = problem.take(rows)
         want = _SurrogateProblem.over_draws(decs, CFG335, draw[rows], mu[rows], anchor[rows])
-        names = _SurrogateProblem._ROW_FIELDS + StreamGains.GAINS
-        pairs = [(getattr(got, n), getattr(want, n)) for n in names]
-        for k in (1, 2):
-            pairs += zip(got.gain_powers[k], want.gain_powers[k])
-        for a, b in pairs:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for name in _SurrogateProblem._ROW_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_row_table_names_every_per_row_array():
+    # every array attribute whose leading axis is the row axis is an entry
+    # of the row table, so take() cannot miss one; and every entry is one
+    decs = [setup_case(seed)[1] for seed in (121, 221)]
+    anchor = np.full((5, decs[0].dims.shared), 0.1)
+    problem = _SurrogateProblem.over_draws(decs, CFG335, [0, 1, 1, 0, 1],
+                                           [0.1, 0.3, 0.5, 0.7, 0.9], anchor)
+    # after a derivation, so that no array formed on first use escapes
+    problem._derivative(2, np.zeros((5, problem.m)), problem.point(np.zeros((5, problem.size))))
+    per_row = {name for name, value in vars(problem).items()
+               if isinstance(value, np.ndarray) and value.ndim and len(value) == 5}
+    assert per_row == set(_SurrogateProblem._ROW_FIELDS)
+    assert set(StreamGains.GAINS) <= per_row
 
 
 def test_copy_reanchored_leaves_the_original():
