@@ -513,6 +513,22 @@ def _newton_step(problem, z, lam, g, point):
     return target, d, np.vecdot(g, d)
 
 
+def _accepted(pending, stop, f, trial_f, bound, zt, start):
+    """The rows of ``pending`` whose trial value reaches ``bound`` (the
+    Armijo test), taken out of ``pending``. A row whose trial point is its
+    start (``start + t * d`` rounded to ``start``) reads its start's value,
+    which passes through the noise allowance: that null step fails the row's
+    search instead, and the row moves to ``stop``."""
+    ok = pending & (trial_f >= bound)
+    pending ^= ok
+    same = ok & (trial_f == f)
+    if np.count_nonzero(same):
+        null = same & (zt == start).all(axis=1)
+        ok ^= null
+        stop |= null
+    return ok
+
+
 def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
     surrogate over the unit budget, every row of ``z`` in lockstep.
@@ -527,7 +543,8 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     stops only in an iteration that does not move it: its plain Euclidean
     projected-gradient residual is at most ``rtol * (1 + ||g||)`` (a hit),
     it has taken its ``iter_budget`` steps, it is flat and the polish does
-    not take it, or its line search fails. A stopped row drops out into the
+    not take it, or its line search fails (no trial passes, or one passes only
+    by a null step, :func:`_accepted`). A stopped row drops out into the
     results; every other row goes on exactly as it would alone. Updates
     ``z`` in place and returns per row the iterations used and the
     objective, residual and gradient norm of its last evaluation, which is
@@ -583,8 +600,7 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
             if n_flat:
                 np.copyto(zt, target, where=flat[:, None])
             trial = sub.evaluate(zt, tau)
-            ok = pending & (trial[0] >= f + _ARMIJO_C * t * gd - noise)
-            pending ^= ok
+            ok = _accepted(pending, stop, f, trial[0], f + _ARMIJO_C * t * gd - noise, zt, start)
             if n_flat:
                 # Objective-flat but possibly not stationary: the full step
                 # can still shrink the gradient mapping, so polish on the
@@ -609,8 +625,8 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
                     break
                 zt = start + t * d
                 trial = sub.evaluate(zt, tau)
-                ok = pending & (trial[0] >= f + _ARMIJO_C * t * gd - noise)
-                pending ^= ok
+                ok = _accepted(pending, stop, f, trial[0], f + _ARMIJO_C * t * gd - noise, zt,
+                               start)
         n_stop = np.count_nonzero(stop)
         if not n_stop:
             continue
@@ -681,7 +697,10 @@ def _ascent_row(problem, z, tau, iter_budget, rtol, gd_rtol, carry):
         t, zt = 1.0, za + d
         while True:
             ev = problem.evaluate(zt, tau)
-            if ev[0].item() >= fs + _ARMIJO_C * t * gd - noise:
+            ft = ev[0].item()
+            if ft >= fs + _ARMIJO_C * t * gd - noise:
+                if ft == fs and (zt == za).all():
+                    t = 0.0  # a null step (see _accepted) fails the search
                 break
             t *= 0.5
             if t < _T_MIN:
@@ -757,6 +776,9 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
         Best allocation found; the result flags non-convergence if the
         iteration cap was exhausted before the residual certificate held.
     """
+    # written so that NaN fails
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError("mu must lie in [0, 1]")
     if settings is None:
         settings = SolverSettings()
     budget = cfg.power_budget

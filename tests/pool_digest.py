@@ -10,15 +10,16 @@ the pool (``POOL`` seeds) as the benchmark does, one process per available
 CPU, and prints one SHA-256 over all of the family's outputs, in block
 order, the largest relative deviation from ``bench/reference.json``, and
 the number of problems that the benchmark's own output checks
-(``bench/checks.py``) find; any problem is also printed. A region block
-contributes its ``region.csv`` bytes; a check block its report and the
-weighted sum rate of every solve, captured as ``bench/tracing.py`` captures
-them. It also prints one SHA-256 over the ``convergence.csv`` bytes of the
-default scenario at the benchmark's two seeds. ``--large`` adds one
-SHA-256 over the ``region.csv`` bytes of the default scenario at each of
-``LARGE_TRIALS`` trials, in one process (``--workers 1``). Run it at two
-commits: equal digests mean equal outputs on every block and both traces.
-The bench modules are loaded read-only.
+(``bench/checks.py``) find; any problem is also printed, and makes the
+script exit with status 1. A region block contributes its ``region.csv``
+bytes; a check block its report and the weighted sum rate of every solve,
+captured as ``bench/tracing.py`` captures them. It also prints one
+SHA-256 over the ``convergence.csv`` bytes of the default scenario at the
+benchmark's two seeds. ``--large`` adds one SHA-256 over the
+``region.csv`` bytes of the default scenario at each of ``LARGE_TRIALS``
+trials, in one process (``--workers 1``). Run it at two commits: equal
+digests mean equal outputs on every block and both traces. The bench
+modules are loaded read-only.
 """
 
 import argparse
@@ -126,7 +127,8 @@ def main(argv=None):
           f"sha256 {hashlib.sha256(b''.join(traces)).hexdigest()}")
     for trials, data in zip(LARGE_TRIALS, large):
         print(f"region.csv  {trials} trials  workers 1  sha256 {hashlib.sha256(data).hexdigest()}")
+    return 1 if any(problems for _, _, _, problems, _, _ in results) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -659,6 +659,15 @@ def test_solvers_reject_a_non_finite_anchor(bad):
         CcpState(anchor, PowerAllocation.zeros(dec.dims), 0, np.zeros(0), False)
 
 
+@pytest.mark.parametrize("mu", [2.0, -1.0, math.nan])
+def test_surrogate_rejects_a_weight_outside_unit_interval(mu):
+    # 2.0 and -1.0 were solved and reported converged; NaN gave a zero
+    # allocation, not converged
+    _, dec = setup_case(16)
+    with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\]"):
+        maximize_surrogate(np.zeros(dec.dims.shared), dec, CFG335, mu)
+
+
 def test_solver_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(ccp_max_iters=0)
@@ -1208,6 +1217,44 @@ def test_failed_line_search_leaves_the_row_where_it_started(monkeypatch):
     monkeypatch.undo()
     assert lowered == [60, 60]
     pair, one = runs
+    assert one[0].tobytes() == z0[:1].tobytes()
+    assert one[1].tolist() == [1] and pair[1].tolist()[1] > 1
+    assert one[2].tobytes() == problem.take([0]).evaluate(z0[:1])[0].tobytes()
+    for a, b in zip(pair, one):
+        assert a.dtype == b.dtype and a[:1].tobytes() == b.tobytes()
+
+
+def test_line_search_refuses_a_null_step(monkeypatch):
+    # Every evaluation of the row at mu = 0.3 reads 1.0 lower than it is,
+    # except at its start, so the only trial that passes its Armijo test is
+    # one whose point rounded back to the start (za + t * d == za), which
+    # passes through the noise allowance. That null step fails the search:
+    # the row stops in its first iteration, at its start, on the one-row
+    # path and inside the two-row lockstep alike, with the same bits.
+    _, dec = setup_case(126)
+    anchor = np.full(dec.dims.shared, 0.2)
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.3, 0.7], [anchor] * 2)
+    z0 = np.full((2, problem.size), 1.0 / problem.size)
+    evaluate = _SurrogateProblem.evaluate
+    calls = []
+
+    def start_only(self, z, tau=0.0):
+        f, *rest = evaluate(self, z, tau)
+        off = (self.mu == 0.3) & (z != z0[0]).any(axis=-1)
+        calls[-1] += np.count_nonzero(self.mu == 0.3)
+        return f - off, *rest
+
+    monkeypatch.setattr(_SurrogateProblem, "evaluate", start_only)
+    caps, tau, rtol, gd_rtol = np.array([5, 5]), 0.0, 0.0, 1e-15
+    runs = []
+    for rows in ([0, 1], [0]):
+        calls.append(0)
+        z = z0[rows].copy()
+        runs.append((z, *power._ascent_stage(problem.take(rows), z, tau, caps[rows], rtol,
+                                             gd_rtol)))
+    monkeypatch.undo()
+    pair, one = runs
+    assert calls == [56, 56]  # the start, then t = 1 down to 2**-54
     assert one[0].tobytes() == z0[:1].tobytes()
     assert one[1].tolist() == [1] and pair[1].tolist()[1] > 1
     assert one[2].tobytes() == problem.take([0]).evaluate(z0[:1])[0].tobytes()
