@@ -514,11 +514,10 @@ def _newton_step(problem, z, lam, g, point):
 
 
 def _accepted(pending, stop, f, trial_f, bound, zt, start):
-    """The rows of ``pending`` whose trial value reaches ``bound`` (the
-    Armijo test), taken out of ``pending``. A row whose trial point is its
-    start (``start + t * d`` rounded to ``start``) reads its start's value,
-    which passes through the noise allowance: that null step fails the row's
-    search instead, and the row moves to ``stop``."""
+    """The rows of ``pending`` that pass the Armijo test ``trial_f >= bound``,
+    taken out of ``pending``. A row whose trial point rounded back to its
+    ``start`` passes only through the noise allowance: that null step fails
+    its search instead, and the row joins ``stop``."""
     ok = pending & (trial_f >= bound)
     pending ^= ok
     same = ok & (trial_f == f)
