@@ -404,13 +404,9 @@ def _random_feasible_allocation(rng, dims, budget):
     weights = rng.random(2 * dims.total)
     weights /= weights.sum()
     scale = rng.random() * budget
-    p1 = weights[: dims.total] * scale
-    p2 = weights[dims.total :] * scale
-    for l in dims.private1_indices():
-        p2[l] = 0.0
-    for l in dims.private2_indices():
-        p1[l] = 0.0
-    return PowerAllocation(p1, p2)
+    p1, p2 = weights[: dims.total] * scale, weights[dims.total :] * scale
+    # zero on the other user's private streams
+    return PowerAllocation(*dims.unpack(dims.pack(p1, p2)))
 
 
 def self_check(scenario, corrupt=None):

@@ -188,7 +188,7 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
     if not 0 <= l < dec.dims.shared:
         raise ValueError(f"stream {l} is not shared")
     problem = _SurrogateProblem.over_draws([dec], cfg, 0, 1.0, anchor)
-    return float(problem.bounds(problem.pack(alloc))[l])
+    return float(problem.bounds(dec.dims.pack(alloc.p1, alloc.p2))[l])
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,15 +257,15 @@ class _SurrogateProblem(StreamGains):
     """Vectorized value and derivatives of the concave surrogate objective,
     one link, weight and anchor per row.
 
-    Variables are packed as ``z = [p1 shared, p1 private1, p2 shared,
-    p2 private2]``; the fixed-zero coordinates of the allocation never enter
-    the solver. It is built one way, :meth:`over_draws`: row ``i`` lies on
-    the link of ``decs[draw[i]]``, whose :class:`StreamGains` it carries
-    (:meth:`StreamGains.rows`), with its own ``mu`` and ``anchor`` (shapes
-    ``rows`` and ``rows + (shared,)``); ``z`` then carries the same leading
-    axes, and each row computes exactly as it would alone. A scalar ``draw``
-    and ``mu`` give one row without a row axis. All per-row state is one
-    table, ``_ROW_FIELDS``, formed once; :meth:`take` takes every entry.
+    Variables are packed by :meth:`StreamDims.pack`, ``z = [p1 shared, p1
+    private1, p2 shared, p2 private2]``, so the allocation's fixed zeros
+    never enter the solver. It is built one way, :meth:`over_draws`: row
+    ``i`` carries the :class:`StreamGains` of ``decs[draw[i]]`` and its own
+    ``mu`` and ``anchor`` (shapes ``rows`` and ``rows + (shared,)``); ``z``
+    then carries the same leading axes, and each row computes exactly as it
+    would alone. A scalar ``draw`` and ``mu`` give one row without a row
+    axis. All per-row state is one table, ``_ROW_FIELDS``, formed once;
+    :meth:`take` takes every entry.
     """
 
     # The per-row state, all of it, as one table; take() selects rows of each.
@@ -276,11 +276,9 @@ class _SurrogateProblem(StreamGains):
     def over_draws(cls, decs, cfg, draw, mu, anchor):
         """The surrogate whose row ``i`` lies on the link of
         ``decs[draw[i]]``, at weight ``mu[i]`` and anchor ``anchor[i]``."""
-        self = cls.rows(decs, cfg, draw)
+        self = cls(decs, cfg, draw)
         d = self.dims
-        self.m = d.shared
-        self.n_p1 = self.m + d.private1
-        self.size = self.n_p1 + self.m + d.private2
+        self.m, self.n_p1, self.size = d.shared, d.user1_streams, d.total + d.shared
         # the gains of the shared-stream terms of the second derivatives
         self.c1_sq, self.c1_diag_sq, self.w2_sq = self.c1**2, self.c1_diag**2, self.w2**2
         self.mu = np.asarray(mu, dtype=float)
@@ -338,29 +336,6 @@ class _SurrogateProblem(StreamGains):
         for name in self._ROW_FIELDS:
             setattr(new, name, getattr(self, name).take(rows, axis=0))
         return new
-
-    def powers(self, z):
-        """Solver vectors -> full-length ``(p1, p2)`` with the zero support
-        restored."""
-        d = self.dims
-        m, n_p1 = self.m, self.n_p1
-        p1 = np.zeros(z.shape[:-1] + (d.total,))
-        p2 = np.zeros(z.shape[:-1] + (d.total,))
-        p1[..., :n_p1] = z[..., :n_p1]
-        p2[..., :m] = z[..., n_p1 : n_p1 + m]
-        p2[..., m + d.private1 :] = z[..., n_p1 + m :]
-        return p1, p2
-
-    def pack(self, alloc):
-        d = self.dims
-        m = self.m
-        return np.concatenate(
-            [
-                alloc.p1[: self.n_p1],
-                alloc.p2[:m],
-                alloc.p2[m + d.private1 :],
-            ]
-        )
 
     def point(self, z):
         """The arguments of every log2 of the objective at ``z``, in one
@@ -784,7 +759,7 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
     anchor = [np.divide(anchor, budget)]
     problem = _SurrogateProblem.over_draws([dec], _per_budget(cfg), [0], [mu], anchor)
     z, result = _maximize(problem, np.zeros((1, problem.size)), settings)
-    p1, p2 = problem.powers(z[0])
+    p1, p2 = problem.dims.unpack(z[0])
     return PowerAllocation(p1 * budget, p2 * budget), result.at(0)
 
 
@@ -838,7 +813,7 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
             new, result = _maximize(problem, project_power_budget(prev, 1.0), settings)
             for a, value in zip(inner.astuple(), result.astuple()):
                 a[act, it - 1] = value
-            br = problem.breakdown(*problem.powers(new))
+            br = problem.breakdown(*dims.unpack(new))
             r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)
             rates[act, 0], rates[act, 1] = r1, r2
             trace[act, it - 1] = problem.mu * r1 + problem.mu2 * r2
@@ -854,7 +829,7 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
                 break
             anchor = new[keep, problem.n_p1 : problem.n_p1 + problem.m]
             problem = problem.take(keep).reanchored(anchor)
-        p1, p2 = problem.powers(z)
+        p1, p2 = dims.unpack(z)
         # The trace form of the power constraint is the plain power sum
         # because the precoder columns are unit norm; checked on every row,
         # to 1e-9 of its total power.

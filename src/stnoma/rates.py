@@ -24,52 +24,45 @@ __all__ = [
 
 
 class StreamGains:
-    """Per-watt gains of every stream, read off the triangular factors.
+    """Per-watt gains of every stream, read off the triangular factors of
+    the decompositions ``decs``, which share one stream layout: row ``i``
+    holds the bits of the gains of ``decs[draw[i]]`` alone, and a scalar
+    ``draw`` gives one link's gains without a row axis.
 
     ``c1`` holds the upper-triangular ``|r1|^2 / pathloss1`` block of the
     shared streams: its diagonal ``c1_diag`` is user 1's own gain, the
     entries right of it the uncancellable interference from user 2's later
     shared symbols. ``w2`` is user 2's gain on each shared stream. ``free``
     holds, in one array, the noise-normalized gains of the interference-free
-    streams in the power solver's order: user 1's private streams, user 2's
-    shared streams (after SIC), user 2's private streams. Each gain array may
-    carry a leading row axis (see :meth:`rows`); every formula broadcasts
-    over it.
+    streams in the power solver's order (:meth:`StreamDims.pack`): user 1's
+    private streams, user 2's shared streams (after SIC), user 2's private
+    streams. Every formula broadcasts over the row axis.
     """
 
     GAINS = ("c1", "c1_diag", "w2", "free")
 
-    def __init__(self, dec, cfg):
-        d = dec.dims
+    def __init__(self, decs, cfg, draw):
+        d = decs[0].dims
+        if any(dec.dims != d for dec in decs[1:]):
+            raise ValueError("every draw must have the same stream dimensions")
         m = d.shared
-        self.dims = d
-        self.sigma2 = cfg.noise_power
-        self.c1 = np.triu(np.abs(dec.r1[:m, :m]) ** 2 / cfg.pathloss1)
-        self.c1_diag = np.diagonal(self.c1)
-        self.w2 = np.abs(np.diagonal(dec.r2)[:m]) ** 2 / cfg.pathloss2
+        self.dims, self.sigma2 = d, cfg.noise_power
+        r1 = np.stack([dec.r1 for dec in decs])[draw]
+        r2 = np.stack([dec.r2 for dec in decs])[draw]
+        diag1 = np.diagonal(r1, axis1=-2, axis2=-1).real
+        diag2 = np.diagonal(r2, axis1=-2, axis2=-1)
+        self.c1 = np.triu(np.abs(r1[..., :m, :m]) ** 2 / cfg.pathloss1)
+        # a copy, so that every gain is C-contiguous as the solver reads it
+        self.c1_diag = np.diagonal(self.c1, axis1=-2, axis2=-1).copy()
+        self.w2 = np.abs(diag2[..., :m]) ** 2 / cfg.pathloss2
         self.free = np.concatenate([
-            dec.diag1[m:] ** 2 / (cfg.pathloss1 * self.sigma2),
+            diag1[..., m:] ** 2 / (cfg.pathloss1 * self.sigma2),
             self.w2 / self.sigma2,
-            dec.diag2[m:] ** 2 / (cfg.pathloss2 * self.sigma2),
-        ])
+            diag2[..., m:].real ** 2 / (cfg.pathloss2 * self.sigma2),
+        ], axis=-1)
         # written so that NaN fails
         if not (np.isfinite(self.c1).all() and np.isfinite(self.free).all()):
             raise ValueError("stream gains must be finite")
-
-    @classmethod
-    def rows(cls, decs, cfg, draw):
-        """Gains whose row ``i`` is the link of ``decs[draw[i]]``; each row
-        computes exactly as that link's own gains would. The decompositions
-        must share one stream layout. A scalar ``draw`` gives that link's
-        gains without a row axis."""
-        links = [StreamGains(dec, cfg) for dec in decs]
-        if any(link.dims != links[0].dims for link in links):
-            raise ValueError("every draw must have the same stream dimensions")
-        new = cls.__new__(cls)
-        new.dims, new.sigma2 = links[0].dims, links[0].sigma2
-        for name in cls.GAINS:
-            setattr(new, name, np.stack([getattr(link, name) for link in links])[draw])
-        return new
 
     def shared_args(self, p1s, p2s):
         """Noise-plus-power sums ``(arg11, arg12, arg21, arg22)`` of user 1's
@@ -88,20 +81,14 @@ class StreamGains:
     def breakdown(self, p1, p2):
         """:class:`RateBreakdown` of the length-L powers ``p1``, ``p2``, or
         of rows of them."""
-        d = self.dims
-        m, k = d.shared, d.user1_streams
-        p1s, p2s = p1[..., :m], p2[..., :m]
-        _, arg12, _, arg22 = self.shared_args(p1s, p2s)
+        d, m = self.dims, self.dims.shared
+        z = d.pack(p1, p2)
+        p1s = p1[..., :m]
+        _, arg12, _, arg22 = self.shared_args(p1s, p2[..., :m])
         at1 = np.log2(1.0 + p1s * self.c1_diag / arg12)
         at2 = np.log2(1.0 + p1s * self.w2 / arg22)
-        powers = np.concatenate([p1[..., m:k], p2s, p2[..., k:]], axis=-1)
-        free = np.log2(1.0 + powers * self.free)
-        r1 = np.zeros(p1.shape)
-        r2 = np.zeros(p2.shape)
-        r1[..., :m] = np.minimum(at1, at2)
-        r1[..., m:k] = free[..., : d.private1]
-        r2[..., :m] = free[..., d.private1 : k]
-        r2[..., k:] = free[..., k:]
+        free = np.log2(1.0 + z[..., m:] * self.free)
+        r1, r2 = d.unpack(np.concatenate([np.minimum(at1, at2), free], axis=-1))
         return RateBreakdown(r1=r1, r2=r2, r1_at_user1=at1, r1_at_user2=at2)
 
 
@@ -126,7 +113,7 @@ def rate_breakdown(alloc, dec, cfg):
     1's private and user 2's streams are interference-free. Each user's
     rates on the other user's private indices are zero.
     """
-    return StreamGains(dec, cfg).breakdown(alloc.p1, alloc.p2)
+    return StreamGains([dec], cfg, 0).breakdown(alloc.p1, alloc.p2)
 
 
 def rate_user1(alloc, dec, cfg):

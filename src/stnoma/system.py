@@ -127,7 +127,9 @@ class StreamDims(Record):
 
     ``total`` is the symbol vector length L = min(m1 + m2, n_bs). The first
     ``shared`` streams go to both users, the next ``private1`` streams only
-    to user 1, the last ``private2`` streams only to user 2.
+    to user 1, the last ``private2`` streams only to user 2. :meth:`pack`
+    and :meth:`unpack` map both users' powers to the power solver's order
+    and back.
     """
 
     __slots__ = ("total", "shared", "private1", "private2")
@@ -165,6 +167,31 @@ class StreamDims(Record):
 
     def private2_indices(self):
         return range(self.shared + self.private1, self.total)
+
+    def pack(self, p1, p2):
+        """Length-L powers of both users, or rows of them, in the power
+        solver's order ``[p1 shared | p1 private1 | p2 shared | p2
+        private2]`` (length L + shared): without each user's powers on the
+        other user's private streams."""
+        self._check_length(p1, p2, n=self.total)
+        k = self.user1_streams
+        return np.concatenate([p1[..., :k], p2[..., : self.shared], p2[..., k:]], axis=-1)
+
+    def unpack(self, z):
+        """The length-L ``(p1, p2)`` of solver vectors ``z`` (:meth:`pack`),
+        zero on the other user's private streams."""
+        m, k = self.shared, self.user1_streams
+        self._check_length(z, n=self.total + m)
+        p1, p2 = np.zeros((2, *z.shape[:-1], self.total))
+        p1[..., :k] = z[..., :k]
+        p2[..., :m], p2[..., k:] = z[..., k : k + m], z[..., k + m :]
+        return p1, p2
+
+    @staticmethod
+    def _check_length(*powers, n):
+        for p in powers:
+            if p.shape[-1:] != (n,):
+                raise ValueError("allocation length != stream count")
 
 
 class ChannelPair(Record):

@@ -101,7 +101,7 @@ def gains_dc_components(alloc, dec, cfg, l):
     m = dec.dims.shared
     if not 0 <= l < m:
         raise ValueError(f"stream {l} is not shared")
-    args = StreamGains(dec, cfg).shared_args(alloc.p1[:m], alloc.p2[:m])
+    args = StreamGains([dec], cfg, 0).shared_args(alloc.p1[:m], alloc.p2[:m])
     return tuple(math.log2(arg[l]) for arg in args)
 
 

@@ -199,7 +199,7 @@ def test_surrogate_gradient_matches_finite_differences():
     rng, dec = setup_case(15, cfg)
     d = dec.dims
     problem = _SurrogateProblem.over_draws([dec], cfg, 0, 0.6, rng.random(d.shared) * 0.2)
-    z = problem.pack(random_alloc(rng, d)) + 1e-3
+    z = problem.dims.pack(*random_alloc(rng, d).astuple()) + 1e-3
     f, b1, b2, point = problem.evaluate(z)
     assert np.all(np.abs(b1 - b2) > 1e-6)  # smooth point
     lam = problem._branch_weights(b1, b2, 0.0)
@@ -229,7 +229,7 @@ def test_surrogate_value_matches_per_stream_ops():
     alloc = random_alloc(rng, d)
     anchor = rng.random(d.shared) * 0.3
     problem = _SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor)
-    got = problem.evaluate(problem.pack(alloc))[0]
+    got = problem.evaluate(problem.dims.pack(alloc.p1, alloc.p2))[0]
     under = sum(
         oracle.rate_underestimator(alloc, anchor, dec, cfg, l)
         for l in d.shared_indices()
@@ -271,7 +271,7 @@ def test_value_is_the_sum_over_streams(shape):
     d = decs[0].dims
     anchors = rng.random((4, d.shared)) * 0.3
     problem = _SurrogateProblem.over_draws(decs, cfg, [0, 1, 0, 1], [0.0, 0.3, 0.7, 1.0], anchors)
-    z = np.stack([problem.pack(random_alloc(rng, d)) for _ in range(4)])
+    z = np.stack([problem.dims.pack(*random_alloc(rng, d).astuple()) for _ in range(4)])
     for tau in (0.0, 1e-2):
         got, want = problem.evaluate(z, tau)[0], summed_value(problem, z, tau)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -298,16 +298,25 @@ def test_take_is_the_surrogate_built_on_the_rows():
 
 def test_row_table_names_every_per_row_array():
     # every array attribute whose leading axis is the row axis is an entry
-    # of the row table, so take() cannot miss one; and every entry is one
-    decs = [setup_case(seed)[1] for seed in (121, 221)]
+    # of the row table, so take() cannot miss one; and every entry is one.
+    # On 6x4x4, whose two shared streams make c1 a matrix, every entry is
+    # C-contiguous as built, taken and re-anchored: a strided view, such as
+    # np.diagonal's of c1, would slow every numpy call that reads it.
+    cfg = make_cfg(6, 4, 4)
+    decs = [setup_case(seed, cfg)[1] for seed in (121, 221)]
+    assert decs[0].dims.shared == 2
     anchor = np.full((5, decs[0].dims.shared), 0.1)
-    problem = _SurrogateProblem.over_draws(decs, CFG335, [0, 1, 1, 0, 1],
+    problem = _SurrogateProblem.over_draws(decs, cfg, [0, 1, 1, 0, 1],
                                            [0.1, 0.3, 0.5, 0.7, 0.9], anchor)
     # after a derivation, so that no array formed on first use escapes
     problem._derivative(2, np.zeros((5, problem.m)), problem.point(np.zeros((5, problem.size))))
     per_row = {name for name, value in vars(problem).items()
                if isinstance(value, np.ndarray) and value.ndim and len(value) == 5}
     assert per_row == set(_SurrogateProblem._ROW_FIELDS)
+    taken = problem.take([0, 2, 3])
+    for sub in (problem, taken, taken.reanchored(anchor[:3] + 0.1)):
+        for name in _SurrogateProblem._ROW_FIELDS:
+            assert getattr(sub, name).flags.c_contiguous, name
 
 
 def test_copy_reanchored_leaves_the_original():
@@ -341,10 +350,10 @@ def test_packed_point_is_the_shared_and_free_arguments(shape):
     m, k, s2 = d.shared, d.user1_streams, cfg.noise_power
     allocs = [random_alloc(rng, d) for _ in decs]
     problem = _SurrogateProblem.over_draws(decs, cfg, [0, 1], [0.3, 0.7], np.zeros((2, m)))
-    point = problem.point(np.stack([problem.pack(alloc) for alloc in allocs]))
+    point = problem.point(np.stack([problem.dims.pack(alloc.p1, alloc.p2) for alloc in allocs]))
     for row, (dec, alloc) in enumerate(zip(decs, allocs)):
         p1, p2 = alloc.p1, alloc.p2
-        gains = StreamGains(dec, cfg)
+        gains = StreamGains([dec], cfg, 0)
         want = np.concatenate([
             *gains.shared_args(p1[:m], p2[:m]),
             1.0 + p1[m:k] * (dec.diag1[m:] ** 2 / (cfg.pathloss1 * s2)),
@@ -625,7 +634,7 @@ def test_inner_certificate_at_kinks_matches_weight_grid():
         anchor = np.zeros(dec.dims.shared)
         alloc, info = maximize_surrogate(anchor, dec, cfg, mu)
         problem = _SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor)
-        z = problem.pack(alloc)
+        z = problem.dims.pack(alloc.p1, alloc.p2)
         _, b1, b2, point = problem.evaluate(z)
         kinks = np.flatnonzero(
             np.abs(b1 - b2) <= 1e-7 * (1.0 + np.abs(b1) + np.abs(b2))
@@ -713,7 +722,7 @@ def test_ccp_surrogate_tightness_each_iteration():
         alloc, _ = maximize_surrogate(q, dec, CFG335, mu, settings=settings)
         q = alloc.p2[: dec.dims.shared].copy()
         problem = _SurrogateProblem.over_draws([dec], CFG335, 0, mu, q)
-        tight = problem.evaluate(problem.pack(alloc))[0]
+        tight = problem.evaluate(problem.dims.pack(alloc.p1, alloc.p2))[0]
         truth = weighted_sum_rate(alloc, dec, CFG335, mu)
         assert tight == pytest.approx(truth, abs=1e-9)
 
@@ -951,7 +960,7 @@ def test_inner_result_is_the_evaluation_at_the_returned_point(inner_max_iters):
             alloc, info = maximize_surrogate(anchor, dec, cfg, mu, settings=settings)
             assert info.iterations <= inner_max_iters
             problem = _SurrogateProblem.over_draws([dec], cfg, 0, mu, anchor)
-            z = problem.pack(alloc)
+            z = problem.dims.pack(alloc.p1, alloc.p2)
             f, b1, b2, point = problem.evaluate(z)
             g = problem._derivative(1, problem._branch_weights(b1, b2, 0.0), point)
             assert info.value == f
@@ -1332,7 +1341,8 @@ def test_value_from_is_the_value_of_evaluate():
         rows = 6
         mus, anchors = rng.random(rows), rng.random((rows, dec.dims.shared)) * 0.2
         problem = _SurrogateProblem.over_draws([dec], cfg, np.zeros(rows, dtype=int), mus, anchors)
-        z = np.stack([problem.pack(random_alloc(rng, dec.dims)) for _ in range(rows)])
+        allocs = [random_alloc(rng, dec.dims) for _ in range(rows)]
+        z = np.stack([dec.dims.pack(alloc.p1, alloc.p2) for alloc in allocs])
         _, b1, b2, point = problem.evaluate(z)
         logs = np.log2(point)
         for tau in power._TAU_STAGES:
@@ -1361,7 +1371,7 @@ def slsqp_surrogate_optimum(dec, cfg, mu, anchor):
     ``t_l <= b2_l``, maximized by scipy's SLSQP with exact jacobians.
     Returns the surrogate's value at the oracle's point made feasible."""
     optimize = pytest.importorskip("scipy.optimize")
-    gains = StreamGains(dec, cfg)
+    gains = StreamGains([dec], cfg, 0)
     d = dec.dims
     m, n_p1 = d.shared, d.shared + d.private1
     size = n_p1 + m + d.private2

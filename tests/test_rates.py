@@ -222,4 +222,33 @@ def test_stream_gains_reject_non_finite_factors(name, value):
     bad = getattr(dec, name).copy()
     bad[0, 0] = value
     with pytest.raises(ValueError, match="finite"):
-        StreamGains(replace(dec, **{name: bad}), CFG)
+        StreamGains([replace(dec, **{name: bad})], CFG, 0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6], ids=["1", "L-1", "L+1"])
+def test_wrong_length_allocation_raises(n):
+    # at every length but L: numpy would broadcast a length-1 allocation
+    # into rates of the right length
+    _, dec, _ = setup_case(3)
+    assert dec.dims.total == 5
+    alloc = PowerAllocation(np.full(n, 0.1), np.full(n, 0.1))
+    for rates_of in (rate_user1, rate_breakdown):
+        with pytest.raises(ValueError, match="allocation length != stream count"):
+            rates_of(alloc, dec, CFG)
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_stream_gains_rows_are_each_draws_own_gains(shape):
+    # the factors of two draws, stacked and indexed by five rows: each row
+    # holds the bits of its own draw's gains, and every gain is C-contiguous
+    cfg = SystemConfig(*shape, *CFG.astuple()[3:])
+    decs = [setup_case(seed, cfg)[1] for seed in (310, 311)]
+    draw = np.array([1, 0, 0, 1, 1])
+    rows = StreamGains(decs, cfg, draw)
+    for name in StreamGains.GAINS:
+        assert getattr(rows, name).flags.c_contiguous, name
+    for i, k in enumerate(draw):
+        one = StreamGains([decs[k]], cfg, 0)
+        for name in StreamGains.GAINS:
+            assert getattr(rows, name)[i].tobytes() == getattr(one, name).tobytes(), name
+

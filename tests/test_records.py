@@ -98,7 +98,7 @@ def test_defaults():
 
 def test_value_equality_and_hash():
     # the frozen records hash by value, as frozen dataclasses do;
-    # StreamGains.rows compares StreamDims with !=; the lockstep tests
+    # StreamGains compares its draws' StreamDims with !=; the lockstep tests
     # compare tuples of InnerSolveResult
     same = SystemConfig(*CFG.astuple())
     assert same == CFG and hash(same) == hash(CFG) and same is not CFG

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from stnoma.system import (
     PRIVATE1,
     PRIVATE2,
@@ -62,6 +63,45 @@ def test_stream_index_helpers():
     assert list(d.private1_indices()) == [1, 2]
     assert list(d.private2_indices()) == [3, 4]
     assert d.user1_streams == 3 and d.user2_streams == 3
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_pack_and_unpack_map_the_solver_order(shape):
+    # one vector and rows of them: pack reads the solver's order off the
+    # index helpers, pack(*unpack(z)) is z to the bit, and unpack(pack(...))
+    # keeps every on-support power and zeroes exactly each user's powers on
+    # the other user's private streams
+    d = derive_dims(*shape)
+    rng = np.random.default_rng(sum(shape))
+    owner = np.array(d.ownership)
+    shared, private1, private2 = (list(d.shared_indices()), list(d.private1_indices()),
+                                  list(d.private2_indices()))
+    for lead in ((), (3,), (2, 3)):
+        p1, p2 = rng.random(lead + (d.total,)), rng.random(lead + (d.total,))
+        z = d.pack(p1, p2)
+        want = np.concatenate([p1[..., shared], p1[..., private1], p2[..., shared],
+                               p2[..., private2]], axis=-1)
+        assert z.tobytes() == want.tobytes() and z.shape == lead + (d.total + d.shared,)
+        q1, q2 = d.unpack(z)
+        for p, q, foreign in ((p1, q1, PRIVATE2), (p2, q2, PRIVATE1)):
+            off = owner == foreign
+            assert q.shape == p.shape and (q[..., off] == 0.0).all()
+            assert q[..., ~off].tobytes() == p[..., ~off].tobytes()
+        z = rng.random(lead + (d.total + d.shared,))
+        assert d.pack(*d.unpack(z)).tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 4)])
+def test_pack_and_unpack_reject_a_wrong_length(shape):
+    d = derive_dims(*shape)
+    right = np.zeros(d.total)
+    for n in (1, d.total - 1, d.total + 1):
+        for args in ((np.zeros(n), right), (right, np.zeros(n)), (np.zeros((2, n)), right)):
+            with pytest.raises(ValueError, match="allocation length != stream count"):
+                d.pack(*args)
+    for n in (1, d.total, d.total + d.shared - 1, d.total + d.shared + 1):
+        with pytest.raises(ValueError, match="allocation length != stream count"):
+            d.unpack(np.zeros((2, n)))
 
 
 def test_sample_channels_deterministic():
