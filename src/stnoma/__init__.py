@@ -7,7 +7,7 @@ Power across streams is allocated by a convex-concave procedure, and ergodic
 rate regions come from seeded Monte Carlo sweeps.
 """
 
-from .linalg import joint_null_space, null_space_basis, qr_real_diag
+from .linalg import joint_null_space, null_space, null_space_basis, qr_real_diag
 from .power import (
     CcpRecord,
     CcpState,
@@ -17,6 +17,7 @@ from .power import (
     maximize_surrogate,
     project_power_budget,
     rate_underestimator,
+    rates_and_underestimators,
 )
 from .rates import (
     RateBreakdown,
@@ -54,6 +55,7 @@ from .transceiver import (
 from .triangularize import (
     StDecomposition,
     simultaneous_triangularize,
+    triangularize_draws,
     verify_decomposition,
 )
 

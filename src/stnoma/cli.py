@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .power import SolverSettings, ccp_allocate, rate_underestimator
-from .rates import rate_user1
+from .power import SolverSettings, ccp_allocate, rates_and_underestimators
+from .power import rate_underestimator  # noqa: F401  bench/tracing.py patches it here
+from .rates import rate_user1  # noqa: F401  bench/tracing.py patches it here
 from .region import RateRegionPoint, ergodic_region
 from .system import Record, config_from_scenario, sample_channels
 from .transceiver import PowerAllocation
-from .triangularize import simultaneous_triangularize, verify_decomposition
+from .triangularize import simultaneous_triangularize, triangularize_draws, verify_decomposition
 
 __all__ = [
     "Scenario",
@@ -413,59 +414,69 @@ def self_check(scenario, corrupt=None):
     """Invariant battery over ``scenario.trials`` random channels.
 
     Checks decomposition residuals, the surrogate underestimator property,
-    and feasibility of the optimized allocation. A non-generic draw, which
-    has no decomposition, and a decomposition with a non-finite entry fail
-    by name, and the trial's other checks, which cannot run on them, are
-    skipped. The ``corrupt`` hook, if given, mangles each decomposition
-    before checking and exists for testing the detector itself.
+    and feasibility of the optimized allocation. Every trial's channels,
+    random allocation and anchor are drawn first, in trial order, and one
+    stacked pass decomposes them all; user 1's rates and the underestimators
+    are computed over the rows of every trial that decomposed, and each
+    trial's allocation is then solved and validated on its own. Failures
+    are listed in trial order. A non-generic draw, which has no
+    decomposition, and a decomposition with a non-finite entry fail by name,
+    and the trial's other checks, which cannot run on them, are skipped. The
+    ``corrupt`` hook, if given, mangles each decomposition before checking
+    and exists for testing the detector itself.
     """
     cfg = scenario.config()
     settings = scenario.solver_settings()
     dims = cfg.dims
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 997]))
-    failures = []
+    chs, allocs, anchors = [], [], []
     for trial in range(scenario.trials):
         trial_rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, trial])
         )
-        ch = sample_channels(trial_rng, cfg.n_bs, cfg.m1, cfg.m2)
+        chs.append(sample_channels(trial_rng, cfg.n_bs, cfg.m1, cfg.m2))
         # drawn before any skip, so that later trials keep their draws
-        alloc = _random_feasible_allocation(rng, dims, cfg.power_budget)
-        anchor = rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared)
-        try:
-            dec = simultaneous_triangularize(ch)
-        except ValueError as exc:  # a non-generic draw
-            failures.append(f"trial {trial}: decomposition: {exc}")
+        allocs.append(_random_feasible_allocation(rng, dims, cfg.power_budget))
+        anchors.append(rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared))
+
+    failures = [[] for _ in chs]  # per trial
+    decs = {}  # of the trials that decomposed, in trial order
+    for trial, dec in enumerate(triangularize_draws(chs)):
+        if isinstance(dec, ValueError):  # a non-generic draw
+            failures[trial].append(f"trial {trial}: decomposition: {dec}")
             continue
         if corrupt is not None:
             dec = corrupt(dec)
         nonfinite = dec.non_finite_factors()
         if nonfinite:
             # no residual, rate or solve is defined on it
-            failures.append(
+            failures[trial].append(
                 f"trial {trial}: decomposition not finite in {', '.join(nonfinite)}"
             )
             continue
-        report = verify_decomposition(dec, ch)
+        decs[trial] = dec
+    if decs:
+        r1, under = rates_and_underestimators(
+            [allocs[t] for t in decs], [anchors[t] for t in decs], list(decs.values()), cfg
+        )
+
+    for row, (trial, dec) in enumerate(decs.items()):
+        report = verify_decomposition(dec, chs[trial])
         for name, value in report.failures(DECOMPOSITION_TOL).items():
-            failures.append(f"trial {trial}: decomposition {name} = {value:.3e}")
-
-        r1 = rate_user1(alloc, dec, cfg)
-        for l in range(dims.shared):
-            under = rate_underestimator(alloc, anchor, dec, cfg, l)
+            failures[trial].append(f"trial {trial}: decomposition {name} = {value:.3e}")
+        for l, (bound, rate) in enumerate(zip(under[row], r1[row])):  # shared streams
             # written so that NaN fails
-            if not under <= r1[l] + UNDERESTIMATOR_TOL:
-                failures.append(
+            if not bound <= rate + UNDERESTIMATOR_TOL:
+                failures[trial].append(
                     f"trial {trial}: underestimator above rate on stream {l} "
-                    f"by {under - r1[l]:.3e}"
+                    f"by {bound - rate:.3e}"
                 )
-
         try:
             opt, _ = ccp_allocate(dec, cfg, mu=0.5, settings=settings)
             opt.validate(dims, cfg.power_budget)
         except (ValueError, AssertionError) as exc:
-            failures.append(f"trial {trial}: power allocation: {exc}")
-    return CheckReport(trials=scenario.trials, failures=failures)
+            failures[trial].append(f"trial {trial}: power allocation: {exc}")
+    return CheckReport(trials=scenario.trials, failures=[f for fs in failures for f in fs])
 
 
 # --- argument parsing ---------------------------------------------------------

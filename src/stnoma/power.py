@@ -73,6 +73,7 @@ __all__ = [
     "CcpRecord",
     "InnerSolveResult",
     "rate_underestimator",
+    "rates_and_underestimators",
     "project_power_budget",
     "maximize_surrogate",
     "ccp_allocate",
@@ -189,6 +190,23 @@ def rate_underestimator(alloc, anchor, dec, cfg, l):
         raise ValueError(f"stream {l} is not shared")
     problem = _SurrogateProblem.over_draws([dec], cfg, 0, 1.0, anchor)
     return float(problem.bounds(dec.dims.pack(alloc.p1, alloc.p2))[l])
+
+
+def rates_and_underestimators(allocs, anchors, decs, cfg):
+    """User 1's per-stream rates and every shared-stream underestimator of
+    rows of allocations: row ``i`` holds those of ``allocs[i]`` at the
+    anchor ``anchors[i]`` on ``decs[i]``, bit for bit what
+    :func:`~stnoma.rates.rate_user1` and :func:`rate_underestimator` give
+    for it alone. The decompositions must share one stream layout.
+
+    Returns
+    -------
+    (r1, bounds) : (rows, L) and (rows, shared) ndarrays
+    """
+    rows = np.arange(len(decs))
+    problem = _SurrogateProblem.over_draws(decs, cfg, rows, np.ones(len(decs)), np.stack(anchors))
+    z = problem.dims.pack(np.stack([a.p1 for a in allocs]), np.stack([a.p2 for a in allocs]))
+    return problem.breakdown(z).r1, problem.bounds(z)
 
 
 @functools.lru_cache(maxsize=64)
@@ -351,7 +369,8 @@ class _SurrogateProblem(StreamGains):
         the exact minimum less the linearized remainder, row by row."""
         _, b1, b2, _ = self.evaluate(z)
         p2s = z[..., self.n_p1 : self.n_p1 + self.m]
-        return np.minimum(b1, b2) - self.anchored - self.jac @ (p2s - self.anchor)
+        linear = (self.jac @ (p2s - self.anchor)[..., None])[..., 0]
+        return np.minimum(b1, b2) - self.anchored - linear
 
     @staticmethod
     def _branch_weights(b1, b2, tau):
@@ -813,7 +832,7 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
             new, result = _maximize(problem, project_power_budget(prev, 1.0), settings)
             for a, value in zip(inner.astuple(), result.astuple()):
                 a[act, it - 1] = value
-            br = problem.breakdown(*dims.unpack(new))
+            br = problem.breakdown(new)
             r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)
             rates[act, 0], rates[act, 1] = r1, r2
             trace[act, it - 1] = problem.mu * r1 + problem.mu2 * r2

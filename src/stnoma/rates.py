@@ -78,13 +78,13 @@ class StreamGains:
         arg22 = self.sigma2 + p2s * self.w2
         return arg11, arg12, arg21, arg22
 
-    def breakdown(self, p1, p2):
-        """:class:`RateBreakdown` of the length-L powers ``p1``, ``p2``, or
-        of rows of them."""
+    def breakdown(self, z):
+        """:class:`RateBreakdown` of the powers ``z`` of both users, or of
+        rows of them, in the power solver's order (:meth:`StreamDims.pack`);
+        its rates are length L."""
         d, m = self.dims, self.dims.shared
-        z = d.pack(p1, p2)
-        p1s = p1[..., :m]
-        _, arg12, _, arg22 = self.shared_args(p1s, p2[..., :m])
+        p1s = z[..., :m]
+        _, arg12, _, arg22 = self.shared_args(p1s, z[..., d.user1_streams : d.user1_streams + m])
         at1 = np.log2(1.0 + p1s * self.c1_diag / arg12)
         at2 = np.log2(1.0 + p1s * self.w2 / arg22)
         free = np.log2(1.0 + z[..., m:] * self.free)
@@ -113,7 +113,7 @@ def rate_breakdown(alloc, dec, cfg):
     1's private and user 2's streams are interference-free. Each user's
     rates on the other user's private indices are zero.
     """
-    return StreamGains([dec], cfg, 0).breakdown(alloc.p1, alloc.p2)
+    return StreamGains([dec], cfg, 0).breakdown(dec.dims.pack(alloc.p1, alloc.p2))
 
 
 def rate_user1(alloc, dec, cfg):

@@ -17,7 +17,8 @@ from .rates import rate_user1  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user2  # noqa: F401  bench/tracing.py patches it here
 from .system import Record, sample_channels
 from .transceiver import PowerAllocation
-from .triangularize import simultaneous_triangularize
+from .triangularize import simultaneous_triangularize  # noqa: F401  bench/tracing.py patches it here
+from .triangularize import triangularize_draws
 
 __all__ = [
     "RateRegionPoint",
@@ -97,21 +98,26 @@ def _oma_line(c1, c2, tau_grid, trials):
 def _trial_point(cfg, mu_grid, settings, seed, trials):
     """Rates of the channel draws of the trials ``trials``, in order:
     per-mu NOMA rate pairs, shape ``(trials, mu, 2)``, and both
-    point-to-point capacities, shape ``(trials, 2)``. One lockstep CCP run
-    covers every (draw, weight) row and gives its rates. A ``ValueError`` (a
-    non-generic draw or a non-finite decomposition, say) is re-raised naming
-    the seed and the trial, or the trials of the joint solve."""
+    point-to-point capacities, shape ``(trials, 2)``. One stacked pass
+    triangularizes every draw, and one lockstep CCP run covers every (draw,
+    weight) row and gives its rates. A ``ValueError`` (a non-generic draw or
+    a non-finite decomposition, say) is re-raised naming the seed and the
+    first such trial, or the trials of a joint step."""
+    where = chunk = f"trials {trials[0]}-{trials[-1]}"
     try:
-        chs, decs = [], []
+        chs = []
         for trial in trials:
-            where = f"trial {trial}"
             rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
             chs.append(sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2))
-            decs.append(simultaneous_triangularize(chs[-1]))
-            nonfinite = decs[-1].non_finite_factors()
+        decs = triangularize_draws(chs)
+        for trial, dec in zip(trials, decs):
+            where = f"trial {trial}"
+            if isinstance(dec, ValueError):  # a non-generic draw
+                raise dec
+            nonfinite = dec.non_finite_factors()
             if nonfinite:
                 raise ValueError(f"decomposition not finite in {', '.join(nonfinite)}")
-        where = f"trials {trials[0]}-{trials[-1]}"
+        where = chunk
         record = ccp_allocate_draws(decs, cfg, mu_grid, settings=settings)
         # one array test of every row; validate words the first failure
         passes = PowerAllocation.passes(record.p1, record.p2, record.dims, cfg.power_budget)

@@ -15,11 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import joint_null_space, null_space_basis, qr_real_diag
+from .linalg import joint_null_space  # noqa: F401  bench/tracing.py patches it here
+from .linalg import null_space_basis  # noqa: F401  bench/tracing.py patches it here
+from .linalg import null_space, qr_real_diag
 from .system import ChannelPair, StreamDims, derive_dims
 
-__all__ = ["StDecomposition", "ResidualReport", "simultaneous_triangularize",
-           "verify_decomposition"]
+__all__ = ["StDecomposition", "ResidualReport", "triangularize_draws",
+           "simultaneous_triangularize", "verify_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -69,64 +71,85 @@ class StDecomposition:
         return np.hstack([self.r2[:, : d.shared], zero, self.r2[:, d.shared :]])
 
 
-def simultaneous_triangularize(ch):
-    """Build the joint triangularization of a channel pair.
+def triangularize_draws(chs):
+    """Build the joint triangularization of every channel pair of ``chs``
+    in one stacked pass.
 
     The precoder stacks, in order, a basis of the joint null complement
     (shared streams), a basis of null(h2) (user 1's private streams), and a
     basis of null(h1) (user 2's private streams). The detectors come from QR
     factorizations of the effective channels with the zero columns removed.
+    Every factor of every pair comes from one stacked call of each
+    primitive of :mod:`stnoma.linalg`, and each pair's decomposition holds
+    the bits it gets alone.
 
     Parameters
     ----------
-    ch : ChannelPair
-        Stream counts follow from its shapes (:func:`derive_dims`).
+    chs : sequence of ChannelPair
+        At least one pair; all share one antenna configuration, and the
+        stream counts follow from its shapes (:func:`derive_dims`).
+
+    Returns
+    -------
+    list
+        One entry per pair, in order: its :class:`StDecomposition`, or, for
+        a non-generic pair (a numerical null-space dimension other than the
+        generic ``max(0, n_bs - m_k)``, which breaks the stream
+        dimensioning), the ``ValueError`` that says so. Each pair's ranks
+        are tested on their own.
 
     Raises
     ------
     ValueError
-        If the configuration is unsupported or if a channel is non-generic
-        (its numerical null-space dimension differs from the generic
-        ``max(0, n_bs - m_k)``, breaking the stream dimensioning).
+        If the configuration is unsupported.
     """
-    m1, n_bs = ch.h1.shape
-    dims = derive_dims(n_bs, m1, ch.h2.shape[0])
+    m1, n_bs = chs[0].h1.shape
+    dims = derive_dims(n_bs, m1, chs[0].h2.shape[0])
+    h1 = np.stack([ch.h1 for ch in chs])
+    h2 = np.stack([ch.h2 for ch in chs])
 
-    nb_h1 = null_space_basis(ch.h1)  # carries user 2's private streams
-    nb_h2 = null_space_basis(ch.h2)  # carries user 1's private streams
-    if nb_h1.shape[1] != dims.private2:
-        raise ValueError(
-            f"h1 is non-generic: null-space dimension {nb_h1.shape[1]} != "
-            f"{dims.private2}"
-        )
-    if nb_h2.shape[1] != dims.private1:
-        raise ValueError(
-            f"h2 is non-generic: null-space dimension {nb_h2.shape[1]} != "
-            f"{dims.private1}"
-        )
+    # The trailing columns of each unitary factor span the null space; a
+    # non-generic pair's factors are sliced at the generic sizes too, and
+    # its decomposition is dropped below.
+    q_h1, null1 = null_space(h1)
+    q_h2, null2 = null_space(h2)
+    nb_h1 = q_h1[..., n_bs - dims.private2 :]  # carries user 2's private streams
+    nb_h2 = q_h2[..., n_bs - dims.private1 :]  # carries user 1's private streams
+    # the joint null complement: orthogonal to both null spaces
+    q_k, null_k = null_space(np.concatenate([nb_h1, nb_h2], axis=-1).conj().mT)
+    k_mat = q_k[..., n_bs - dims.shared :]
 
-    k_mat = joint_null_space(nb_h1, nb_h2)
-    if k_mat.shape[1] != dims.shared:
-        raise ValueError(
-            f"joint null space dimension {k_mat.shape[1]} != {dims.shared}: "
-            "channels are non-generic"
-        )
-
-    x_mat = np.hstack([k_mat, nb_h2, nb_h1])
-
+    x_mat = np.concatenate([k_mat, nb_h2, nb_h1], axis=-1)
     # QR of the effective channels with the zero columns left out; the zero
     # blocks are re-inserted only in the L-wide views.
-    qf1, r1 = qr_real_diag(ch.h1 @ np.hstack([k_mat, nb_h2]))
-    qf2, r2 = qr_real_diag(ch.h2 @ np.hstack([k_mat, nb_h1]))
+    qf1, r1 = qr_real_diag(h1 @ np.concatenate([k_mat, nb_h2], axis=-1))
+    qf2, r2 = qr_real_diag(h2 @ np.concatenate([k_mat, nb_h1], axis=-1))
+    q1, q2 = qf1.conj().mT, qf2.conj().mT
 
-    return StDecomposition(
-        x_mat=x_mat,
-        q1=qf1.conj().T,
-        q2=qf2.conj().T,
-        r1=r1,
-        r2=r2,
-        dims=dims,
+    # (found, generic, message) of each rank test, in the order they run
+    tests = (
+        (null1.tolist(), dims.private2, "h1 is non-generic: null-space dimension {} != {}"),
+        (null2.tolist(), dims.private1, "h2 is non-generic: null-space dimension {} != {}"),
+        (null_k.tolist(), dims.shared,
+         "joint null space dimension {} != {}: channels are non-generic"),
     )
+    out = []
+    for i in range(len(chs)):
+        failed = [text.format(found[i], generic) for found, generic, text in tests
+                  if found[i] != generic]
+        out.append(ValueError(failed[0]) if failed
+                   else StDecomposition(x_mat[i], q1[i], q2[i], r1[i], r2[i], dims))
+    return out
+
+
+def simultaneous_triangularize(ch):
+    """Build the joint triangularization of one channel pair, the one-pair
+    case of :func:`triangularize_draws`; a ``ValueError`` if the
+    configuration is unsupported or a channel is non-generic."""
+    (dec,) = triangularize_draws([ch])
+    if isinstance(dec, ValueError):
+        raise dec
+    return dec
 
 
 @dataclass(frozen=True)

@@ -307,17 +307,29 @@ def test_convergence_names_a_non_finite_decomposition(monkeypatch, tmp_path):
 ])
 def test_main_failing_draw_exit_1(monkeypatch, tmp_path, capsys, verb, owner, expected):
     # a draw that fails after the work has started ended in a traceback;
-    # the verb prints the message that names it and exits 1
-    triangularize = owner.simultaneous_triangularize
-    calls = []
+    # the verb prints the message that names it and exits 1. Region
+    # triangularizes a chunk's draws in one stacked pass, convergence one
+    # draw at a time.
+    if owner is region:
+        stacked = region.triangularize_draws
 
-    def second_non_generic(ch):
-        calls.append(ch)
-        if len(calls) == 2:
-            raise ValueError("h1 is non-generic")
-        return triangularize(ch)
+        def second_non_generic_of_stack(chs):
+            decs = stacked(chs)
+            decs[1] = ValueError("h1 is non-generic")
+            return decs
 
-    monkeypatch.setattr(owner, "simultaneous_triangularize", second_non_generic)
+        monkeypatch.setattr(region, "triangularize_draws", second_non_generic_of_stack)
+    else:
+        triangularize = owner.simultaneous_triangularize
+        calls = []
+
+        def second_non_generic(ch):
+            calls.append(ch)
+            if len(calls) == 2:
+                raise ValueError("h1 is non-generic")
+            return triangularize(ch)
+
+        monkeypatch.setattr(owner, "simultaneous_triangularize", second_non_generic)
     flags = ["--trials", "3", "--mu-steps", "3"] if verb == "region" else []
     assert main([verb, "--out", str(tmp_path), "--seed", "7", *flags]) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
@@ -359,15 +371,17 @@ def test_self_check_fails_a_non_finite_decomposition(name, value):
 
 def test_self_check_names_a_non_generic_draw_by_its_trial(monkeypatch, capsys):
     # a rank-deficient h1 has no decomposition; check names its trial and
-    # skips that trial's other checks, and the later trials keep their draws
+    # skips that trial's other checks, and the later trials keep their draws:
+    # the allocation and anchor of each trial that enters the battery
     calls = []
-    bound = cli.rate_underestimator
+    battery = cli.rates_and_underestimators
 
-    def logged(alloc, anchor, dec, cfg, l):
-        calls.append((alloc.p1.tobytes(), alloc.p2.tobytes(), anchor.tobytes()))
-        return bound(alloc, anchor, dec, cfg, l)
+    def logged(allocs, anchors, decs, cfg):
+        for alloc, anchor in zip(allocs, anchors):
+            calls.append((alloc.p1.tobytes(), alloc.p2.tobytes(), anchor.tobytes()))
+        return battery(allocs, anchors, decs, cfg)
 
-    monkeypatch.setattr(cli, "rate_underestimator", logged)
+    monkeypatch.setattr(cli, "rates_and_underestimators", logged)
     assert self_check(SMALL).ok
     clean = calls[:]
     calls.clear()

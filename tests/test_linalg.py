@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stnoma.linalg import joint_null_space, null_space_basis, qr_real_diag
+from stnoma.linalg import joint_null_space, null_space, null_space_basis, qr_real_diag
 
 
 def random_complex(rng, rows, cols):
@@ -140,3 +140,63 @@ def test_joint_composition_dimensions(n, m1, m2):
 def test_joint_null_space_dimension_mismatch():
     with pytest.raises(ValueError):
         joint_null_space(np.zeros((3, 1)), np.zeros((4, 1)))
+
+
+# --- leading axes -------------------------------------------------------------
+
+
+def loop_qr_real_diag(a):
+    """Reference: one matrix, its phase normalized diagonal entry by
+    diagonal entry."""
+    q, r = np.linalg.qr(a, mode="complete")
+    for i in range(min(a.shape)):
+        d = r[i, i]
+        mag = abs(d)
+        if mag > 0.0:
+            phi = d / mag
+            q[:, i] *= phi
+            r[i, i:] *= np.conj(phi)
+            r[i, i] = mag
+    return q, r
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 5), (5, 2), (5, 5), (3, 6)])
+def test_qr_of_a_stack_is_each_matrix_own(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    a = random_complex(rng, 40 * m, n).reshape(4, 10, m, n)
+    a[0, 1] = 0.0  # every diagonal entry zero
+    a[0, 2, -1] = a[0, 2, 0]  # rank deficient when m > 1
+    q, r = qr_real_diag(a)
+    assert q.shape == (4, 10, m, m) and r.shape == (4, 10, m, n)
+    for index in np.ndindex(4, 10):
+        for q1, r1 in (qr_real_diag(a[index]), loop_qr_real_diag(a[index])):
+            assert q[index].tobytes() == q1.tobytes()
+            assert r[index].tobytes() == r1.tobytes()
+
+
+def test_null_space_tests_each_rank_on_its_own():
+    rng = np.random.default_rng(8)
+    h = random_complex(rng, 12, 5).reshape(4, 3, 5)
+    h[1, 2] = h[1, 0]  # nullity 3
+    h[2] = 0.0  # nullity 5
+    q, nullity = null_space(h)
+    assert nullity.tolist() == [2, 3, 5, 2]
+    for i, d in enumerate(nullity):
+        basis = q[i][:, 5 - d :]
+        assert basis.tobytes() == null_space_basis(h[i]).tobytes()
+        assert np.linalg.norm(h[i] @ basis) <= 1e-10 * max(np.linalg.norm(h[i]), 1.0)
+    with pytest.raises(ValueError, match="differ"):
+        null_space_basis(h)
+    assert null_space_basis(h[[0, 3]]).shape == (2, 5, 2)
+
+
+def test_joint_null_space_of_a_stack():
+    rng = np.random.default_rng(13)
+    nb1 = null_space_basis(random_complex(rng, 18, 5).reshape(6, 3, 5))
+    nb2 = null_space_basis(random_complex(rng, 18, 5).reshape(6, 3, 5))
+    k = joint_null_space(nb1, nb2)
+    assert k.shape == (6, 5, 1)
+    for i in range(6):
+        assert k[i].tobytes() == joint_null_space(nb1[i], nb2[i]).tobytes()
+    empty = np.zeros((6, 3, 0))
+    np.testing.assert_array_equal(joint_null_space(empty, empty), np.broadcast_to(np.eye(3), (6, 3, 3)))

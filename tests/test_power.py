@@ -193,6 +193,29 @@ def test_underestimator_zero_anchor_zero_power():
     assert under == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape", [s for s in oracle.EDGE_SHAPES if 1 <= make_cfg(*s).dims.shared <= 3]
+)
+def test_underestimator_rows_are_each_rows_own(shape):
+    # one bound formula over rows: row i of a stack of draws, allocations
+    # and anchors is the one-row rate_underestimator and rate_user1, bit for
+    # bit
+    cfg = make_cfg(*shape)
+    rng = np.random.default_rng(31)
+    decs = [simultaneous_triangularize(sample_channels(rng, *shape)) for _ in range(6)]
+    d = decs[0].dims
+    allocs = [random_alloc(rng, d) for _ in decs]
+    anchors = [rng.random(d.shared) / d.shared for _ in decs]
+    anchors[1] = allocs[1].p2[: d.shared].copy()  # tight at its anchor
+    r1, bounds = power.rates_and_underestimators(allocs, anchors, decs, cfg)
+    assert r1.shape == (len(decs), d.total) and bounds.shape == (len(decs), d.shared)
+    for i, (alloc, anchor, dec) in enumerate(zip(allocs, anchors, decs)):
+        assert r1[i].tobytes() == rate_user1(alloc, dec, cfg).tobytes()
+        for l in d.shared_indices():
+            assert bounds[i, l] == rate_underestimator(alloc, anchor, dec, cfg, l)
+            assert bounds[i, l] <= r1[i, l] + 1e-12
+
+
 def test_surrogate_gradient_matches_finite_differences():
     # central differences on the packed objective, away from kinks
     cfg = make_cfg(6, 4, 4)

@@ -214,10 +214,10 @@ def test_usable_cpus_without_an_affinity_set(monkeypatch, count, expected):
 
 
 def test_failing_trial_names_seed_and_trial(monkeypatch):
-    def non_generic(ch):
-        raise ValueError("h1 is non-generic")
+    def non_generic(chs):
+        return [ValueError("h1 is non-generic") for _ in chs]
 
-    monkeypatch.setattr(region, "simultaneous_triangularize", non_generic)
+    monkeypatch.setattr(region, "triangularize_draws", non_generic)
     with pytest.raises(ValueError, match=r"seed 7, trial 0: h1 is non-generic") as info:
         st_noma_region(CFG, [0.5], trials=2, seed=7, workers=1)
     assert isinstance(info.value.__cause__, ValueError)
@@ -270,19 +270,22 @@ def test_region_needs_a_trial():
 
 
 def test_failing_trial_of_a_chunk_is_named(monkeypatch):
-    triangularize = region.simultaneous_triangularize
+    # the chunk's draws are triangularized in one stacked pass; its first
+    # failing draw is named by its trial
+    triangularize = region.triangularize_draws
     calls = []
 
-    def second_non_generic(ch):
-        calls.append(ch)
-        if len(calls) == 2:
-            raise ValueError("h1 is non-generic")
-        return triangularize(ch)
+    def second_and_third_non_generic(chs):
+        calls.append(chs)
+        decs = triangularize(chs)
+        decs[1] = ValueError("h1 is non-generic")
+        decs[2] = ValueError("h2 is non-generic")
+        return decs
 
-    monkeypatch.setattr(region, "simultaneous_triangularize", second_non_generic)
+    monkeypatch.setattr(region, "triangularize_draws", second_and_third_non_generic)
     with pytest.raises(ValueError, match=r"^seed 7, trial 1: h1 is non-generic$"):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
-    assert len(calls) == 2
+    assert [len(chs) for chs in calls] == [3]
 
 
 def test_failing_joint_solve_names_its_trials(monkeypatch):
@@ -295,18 +298,16 @@ def test_failing_joint_solve_names_its_trials(monkeypatch):
 
 
 def test_non_finite_draw_names_its_trial(monkeypatch):
-    # the draw is tested as it is sampled, not in the chunk's joint solve
-    triangularize = region.simultaneous_triangularize
-    calls = []
+    # the draw is tested as it is triangularized, not in the chunk's joint
+    # solve
+    triangularize = region.triangularize_draws
 
-    def nan_factor(ch):
-        dec = triangularize(ch)
-        calls.append(ch)
-        if len(calls) == 2:
-            dec.r2[0, 0] = np.nan
-        return dec
+    def nan_factor(chs):
+        decs = triangularize(chs)
+        decs[1].r2[0, 0] = np.nan
+        return decs
 
-    monkeypatch.setattr(region, "simultaneous_triangularize", nan_factor)
+    monkeypatch.setattr(region, "triangularize_draws", nan_factor)
     with pytest.raises(ValueError, match=r"^seed 7, trial 1: decomposition not finite in r2$"):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 

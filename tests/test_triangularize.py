@@ -3,9 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from stnoma.linalg import qr_real_diag
 from stnoma.system import ChannelPair, sample_channels
-from stnoma.triangularize import simultaneous_triangularize, verify_decomposition
+from stnoma.triangularize import (
+    simultaneous_triangularize,
+    triangularize_draws,
+    verify_decomposition,
+)
 
 
 def make_channels(seed, n, m1, m2):
@@ -157,3 +162,61 @@ def test_non_finite_factors_are_named_in_order():
     bad_q1[1, 0] = complex(0.0, np.nan)  # a NaN in the imaginary part alone
     bad_x[0, 2] = np.inf
     assert replace(dec, q1=bad_q1, x_mat=bad_x).non_finite_factors() == ["x_mat", "q1"]
+
+
+# --- the stacked pass ---------------------------------------------------------
+
+FACTORS = ("x_mat", "q1", "q2", "r1", "r2")
+
+
+def assert_same_bits(dec, alone):
+    assert dec.dims == alone.dims
+    for name in FACTORS:
+        a, b = getattr(dec, name), getattr(alone, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+def test_stacked_pass_is_each_draws_one_draw_call(shape):
+    # EDGE_SHAPES covers no shared stream and no private stream
+    rng = np.random.default_rng(sum(shape))
+    chs = [sample_channels(rng, *shape) for _ in range(25)]
+    decs = triangularize_draws(chs)
+    assert len(decs) == len(chs)
+    for dec, ch in zip(decs, chs):
+        assert_same_bits(dec, simultaneous_triangularize(ch))
+
+
+def test_stacked_pass_over_a_thousand_draws():
+    rng = np.random.default_rng(1000)
+    chs = [sample_channels(rng, 5, 3, 3) for _ in range(1000)]
+    for dec, ch in zip(triangularize_draws(chs), chs):
+        assert_same_bits(dec, simultaneous_triangularize(ch))
+
+
+def test_non_generic_draw_in_a_stack_keeps_its_message():
+    # the rank of each draw is tested on its own: the rank-deficient draw
+    # gets the message of the one-draw call, and the others still decompose
+    rng = np.random.default_rng(12)
+    chs = [sample_channels(rng, 5, 3, 3) for _ in range(5)]
+    h1 = chs[2].h1.copy()
+    h1[-1] = h1[0]
+    chs[2] = ChannelPair(h1=h1, h2=chs[2].h2)
+    decs = triangularize_draws(chs)
+    assert isinstance(decs[2], ValueError)
+    assert str(decs[2]) == "h1 is non-generic: null-space dimension 3 != 2"
+    with pytest.raises(ValueError) as info:
+        simultaneous_triangularize(chs[2])
+    assert str(info.value) == str(decs[2])
+    for i in (0, 1, 3, 4):
+        assert_same_bits(decs[i], simultaneous_triangularize(chs[i]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4, 6, 6)])
+def test_every_stream_shared_gives_the_identity_precoder(shape):
+    # both null spaces are empty, so the joint null space is the identity
+    rng = np.random.default_rng(3)
+    decs = triangularize_draws([sample_channels(rng, *shape) for _ in range(4)])
+    for dec in decs:
+        assert dec.dims.shared == shape[0]
+        assert dec.x_mat.tobytes() == np.eye(shape[0], dtype=complex).tobytes()
