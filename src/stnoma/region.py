@@ -79,9 +79,14 @@ def oma_region(ch, cfg, tau_grid):
     ``1 - tau``, with individual water-filling; the rate pair scales
     linearly with the slot split.
     """
-    c1 = p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power)
-    c2 = p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power)
+    c1, c2 = _corners(ch, cfg)
     return _oma_line(c1, c2, tau_grid, trials=1)
+
+
+def _corners(ch, cfg):
+    """Both users' point-to-point capacities on the channel pair ``ch``."""
+    return (p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power),
+            p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power))
 
 
 def _oma_line(c1, c2, tau_grid, trials):
@@ -127,10 +132,7 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
         caps = np.empty((len(decs), 2))
         for t, (trial, ch) in enumerate(zip(trials, chs)):
             where = f"trial {trial}"
-            caps[t] = [
-                p2p_capacity(ch.h1, cfg.pathloss1, cfg.power_budget, cfg.noise_power),
-                p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power),
-            ]
+            caps[t] = _corners(ch, cfg)
     except ValueError as exc:
         raise ValueError(f"seed {seed}, {where}: {exc}") from exc
     return record.rates, caps
@@ -206,16 +208,10 @@ def pareto_frontier(points):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) >= 0.0:
             upper.pop()
         upper.append(p)
+    # Right of the peak the chain falls strictly: a vertex level with the
+    # peak would be the peak, and a rise is a turn the chain pops.
     peak = max(range(len(upper)), key=lambda i: (upper[i][1], upper[i][0]))
-    tail = upper[peak:]
-    # Drop anything still dominated (guards collinear/tied vertices).
-    return [
-        p
-        for p in tail
-        if not any(
-            q is not p and q[0] >= p[0] and q[1] >= p[1] for q in tail
-        )
-    ]
+    return upper[peak:]
 
 
 def frontier_value_at(frontier, x):
@@ -229,7 +225,7 @@ def frontier_value_at(frontier, x):
         if x <= x1:
             w = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
             return y0 + w * (y1 - y0)
-    return -np.inf if x > frontier[-1][0] else frontier[-1][1]
+    return -np.inf
 
 
 def hybrid_region(st_points, corner1, corner2):

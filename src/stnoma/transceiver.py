@@ -1,5 +1,5 @@
-"""End-to-end signal path: superposition, precoding, reception, and the
-self-interference-cancellation decoding recursions.
+"""End-to-end signal path: superposition, precoding, reception, and
+self-interference-cancellation decoding.
 
 Decoding is genie-aided (previously decoded symbols are replaced by the true
 ones), which matches the perfect-decoding assumption behind the rate model;
@@ -113,13 +113,24 @@ def receive_and_detect(h, pathloss, q, x, noise):
     return q @ (h @ x / np.sqrt(pathloss) + noise)
 
 
+def _cancel(y, r, known):
+    """Genie-aided self-interference cancellation: subtract from each row of
+    ``y`` the streams decoded before it, the columns of the triangular
+    factor ``r`` right of its diagonal, with their true amplitude-scaled
+    symbols ``known`` (in the column order of ``r``)."""
+    n = known.size
+    return y[:n] - np.triu(r[:n, :n], 1) @ known
+
+
 def decode_user1(y1, dec, alloc, pathloss, s1):
     """Self-interference cancellation at user 1.
 
     Private streams are decoded first (reverse order), then shared streams
     (reverse order). Only user 1's own previously decoded symbols are
     cancelled; the residual interference from user 2's shared symbols stays
-    and is treated as noise.
+    and is treated as noise. That decoding order is the rate model's; since
+    the cancelled symbols are the true ones, no row waits on another row's
+    result, and the cancellation is one triangular product.
 
     Parameters
     ----------
@@ -137,27 +148,20 @@ def decode_user1(y1, dec, alloc, pathloss, s1):
     CancelledSignals
         One scalar per stream decoded by user 1 (shared + private1).
     """
-    r1 = dec.r1
-    amp1 = np.sqrt(alloc.p1 / pathloss)
     n = dec.dims.user1_streams
-    out = np.empty(n, dtype=complex)
-    decoded = np.zeros(n, dtype=complex)
-
-    # Private rows carry no inter-user interference; on shared rows only
-    # own symbols are cancelled and user 2's contribution stays.
-    for l in reversed(range(n)):
-        out[l] = y1[l] - r1[l, l + 1 : n] @ decoded[l + 1 : n]
-        decoded[l] = amp1[l] * s1[l]
-    return CancelledSignals(user=1, values=out)
+    known = np.sqrt(alloc.p1[:n] / pathloss) * s1[:n]
+    return CancelledSignals(user=1, values=_cancel(y1, dec.r1, known))
 
 
 def decode_user2(y2, dec, alloc, pathloss, s1, s2):
     """SIC plus self-interference cancellation at user 2.
 
-    Private streams (global indices shifted down by the private1 count) are
-    decoded first, then shared streams, where both users' previously decoded
-    symbols are cancelled; the same path loss (user 2's) scales every
-    cancelled term.
+    Private streams are decoded first (reverse order), then shared streams,
+    where both users' previously decoded symbols are cancelled; the same
+    path loss (user 2's) scales every cancelled term. That decoding order is
+    the rate model's; since the cancelled symbols are the true ones, no row
+    waits on another row's result, and the cancellation is one triangular
+    product over the columns of ``r2``.
 
     Parameters
     ----------
@@ -177,22 +181,9 @@ def decode_user2(y2, dec, alloc, pathloss, s1, s2):
         by row of ``r2``: row l of the private phase carries global stream
         ``l + private1``.
     """
-    d = dec.dims
-    r2 = dec.r2
-    shift = d.private1  # global stream index -> row of r2 for private2
-    n = d.user2_streams
+    m, k = dec.dims.shared, dec.dims.user1_streams
     amp1 = np.sqrt(alloc.p1 / pathloss)
     amp2 = np.sqrt(alloc.p2 / pathloss)
-    out = np.empty(n, dtype=complex)
-    decoded = np.zeros(n, dtype=complex)
-
-    # Private phase: rows shared..n-1 carry streams shared+private1..L-1.
-    for row in reversed(range(d.shared, n)):
-        g = row + shift
-        out[row] = y2[row] - r2[row, row + 1 : n] @ decoded[row + 1 : n]
-        decoded[row] = amp2[g] * s2[g]
-    # Shared phase: cancel both users' decoded symbols (SIC at user 2).
-    for l in reversed(range(d.shared)):
-        out[l] = y2[l] - r2[l, l + 1 : n] @ decoded[l + 1 : n]
-        decoded[l] = amp1[l] * s1[l] + amp2[l] * s2[l]
-    return CancelledSignals(user=2, values=out)
+    # the columns of r2: the shared streams, then the private2 streams
+    known = np.concatenate([amp1[:m] * s1[:m] + amp2[:m] * s2[:m], amp2[k:] * s2[k:]])
+    return CancelledSignals(user=2, values=_cancel(y2, dec.r2, known))

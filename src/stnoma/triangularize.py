@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import joint_null_space  # noqa: F401  bench/tracing.py patches it here
 from .linalg import null_space_basis  # noqa: F401  bench/tracing.py patches it here
 from .linalg import null_space, qr_real_diag
-from .system import ChannelPair, StreamDims, derive_dims
+from .system import StreamDims, derive_dims
 
 __all__ = ["StDecomposition", "ResidualReport", "triangularize_draws",
            "simultaneous_triangularize", "verify_decomposition"]
@@ -59,16 +59,17 @@ class StDecomposition:
 
     def effective1(self):
         """Full L-wide effective channel of user 1: [r1, 0]."""
-        m1 = self.r1.shape[0]
-        zero = np.zeros((m1, self.dims.private2), dtype=complex)
-        return np.hstack([self.r1, zero])
+        return _insert_zero_columns(self.r1, self.r1.shape[1], self.dims.private2)
 
     def effective2(self):
         """Full L-wide effective channel of user 2: [r2_left, 0, r2_right]."""
-        m2 = self.r2.shape[0]
-        d = self.dims
-        zero = np.zeros((m2, d.private1), dtype=complex)
-        return np.hstack([self.r2[:, : d.shared], zero, self.r2[:, d.shared :]])
+        return _insert_zero_columns(self.r2, self.dims.shared, self.dims.private1)
+
+
+def _insert_zero_columns(r, at, width):
+    """``r`` with ``width`` zero columns inserted before column ``at``."""
+    zero = np.zeros((r.shape[0], width), dtype=complex)
+    return np.hstack([r[:, :at], zero, r[:, at:]])
 
 
 def triangularize_draws(chs):
@@ -188,17 +189,18 @@ def _rel(num, den):
     return num / den if den > 0.0 else num
 
 
-def _triangularity(r):
-    below = np.tril(r, k=-1)
-    return _rel(np.linalg.norm(below), max(np.linalg.norm(r), 1e-300))
-
-
-def _diag_residuals(r):
-    diag = np.diagonal(r)
+def _user_residuals(h, q, x_mat, r, effective):
+    """One user's five invariants, in :class:`ResidualReport`'s order:
+    factorization, unitarity, triangularity, and the imaginary part and
+    negativity of the diagonal of ``r``."""
+    fact = np.linalg.norm(q @ h @ x_mat - effective) / max(np.linalg.norm(h), 1e-300)
+    uni = np.linalg.norm(q.conj().T @ q - np.eye(h.shape[0]))
     scale = max(np.linalg.norm(r), 1e-300)
+    tri = _rel(np.linalg.norm(np.tril(r, k=-1)), scale)
+    diag = np.diagonal(r)
     imag = np.max(np.abs(diag.imag), initial=0.0) / scale
     neg = max(0.0, -np.min(diag.real, initial=0.0)) / scale
-    return imag, neg
+    return [float(v) for v in (fact, uni, tri, imag, neg)]
 
 
 def verify_decomposition(dec, ch):
@@ -208,40 +210,12 @@ def verify_decomposition(dec, ch):
     suite and by the command-line self check. All quantities are recomputed
     from the raw channels so a corrupted decomposition is caught.
     """
-    h1_norm = max(np.linalg.norm(ch.h1), 1e-300)
-    h2_norm = max(np.linalg.norm(ch.h2), 1e-300)
-
-    eff1 = dec.q1 @ ch.h1 @ dec.x_mat
-    eff2 = dec.q2 @ ch.h2 @ dec.x_mat
-    fact1 = np.linalg.norm(eff1 - dec.effective1()) / h1_norm
-    fact2 = np.linalg.norm(eff2 - dec.effective2()) / h2_norm
-
-    m1 = ch.h1.shape[0]
-    m2 = ch.h2.shape[0]
-    uni1 = np.linalg.norm(dec.q1.conj().T @ dec.q1 - np.eye(m1))
-    uni2 = np.linalg.norm(dec.q2.conj().T @ dec.q2 - np.eye(m2))
-
-    tri1 = _triangularity(dec.r1)
-    tri2 = _triangularity(dec.r2)
-    imag1, neg1 = _diag_residuals(dec.r1)
-    imag2, neg2 = _diag_residuals(dec.r2)
-
+    user1 = _user_residuals(ch.h1, dec.q1, dec.x_mat, dec.r1, dec.effective1())
+    user2 = _user_residuals(ch.h2, dec.q2, dec.x_mat, dec.r2, dec.effective2())
     if dec.x_mat.shape[1]:
         col_norms = np.linalg.norm(dec.x_mat, axis=0)
         col = float(np.max(np.abs(col_norms - 1.0)))
     else:
         col = 0.0
-
-    return ResidualReport(
-        factorization1=float(fact1),
-        factorization2=float(fact2),
-        unitarity1=float(uni1),
-        unitarity2=float(uni2),
-        triangularity1=float(tri1),
-        triangularity2=float(tri2),
-        diag_imag1=float(imag1),
-        diag_imag2=float(imag2),
-        diag_negativity1=float(neg1),
-        diag_negativity2=float(neg2),
-        column_norm=col,
-    )
+    # the report's fields alternate between the users
+    return ResidualReport(*(v for pair in zip(user1, user2) for v in pair), column_norm=col)

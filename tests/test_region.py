@@ -348,7 +348,8 @@ def test_rate_region_point_rejects_nan(r1, r2):
 
 def gift_wrap_frontier(points):
     """O(n^2) oracle: repeatedly pick the next frontier vertex by maximal
-    slope from the current one, starting at the highest point."""
+    slope from the current one, the farthest of collinear ones, starting at
+    the highest point."""
     pts = sorted(set(points))
     start = max(pts, key=lambda p: (p[1], p[0]))
     frontier = [start]
@@ -359,7 +360,7 @@ def gift_wrap_frontier(points):
             break
         best = max(
             candidates,
-            key=lambda p: (p[1] - current[1]) / (p[0] - current[0]),
+            key=lambda p: ((p[1] - current[1]) / (p[0] - current[0]), p[0]),
         )
         frontier.append(best)
         current = best
@@ -392,8 +393,19 @@ def test_pareto_frontier_dominates_inputs():
 
 def test_pareto_frontier_matches_gift_wrapping():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        pts = [(float(x), float(y)) for x, y in rng.random((10, 2)) * 3]
+    point_sets = [rng.random((10, 2)) * 3 for _ in range(50)]
+    # ties and duplicates: small integer grids
+    point_sets += [rng.integers(0, 4, (10, 2)) for _ in range(50)]
+    point_sets += [
+        [(0, 2), (1, 2), (2, 2), (3, 0)],  # tied at the top
+        [(0, 2), (2, 0), (2, 1), (2, 1)],  # tied at the right end
+        [(0, 3), (1, 2), (2, 1), (3, 0)],  # collinear, falling
+        [(0, 0), (1, 1), (2, 2), (3, 3)],  # collinear, rising
+        [(0, 4), (1, 3), (2, 2), (4, 0), (1, 1), (0, 4), (1, 3)],  # duplicates
+        [(1, 1)] * 3,
+    ]
+    for points in point_sets:
+        pts = [(float(x), float(y)) for x, y in points]
         got = pareto_frontier(pts)
         want = gift_wrap_frontier(pts)
         assert len(got) == len(want)

@@ -186,7 +186,8 @@ def test_detected_noise_keeps_covariance():
     assert np.abs(cov - sigma**2 * np.eye(3)).max() <= 0.05 * sigma**2
 
 
-@pytest.mark.parametrize("cfg", [(3, 3, 5), (2, 2, 4), (4, 2, 5), (2, 2, 2)])
+# (2, 4, 5): 1 shared, 1 private1 and 3 private2 streams
+@pytest.mark.parametrize("cfg", [(3, 3, 5), (2, 2, 4), (4, 2, 5), (2, 2, 2), (2, 4, 5)])
 def test_noiseless_scalarization(cfg):
     m1, m2, n = cfg
     for seed in range(5):
@@ -219,16 +220,17 @@ def test_decode_user1_pure_private_exact():
     assert_scalarized(got, want)
 
 
-def test_decode_user2_private_index_shift():
+@pytest.mark.parametrize("n, m1, m2", [(5, 3, 3), (5, 2, 4)])
+def test_decode_user2_private_index_shift(n, m1, m2):
     rng = np.random.default_rng(11)
-    ch = sample_channels(rng, 5, 3, 3)
+    ch = sample_channels(rng, n, m1, m2)
     dec = simultaneous_triangularize(ch)
     d = dec.dims
     alloc = random_alloc(rng, d)
-    s1 = random_symbols(rng, 5)
-    s2 = random_symbols(rng, 5)
+    s1 = random_symbols(rng, n)
+    s2 = random_symbols(rng, n)
     s = build_symbol_vector(s1, s2, alloc)
-    y2 = receive_and_detect(ch.h2, PL2, dec.q2, transmit(dec.x_mat, s), np.zeros(3, complex))
+    y2 = receive_and_detect(ch.h2, PL2, dec.q2, transmit(dec.x_mat, s), np.zeros(m2, complex))
     got = decode_user2(y2, dec, alloc, PL2, s1, s2).values
     for g in d.private2_indices():
         row = g - d.private1

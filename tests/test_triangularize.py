@@ -115,6 +115,31 @@ def test_verify_detects_corrupted_detector():
     assert not report.ok(1e-9)
 
 
+def _scale_row0(q):
+    bad = q.copy()
+    bad[0, :] *= 1.5
+    return bad
+
+
+def _set_below_diagonal(r):
+    bad = r.copy()
+    bad[1, 0] = 0.3
+    return bad
+
+
+@pytest.mark.parametrize("factor, corrupt, fields", [
+    ("q1", _scale_row0, {"factorization1", "unitarity1"}),
+    ("q2", _scale_row0, {"factorization2", "unitarity2"}),
+    ("r1", _set_below_diagonal, {"factorization1", "triangularity1"}),
+    ("r2", _set_below_diagonal, {"factorization2", "triangularity2"}),
+])
+def test_corrupted_factor_names_only_its_own_user(factor, corrupt, fields):
+    ch = make_channels(6, 5, 3, 3)
+    dec = simultaneous_triangularize(ch)
+    bad = replace(dec, **{factor: corrupt(getattr(dec, factor))})
+    assert set(verify_decomposition(bad, ch).failures(1e-9)) == fields
+
+
 def test_diagonal_positivity_over_draws():
     rng = np.random.default_rng(77)
     smallest = np.inf
