@@ -14,6 +14,7 @@ scenario.
 """
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -117,6 +118,17 @@ def _coerce(key, raw):
         raise ScenarioError(f"bad value for {key!r}: {raw!r}") from exc
 
 
+def _checked(key, value):
+    """``value``, a keyword override of ``key``, once it is of the field's
+    type: an integer (Python or numpy) for an int field, any real number for
+    a float field, never a bool. File and environment text is parsed by
+    :func:`_coerce` instead."""
+    kind = numbers.Integral if _FIELD_TYPES.get(key) is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioError(f"bad value for {key!r}: {value!r}")
+    return value
+
+
 def parse_scenario(text):
     """Parse flat ``key = value`` scenario text. Unknown keys are errors."""
     values = {}
@@ -156,7 +168,7 @@ def load_scenario(path=None, environ=None, **cli_overrides):
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         scenario = parse_scenario(text)
     scenario = apply_env_overrides(scenario, environ)
-    cleaned = {k: v for k, v in cli_overrides.items() if v is not None}
+    cleaned = {k: _checked(k, v) for k, v in cli_overrides.items() if v is not None}
     if cleaned:
         scenario = replace(scenario, **cleaned)
     # Validate eagerly so bad inputs fail before any work happens.

@@ -44,21 +44,23 @@ into its next iteration, so rows that took different step sizes are not
 evaluated again; when every row that goes on was polished or took the full
 step, the polish's gradient and residual are carried too.
 
-A stage of one row (every stage of ``ccp_allocate`` and
+A solve of one row (every solve of ``ccp_allocate`` and
 ``maximize_surrogate``, and of a lockstep run's outer iterations once one
-row is left) takes a path of its own, chosen by the row count alone: the
-same numpy calls on its ``(1, n)`` arrays, with the row's decisions taken
-as float comparisons, and none of the lockstep's row masks, merges and
-drops. It hands the next stage its last evaluation and
-derivation: that stage starts at the same point, so it takes only its value
-at its own smoothing level from the carried branches, and reuses the
-gradient and residual when its branch weights come out the same bit for bit.
-A lockstep stage of several rows carries nothing to the next.
+row is left) takes a path of its own, chosen by the row count alone:
+:func:`_maximize_row` runs its whole softmin ladder in one routine, with the
+same numpy calls on its ``(1, n)`` arrays, the row's decisions taken as
+float comparisons, and none of the lockstep's row masks, merges and drops.
+Each stage hands the next, in local variables, its last evaluation and
+derivation: the next stage starts at the same point, so it takes only its
+value at its own smoothing level from those branches, and reuses the
+gradient and residual when its branch weights come out the same bit for
+bit. A lockstep stage of several rows carries nothing to the next.
 """
 
 import copy
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -100,12 +102,11 @@ class SolverSettings(Record):
     _defaults = {"ccp_max_iters": 10, "ccp_tol": 1e-4, "inner_max_iters": 10000}
 
     def __post_init__(self):
+        caps = (self.ccp_max_iters, self.inner_max_iters)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in caps):
+            raise ValueError("iteration caps must be integers")
         # written so that a NaN tolerance fails
-        if not (
-            self.ccp_max_iters > 0
-            and 0.0 < self.ccp_tol < math.inf
-            and self.inner_max_iters > 0
-        ):
+        if not (min(caps) > 0 and 0.0 < self.ccp_tol < math.inf):
             raise ValueError("all solver settings must be positive and finite")
 
 
@@ -522,7 +523,7 @@ def _accepted(pending, stop, f, trial_f, bound, zt, start):
     return ok
 
 
-def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
+def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     """Diagonally preconditioned projected-Newton ascent on the (smoothed)
     surrogate over the unit budget, every row of ``z`` in lockstep.
 
@@ -543,13 +544,10 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
     objective, residual and gradient norm of its last evaluation, which is
     at its returned point.
 
-    The row count picks the path: one row runs :func:`_ascent_row`, which
-    makes the same numpy calls on the same ``(1, n)`` arrays and so gives
-    the same bits, without the masks and drops of the lockstep; only it
-    reads and fills ``carry``.
+    Every row count takes this path, one row too; :func:`_maximize` sends a
+    one-row solve to :func:`_maximize_row` instead, which runs every stage
+    with the same numpy calls and so gives the same bits.
     """
-    if len(z) == 1:
-        return _ascent_row(problem, z, tau, iter_budget, rtol, gd_rtol, carry)
     used = np.zeros(len(z), dtype=int)
     last = np.empty((3, len(z)))  # objective, residual, gradient norm
     if not len(z):
@@ -639,104 +637,107 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol, carry=None):
         derived = derived and tuple(a[keep] for a in derived)
 
 
-def _ascent_row(problem, z, tau, iter_budget, rtol, gd_rtol, carry):
-    """The stage of :func:`_ascent_stage` on one row: the numpy calls the
-    lockstep makes on the same ``(1, n)`` arrays, in the same order, with
-    the row's stop, flatness, polish, Armijo and line-search decisions taken
-    as float comparisons in the same association, so every output has the
-    lockstep's bits. Nothing is masked, merged or dropped.
-
-    A caller that chains stages passes the list ``carry``, through which
-    each stage hands the next its last evaluation and derivation at the
-    returned ``z``, ``(b1, b2, point, lam, g, res)``; a stage takes what it
-    finds there, so nothing keeps those arrays alive past their use. A
-    stage that starts from a carry takes the value at its own ``tau`` from
-    the carried point and branches (:meth:`_SurrogateProblem._value`)
-    instead of evaluating, and reuses the gradient and residual when its
-    branch weights equal the carried ones bit for bit (a signed zero does
-    not pass); otherwise it derives them again, which gives the bits of a
-    fresh start.
-    """
-    cap, rtol, gd_rtol = int(iter_budget[0]), float(rtol), float(gd_rtol)
-    za = z
-    ev = derived = None
-    if carry:
-        b1, b2, point, lam, g, res = carry.pop()
-        ev = problem._value(z, np.log2(point), b1, b2, tau), b1, b2, point
-        if problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes():
-            derived = lam, g, res
-    it = 0
-    while True:
-        it += 1
-        f, b1, b2, point = ev or problem.evaluate(za, tau)
-        lam, g, res = derived or _derive(problem, za, b1, b2, point, tau)
-        gnorm = _norm(g)
-        fs, rs = f.item(), res.item()
-        if rs <= rtol * (1.0 + gnorm.item()) or it > cap:
-            break
-        target, d, gd = _newton_step(problem, za, lam, g, point)
-        gd, scale = gd.item(), 1.0 + abs(fs)
-        if gd <= gd_rtol * scale:
-            # objective-flat: the polish takes the target when that lowers
-            # the residual, and its derivation is the next iteration's
-            ev = problem.evaluate(target, tau)
-            derived = _derive(problem, target, *ev[1:], tau)
-            if not (derived[2].item() < rs and ev[0].item() >= fs - _POLISH_SLACK * scale):
-                break
-            za = target
-            continue
-        derived = None
-        noise = _NOISE_RTOL * scale
-        t, zt = 1.0, za + d
-        while True:
-            ev = problem.evaluate(zt, tau)
-            ft = ev[0].item()
-            if ft >= fs + _ARMIJO_C * t * gd - noise:
-                if ft == fs and (zt == za).all():
-                    t = 0.0  # a null step (see _accepted) fails the search
-                break
-            t *= 0.5
-            if t < _T_MIN:
-                break
-            zt = za + t * d
-        if t < _T_MIN:  # the line search failed: the row stops where it is
-            break
-        za = zt
-    z[...] = za
-    if carry is not None:
-        carry.append((b1, b2, point, lam, g, res))
-    return np.minimum(it, iter_budget), f, res, gnorm
-
-
-# Softmin smoothing levels; the solver walks them in order and finishes on
-# the exact objective (0.0 disables the smoothing).
-_TAU_STAGES = (1e-2, 1e-4, 1e-6, 1e-9, 0.0)
+# The solver's stages: softmin smoothing levels, walked in order to the
+# exact objective (0.0 disables the smoothing), each with its residual and
+# flatness tolerances, looser at coarse smoothing and exactly RESIDUAL_RTOL
+# and 1e-15 at 0. A problem without shared streams has no minimum to smooth
+# and runs the exact stage alone.
+_STAGES = tuple((tau, max(tau**0.25 * 1e-2, RESIDUAL_RTOL), max(tau * 1e-3, 1e-15))
+                for tau in (1e-2, 1e-4, 1e-6, 1e-9, 0.0))
 
 
 def _maximize(problem, z, settings):
     """Every row of ``problem`` maximized over the unit budget from the
-    feasible rows of ``z`` (see :func:`maximize_surrogate`), in lockstep
-    stage by stage. Returns the final rows and an :class:`InnerSolveResult`
-    of arrays over the rows, read off the exact stage's last evaluation of
-    each row. The stages of one row hand each other their carry (see
-    :func:`_ascent_row`); the first starts without one."""
+    feasible rows of ``z`` (see :func:`maximize_surrogate`), stage by stage;
+    a softmin stage takes at most ``max(50, inner_max_iters // 20)``
+    iterations, and all stages together ``inner_max_iters``. Returns the
+    final rows and ``(value, iterations, converged, residual, grad_norm)``,
+    arrays over the rows read off the exact stage's last evaluation of each
+    row.
+
+    The row count picks the path, once per solve: one row runs
+    :func:`_maximize_row`, any other count runs each stage in lockstep
+    (:func:`_ascent_stage`); both give the same bits."""
+    if len(z) == 1:
+        return _maximize_row(problem, z, settings)
     z = z.copy()
     iterations = np.zeros(len(z), dtype=int)
-    carry = []
-    for tau in _TAU_STAGES if problem.m else (0.0,):
-        stage_budget = settings.inner_max_iters - iterations
-        if tau > 0.0:
-            softmin_cap = max(50, settings.inner_max_iters // 20)
-            stage_budget = np.minimum(stage_budget, softmin_cap)
-        # Looser at coarse smoothing; exactly RESIDUAL_RTOL and 1e-15 at 0.
-        stage_rtol = max(tau**0.25 * 1e-2, RESIDUAL_RTOL)
-        gd_rtol = max(tau * 1e-3, 1e-15)
-        used, f, res, gnorm = _ascent_stage(
-            problem, z, tau, stage_budget, stage_rtol, gd_rtol, carry
-        )
+    softmin_cap = max(50, settings.inner_max_iters // 20)
+    for tau, rtol, gd_rtol in _STAGES if problem.m else _STAGES[-1:]:
+        budget = settings.inner_max_iters - iterations
+        if tau:
+            budget = np.minimum(budget, softmin_cap)
+        used, f, res, gnorm = _ascent_stage(problem, z, tau, budget, rtol, gd_rtol)
         iterations += used
-    converged = res <= RESIDUAL_RTOL * (1.0 + gnorm)
-    return z, InnerSolveResult(f, iterations, converged, res, gnorm)
+    return z, (f, iterations, res <= RESIDUAL_RTOL * (1.0 + gnorm), res, gnorm)
+
+
+def _maximize_row(problem, z, settings):
+    """:func:`_maximize` on one row: every stage of :func:`_ascent_stage`
+    with the numpy calls the lockstep makes on the same ``(1, n)`` arrays,
+    in the same order, and the row's stop, flatness, polish, Armijo and
+    line-search decisions taken as float comparisons in the same
+    association, so every output has the lockstep's bits. Nothing is
+    masked, merged or dropped, and ``z`` is not written.
+
+    Each stage after the first starts where the last one stopped, from the
+    last one's final evaluation and derivation: it takes its value at its
+    own ``tau`` from that point and those branches
+    (:meth:`_SurrogateProblem._value`) instead of evaluating, and reuses the
+    gradient and residual when its branch weights equal the last ones bit
+    for bit (a signed zero does not pass); otherwise it derives them again,
+    which gives the bits of a fresh start.
+    """
+    za, total = z, settings.inner_max_iters
+    softmin_cap = max(50, total // 20)
+    iterations = 0
+    ev = derived = None
+    for stage, (tau, rtol, gd_rtol) in enumerate(_STAGES if problem.m else _STAGES[-1:]):
+        cap = min(total - iterations, softmin_cap) if tau else total - iterations
+        if stage:
+            ev = problem._value(za, np.log2(point), b1, b2, tau), b1, b2, point
+            same = problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes()
+            derived = (lam, g, res) if same else None
+        it = 0
+        while True:
+            it += 1
+            f, b1, b2, point = ev or problem.evaluate(za, tau)
+            lam, g, res = derived or _derive(problem, za, b1, b2, point, tau)
+            gnorm = _norm(g)
+            fs, rs = f.item(), res.item()
+            if rs <= rtol * (1.0 + gnorm.item()) or it > cap:
+                break
+            target, d, gd = _newton_step(problem, za, lam, g, point)
+            gd, scale = gd.item(), 1.0 + abs(fs)
+            if gd <= gd_rtol * scale:
+                # objective-flat: the polish takes the target when that
+                # lowers the residual, and its derivation is the next
+                # iteration's
+                ev = problem.evaluate(target, tau)
+                derived = _derive(problem, target, *ev[1:], tau)
+                if not (derived[2].item() < rs and ev[0].item() >= fs - _POLISH_SLACK * scale):
+                    break
+                za = target
+                continue
+            derived = None
+            noise = _NOISE_RTOL * scale
+            t, zt = 1.0, za + d
+            while True:
+                ev = problem.evaluate(zt, tau)
+                ft = ev[0].item()
+                if ft >= fs + _ARMIJO_C * t * gd - noise:
+                    if ft == fs and (zt == za).all():
+                        t = 0.0  # a null step (see _accepted) fails the search
+                    break
+                t *= 0.5
+                if t < _T_MIN:
+                    break
+                zt = za + t * d
+            if t < _T_MIN:  # the line search failed: the row stops where it is
+                break
+            za = zt
+        iterations += min(it, cap)
+    return za, (f, np.array([iterations]), res <= RESIDUAL_RTOL * (1.0 + gnorm), res, gnorm)
 
 
 def _per_budget(cfg):
@@ -779,7 +780,7 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
     problem = _SurrogateProblem.over_draws([dec], _per_budget(cfg), [0], [mu], anchor)
     z, result = _maximize(problem, np.zeros((1, problem.size)), settings)
     p1, p2 = problem.dims.unpack(z[0])
-    return PowerAllocation(p1 * budget, p2 * budget), result.at(0)
+    return PowerAllocation(p1 * budget, p2 * budget), InnerSolveResult(*result).at(0)
 
 
 def ccp_allocate_draws(decs, cfg, mus, settings=None):
@@ -829,8 +830,8 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
         act = np.arange(rows)
         for it in range(1, settings.ccp_max_iters + 1):
             prev = z[act]
-            new, result = _maximize(problem, project_power_budget(prev, 1.0), settings)
-            for a, value in zip(inner.astuple(), result.astuple()):
+            new, result = _maximize(problem, _project(prev, None, _ONE), settings)
+            for a, value in zip(inner.astuple(), result):
                 a[act, it - 1] = value
             br = problem.breakdown(new)
             r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)

@@ -52,11 +52,14 @@ def p2p_capacity(h, pathloss, power_budget, noise_power):
     with the level chosen to spend the whole budget.
     """
     # written so that NaN fails
-    if not power_budget >= 0.0:
-        raise ValueError("power budget must be >= 0")
+    if not 0.0 <= power_budget < np.inf:
+        raise ValueError("power budget must be finite and >= 0")
     if not (0.0 < pathloss < np.inf and 0.0 < noise_power < np.inf):
         raise ValueError("path loss and noise power must be finite and > 0")
-    s = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)
+    h = np.asarray(h, dtype=complex)
+    if not np.isfinite(h).all():
+        raise ValueError("channel entries must be finite")
+    s = np.linalg.svd(h, compute_uv=False)
     gains = np.sort(s[s > 0.0] ** 2 / (pathloss * noise_power))[::-1]
     if gains.size == 0 or power_budget == 0.0:
         return 0.0

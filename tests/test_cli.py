@@ -96,6 +96,27 @@ def test_load_scenario_invalid_counts():
         load_scenario(None, seed=-1)
 
 
+@pytest.mark.parametrize("override", [
+    {"trials": True}, {"d1": False}, {"trials": 2.5}, {"seed": 1.5}, {"n": 5.0},
+    {"ccp_max_iters": 2.5}, {"inner_max_iters": np.float64(100.0)}, {"trials": "3"},
+    {"pt_dbm": "30"},
+])
+def test_load_scenario_rejects_an_override_of_the_wrong_type(override):
+    # keyword overrides skip the parsing that file and environment values
+    # take: a bool was written into region.csv's trials column, a float
+    # count loaded and died mid-run with a TypeError, and a string raised a
+    # TypeError inside the validation
+    with pytest.raises(ScenarioError, match="bad value"):
+        load_scenario(environ={}, **override)
+
+
+def test_load_scenario_takes_numpy_integers_and_integers_for_floats():
+    sc = load_scenario(environ={}, trials=np.int64(3), seed=np.int32(2), pt_dbm=20,
+                       ccp_tol=np.float32(0.5))
+    assert (sc.trials, sc.seed, sc.pt_dbm, sc.ccp_tol) == (3, 2, 20, 0.5)
+    assert sc.solver_settings().ccp_max_iters == 10
+
+
 def test_region_outputs(tmp_path):
     csv_path, svg_path = run_region(SMALL, tmp_path)
     lines = csv_path.read_text(encoding="utf-8").splitlines()

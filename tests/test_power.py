@@ -14,6 +14,7 @@ from stnoma.cli import Scenario
 from stnoma.power import CcpState, ccp_allocate_draws
 from stnoma.rates import StreamGains, rate_breakdown
 from stnoma.power import (
+    InnerSolveResult,
     SolverSettings,
     _SurrogateProblem,
     _project,
@@ -709,6 +710,11 @@ def test_solver_settings_validation():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverSettings(ccp_tol=tol)
+    # a cap that is not an integer loaded and died mid-run
+    for caps in ({"ccp_max_iters": 2.5}, {"inner_max_iters": 10.0}, {"ccp_max_iters": True}):
+        with pytest.raises(ValueError, match="integers"):
+            SolverSettings(**caps)
+    assert SolverSettings(ccp_max_iters=np.int64(3)).ccp_max_iters == 3
 
 
 # --- outer loop ------------------------------------------------------------------
@@ -1167,8 +1173,8 @@ def test_one_evaluation_serves_the_polish_and_the_full_step(monkeypatch, backtra
 def test_rows_stopping_together_return_as_beside_a_row_that_does_not(cap):
     # Two copies of one row stop in the same iteration, so on their own they
     # drop out together; beside a third row they drop out before it (at cap
-    # 2) or after it (uncapped). Both ways, and each row alone on the
-    # one-row path, give the same bits.
+    # 2) or after it (uncapped). Both ways, and each row alone in a stage of
+    # its own, give the same bits.
     _, dec = setup_case(122)
     anchor = np.full(dec.dims.shared, 0.2)
     problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0, 0], [0.6, 0.6, 0.3], [anchor] * 3)
@@ -1220,7 +1226,7 @@ def test_failed_line_search_leaves_the_row_where_it_started(monkeypatch):
     # at a t so small that the trial point is the start): the search halves
     # t from 1 to 2**-59 (60 trials), fails below 1e-18, and the row stops
     # in its first iteration at its start, with that point's evaluation.
-    # The row at mu = 0.7 steps on. The one-row path and the row inside the
+    # The row at mu = 0.7 steps on. The row alone and the row inside the
     # two-row lockstep give the same bits.
     _, dec = setup_case(126)
     anchor = np.full(dec.dims.shared, 0.2)
@@ -1260,8 +1266,8 @@ def test_line_search_refuses_a_null_step(monkeypatch):
     # except at its start, so the only trial that passes its Armijo test is
     # one whose point rounded back to the start (za + t * d == za), which
     # passes through the noise allowance. That null step fails the search:
-    # the row stops in its first iteration, at its start, on the one-row
-    # path and inside the two-row lockstep alike, with the same bits.
+    # the row stops in its first iteration, at its start, alone and inside
+    # the two-row lockstep alike, with the same bits.
     _, dec = setup_case(126)
     anchor = np.full(dec.dims.shared, 0.2)
     problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.3, 0.7], [anchor] * 2)
@@ -1293,19 +1299,96 @@ def test_line_search_refuses_a_null_step(monkeypatch):
         assert a.dtype == b.dtype and a[:1].tobytes() == b.tobytes()
 
 
+def assert_row_of(one, pair):
+    """The ``_maximize`` output ``one`` of one row is row 0 of ``pair``, bit
+    for bit, in ``z`` and every result field."""
+    (z_one, r_one), (z_pair, r_pair) = one, pair
+    assert z_one.tobytes() == z_pair[:1].tobytes()
+    assert len(r_one) == len(r_pair) == len(InnerSolveResult.__slots__)
+    for a, b in zip(r_one, r_pair):
+        assert a.dtype == b.dtype and a.shape == (1,) and a.tobytes() == b[:1].tobytes()
+
+
+@pytest.mark.parametrize("shape", oracle.EDGE_SHAPES)
+@pytest.mark.parametrize("inner_max_iters", [10000, 8, 1])
+def test_one_row_solve_is_a_row_of_the_lockstep(shape, inner_max_iters):
+    # A one-row solve runs every stage on its own path; two copies of the
+    # row run each stage in lockstep. Both give the same bits, with no
+    # shared stream (the exact stage alone), one, two and more, from a zero
+    # and a uniform start, at weights on and between the ends, and on a
+    # budget that ends a solve before the exact stage's test holds (8) or
+    # leaves every stage after the first a zero budget (1).
+    cfg = make_cfg(*shape)
+    rng, dec = setup_case(109, cfg)
+    settings = SolverSettings(inner_max_iters=inner_max_iters)
+    for mu in (0.0, 0.35, 1.0):
+        anchor = rng.random(dec.dims.shared) * 0.2
+        problem = _SurrogateProblem.over_draws([dec], cfg, [0, 0], [mu, mu], [anchor] * 2)
+        for start in (0.0, 1.0 / problem.size):
+            z0 = np.full((2, problem.size), start)
+            one = power._maximize(problem.take([0]), z0[:1], settings)
+            assert_row_of(one, power._maximize(problem, z0, settings))
+            assert one[1][1][0] <= inner_max_iters
+
+
+@pytest.mark.parametrize("lowered", ["after_the_first", "off_the_start"])
+def test_failed_searches_in_a_whole_solve(monkeypatch, lowered):
+    # The row at mu = 0.3 reads 1.0 lower than it is either at every value
+    # after the solve's first, so the first stage's search fails through all
+    # 60 trials and the row starts the second stage where it started, or at
+    # every point but its start, so every stage fails on a null step and the
+    # row never moves. The patch is on _value, which both a fresh evaluation
+    # and the value a one-row stage takes from the last stage's evaluation
+    # read. The one-row solve and row 0 of the two-row lockstep solve, whose
+    # row at mu = 0.7 ascends, give the same bits.
+    _, dec = setup_case(126)
+    anchor = np.full(dec.dims.shared, 0.2)
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.3, 0.7], [anchor] * 2)
+    z0 = np.full((2, problem.size), 1.0 / problem.size)
+    value = _SurrogateProblem._value
+    points = []
+
+    def patched(self, z, logs, b1, b2, tau):
+        f = value(self, z, logs, b1, b2, tau)
+        if lowered == "after_the_first":
+            off = (self.mu == 0.3) & (len(points) > 0)
+        else:
+            off = (self.mu == 0.3) & (z != z0[0]).any(axis=-1)
+        points.append(z[0].copy())
+        return f - off
+
+    monkeypatch.setattr(_SurrogateProblem, "_value", patched)
+    one = power._maximize(problem.take([0]), z0[:1], SolverSettings())
+    seen = points[:]
+    del points[:]
+    pair = power._maximize(problem, z0, SolverSettings())
+    monkeypatch.undo()
+    assert_row_of(one, pair)
+    assert pair[1][1][1] > len(power._STAGES)
+    if lowered == "after_the_first":
+        # the start, 60 trials, then the second stage's start
+        assert seen[61].tobytes() == z0[0].tobytes() and one[0].tobytes() != z0[:1].tobytes()
+    else:
+        assert one[0].tobytes() == z0[:1].tobytes()
+        assert one[1][1].tolist() == [len(power._STAGES)]
+
+
 def stage_entries(monkeypatch, problem, z0):
     """``_maximize`` of ``problem`` from ``z0``, and per stage what its first
     iteration computed before the Newton target (or before the stage
     returned): ``["evaluate", "residual"]`` fresh, ``["residual"]`` from a
-    carry whose branch weights changed, ``[]`` from a carry it reused."""
+    carry whose branch weights changed, ``[]`` from a carry it reused. A
+    stage starts when the solver takes its entry of the stage table, on the
+    one-row path and in the lockstep alike."""
     log = stage_calls(monkeypatch)
-    stage = power._ascent_stage
 
-    def logged(*args):
-        log.append(("stage", None))
-        return stage(*args)
+    class Logged(tuple):
+        def __iter__(self):
+            for stage in tuple.__iter__(self):
+                log.append(("stage", None))
+                yield stage
 
-    monkeypatch.setattr(power, "_ascent_stage", logged)
+    monkeypatch.setattr(power, "_STAGES", Logged(power._STAGES))
     z, result = power._maximize(problem, z0, SolverSettings())
     monkeypatch.undo()
     entries = []
@@ -1330,10 +1413,10 @@ def stage_entries(monkeypatch, problem, z0):
     ((6, 4, 4), [(100, 0.1, 0.2, None), (100, 0.9, 0.1, None)], [True, True, True, False]),
 ])
 def test_stage_carry_gives_the_bits_of_a_fresh_start(monkeypatch, shape, rows, reused):
-    # Alone, every stage runs the one-row path and hands its evaluation to
-    # the next, which reuses the derivation only where the branch weights
-    # are the same. In lockstep beside another row, no stage hands anything
-    # on and the next starts fresh. Both give the same bits.
+    # Alone, the solve runs the one-row path, where every stage hands its
+    # evaluation to the next, which reuses the derivation only where the
+    # branch weights are the same. In lockstep beside another row, no stage
+    # hands anything on and the next starts fresh. Both give the same bits.
     # A row is (draw: check's trial 0 or a setup_case seed, mu, anchor and
     # start powers; a start of None is the uniform allocation).
     cfg = make_cfg(*shape)
@@ -1351,7 +1434,7 @@ def test_stage_carry_gives_the_bits_of_a_fresh_start(monkeypatch, shape, rows, r
     z_pair, r_pair, beside = stage_entries(monkeypatch, problem, z0)
     assert beside == [fresh] * 5
     assert z_one.tobytes() == z_pair[:1].tobytes()
-    for a, b in zip(r_one.astuple(), r_pair.astuple()):
+    for a, b in zip(r_one, r_pair):
         assert a.dtype == b.dtype and a.tobytes() == b[:1].tobytes()
 
 
@@ -1368,7 +1451,7 @@ def test_value_from_is_the_value_of_evaluate():
         z = np.stack([dec.dims.pack(alloc.p1, alloc.p2) for alloc in allocs])
         _, b1, b2, point = problem.evaluate(z)
         logs = np.log2(point)
-        for tau in power._TAU_STAGES:
+        for tau, *_ in power._STAGES:
             want = problem.evaluate(z, tau)[0]
             assert problem._value(z, logs, b1, b2, tau).tobytes() == want.tobytes()
 

@@ -69,11 +69,21 @@ def test_p2p_zero_budget():
     assert p2p_capacity(h, 1.0, 0.0, 1.0) == 0.0
 
 
-@pytest.mark.parametrize("budget", [np.nan, -1.0])
+@pytest.mark.parametrize("budget", [np.nan, -1.0, np.inf])
 def test_p2p_rejects_a_nan_or_negative_budget(budget):
-    # a NaN budget passed the `budget <= 0` test and gave a NaN capacity
+    # a NaN budget passed the `budget <= 0` test and gave a NaN capacity; an
+    # infinite one, which SystemConfig refuses, an infinite capacity
     with pytest.raises(ValueError, match="budget"):
         p2p_capacity(np.eye(2, dtype=complex), 1.0, budget, 1.0)
+
+
+def test_p2p_rejects_a_non_finite_channel():
+    # it failed inside the SVD with numpy's "SVD did not converge"
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        h = np.eye(2, dtype=complex)
+        h[0, 1] = bad
+        with pytest.raises(ValueError, match="channel entries must be finite"):
+            p2p_capacity(h, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("pathloss, noise", [
