@@ -433,7 +433,9 @@ def self_check(scenario, corrupt=None):
     trial's allocation is then solved and validated on its own. Failures
     are listed in trial order. A non-generic draw, which has no
     decomposition, and a decomposition with a non-finite entry fail by name,
-    and the trial's other checks, which cannot run on them, are skipped. The
+    and the trial's other checks, which cannot run on them, are skipped. A
+    trial whose stream gains the rate formulas refuse fails by name in its
+    solve; the underestimators of every trial are skipped then. The
     ``corrupt`` hook, if given, mangles each decomposition before checking
     and exists for testing the detector itself.
     """
@@ -468,9 +470,14 @@ def self_check(scenario, corrupt=None):
             continue
         decs[trial] = dec
     if decs:
-        r1, under = rates_and_underestimators(
-            [allocs[t] for t in decs], [anchors[t] for t in decs], list(decs.values()), cfg
-        )
+        try:
+            r1, under = rates_and_underestimators(
+                [allocs[t] for t in decs], [anchors[t] for t in decs], list(decs.values()), cfg
+            )
+        except ValueError:
+            # gains the rate formulas refuse; the solve of each such trial
+            # fails by name below
+            r1 = under = np.zeros((len(decs), 0))
 
     for row, (trial, dec) in enumerate(decs.items()):
         report = verify_decomposition(dec, chs[trial])

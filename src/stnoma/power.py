@@ -50,11 +50,21 @@ row is left) takes a path of its own, chosen by the row count alone:
 :func:`_maximize_row` runs its whole softmin ladder in one routine, with the
 same numpy calls on its ``(1, n)`` arrays, the row's decisions taken as
 float comparisons, and none of the lockstep's row masks, merges and drops.
-Each stage hands the next, in local variables, its last evaluation and
-derivation: the next stage starts at the same point, so it takes only its
-value at its own smoothing level from those branches, and reuses the
-gradient and residual when its branch weights come out the same bit for
-bit. A lockstep stage of several rows carries nothing to the next.
+Each stage hands the next, in local variables, its last point, branches
+and derivation. The next stage starts at the same point and reuses the
+gradient, its norm and the residual when its branch weights come out the
+same bit for bit; otherwise it derives them from the weights it just
+computed. Its value at its own smoothing level, taken from those branches,
+is lazy: only a step reads it, and only the exact stage returns it, so a
+stage that stops on its first test never takes it. A lockstep stage of
+several rows carries nothing to the next.
+
+The outer loop's true-rate pass at the new powers forms the
+noise-plus-interference sums of the shared streams
+(:meth:`StreamGains.shared_args`); at user 2's shared powers, the next
+anchor, they are the sums the re-anchored surrogate needs, so it takes them
+from there. Row drops are booked only when a row stopped and another
+iteration follows.
 """
 
 import copy
@@ -167,7 +177,8 @@ class CcpRecord(Record):
             iterations=n,
             objective_trace=self.trace[d, i, :n].copy(),
             converged=bool(self.converged[d, i]),
-            inner_results=tuple(self.inner.at((d, i, k)) for k in range(n)),
+            inner_results=tuple(InnerSolveResult(*r) for r in zip(
+                *(a[d, i, :n].tolist() for a in self.inner.astuple()))),
         )
 
 
@@ -311,7 +322,9 @@ class _SurrogateProblem(StreamGains):
         self._anchor_rows(anchor)
         return self
 
-    def _anchor_rows(self, anchor):
+    def _anchor_rows(self, anchor, sums=None):
+        """Anchor every row at ``anchor``; ``sums`` are the ``arg12`` and
+        ``arg22`` of :meth:`shared_args` at it, when the caller has them."""
         m = self.m
         self.anchor = np.asarray(anchor, dtype=float)
         if self.anchor.shape != self.mu.shape + (m,):
@@ -319,10 +332,8 @@ class _SurrogateProblem(StreamGains):
         # one reduction, written so that NaN fails
         if not ((self.anchor >= 0.0) & (self.anchor < math.inf)).all():
             raise ValueError("anchor powers must be finite and >= 0")
-
-        # arg12 and arg22 of shared_args at the anchor; neither reads p1s
-        arg12_q = self.sigma2 + (self.c1 @ self.anchor[..., None])[..., 0]
-        arg22_q = self.sigma2 + self.anchor * self.w2
+        # neither sum reads p1s
+        arg12_q, arg22_q = sums or self.shared_args(self.anchor, self.anchor)[1::2]
         self.anchored = np.log2(arg12_q) + np.log2(arg22_q)
         # Full anchored jacobian of the concave remainders: row l linearizes
         # stream l's bound; the summed objective and gradient need only its
@@ -340,11 +351,11 @@ class _SurrogateProblem(StreamGains):
         new.__dict__.update(self.__dict__)
         return new
 
-    def reanchored(self, anchor):
+    def reanchored(self, anchor, sums=None):
         """The same rows' surrogate at other anchors, without rebuilding
-        their gains."""
+        their gains; ``sums`` as for :meth:`_anchor_rows`."""
         new = copy.copy(self)
-        new._anchor_rows(anchor)
+        new._anchor_rows(anchor, sums)
         return new
 
     def take(self, rows):
@@ -681,32 +692,38 @@ def _maximize_row(problem, z, settings):
     masked, merged or dropped, and ``z`` is not written.
 
     Each stage after the first starts where the last one stopped, from the
-    last one's final evaluation and derivation: it takes its value at its
-    own ``tau`` from that point and those branches
-    (:meth:`_SurrogateProblem._value`) instead of evaluating, and reuses the
-    gradient and residual when its branch weights equal the last ones bit
-    for bit (a signed zero does not pass); otherwise it derives them again,
-    which gives the bits of a fresh start.
+    last one's final point, branches and derivation. It reuses the
+    gradient, residual and gradient norm when its branch weights equal the
+    last ones bit for bit (a signed zero does not pass), and otherwise
+    derives them again from the weights it just computed, which gives the
+    bits of a fresh start. Its value at its own ``tau``
+    (:meth:`_SurrogateProblem._value`, from the same point and branches) is
+    lazy: a stage takes it only when it takes a step, or when it is the
+    exact stage whose value is returned, so a stage that stops on its first
+    test takes none.
     """
     za, total = z, settings.inner_max_iters
     softmin_cap = max(50, total // 20)
     iterations = 0
-    ev = derived = None
-    for stage, (tau, rtol, gd_rtol) in enumerate(_STAGES if problem.m else _STAGES[-1:]):
+    lam = None
+    for tau, rtol, gd_rtol in _STAGES if problem.m else _STAGES[-1:]:
         cap = min(total - iterations, softmin_cap) if tau else total - iterations
-        if stage:
-            ev = problem._value(za, np.log2(point), b1, b2, tau), b1, b2, point
-            same = problem._branch_weights(b1, b2, tau).tobytes() == lam.tobytes()
-            derived = (lam, g, res) if same else None
+        # the first stage evaluates; a later one takes its value when read
+        f, b1, b2, point = problem.evaluate(za, tau) if lam is None else (None, b1, b2, point)
+        weights = problem._branch_weights(b1, b2, tau)
+        if lam is None or weights.tobytes() != lam.tobytes():
+            lam, g = weights, problem._derivative(1, weights, point)
+            res, gnorm = _residual(za, g), _norm(g)
         it = 0
         while True:
             it += 1
-            f, b1, b2, point = ev or problem.evaluate(za, tau)
-            lam, g, res = derived or _derive(problem, za, b1, b2, point, tau)
-            gnorm = _norm(g)
-            fs, rs = f.item(), res.item()
-            if rs <= rtol * (1.0 + gnorm.item()) or it > cap:
+            rs = res.item()
+            stop = rs <= rtol * (1.0 + gnorm.item()) or it > cap
+            if f is None and not (stop and tau):  # read by a step, or returned
+                f = problem._value(za, np.log2(point), b1, b2, tau)
+            if stop:
                 break
+            fs = f.item()
             target, d, gd = _newton_step(problem, za, lam, g, point)
             gd, scale = gd.item(), 1.0 + abs(fs)
             if gd <= gd_rtol * scale:
@@ -718,24 +735,25 @@ def _maximize_row(problem, z, settings):
                 if not (derived[2].item() < rs and ev[0].item() >= fs - _POLISH_SLACK * scale):
                     break
                 za = target
-                continue
-            derived = None
-            noise = _NOISE_RTOL * scale
-            t, zt = 1.0, za + d
-            while True:
-                ev = problem.evaluate(zt, tau)
-                ft = ev[0].item()
-                if ft >= fs + _ARMIJO_C * t * gd - noise:
-                    if ft == fs and (zt == za).all():
-                        t = 0.0  # a null step (see _accepted) fails the search
+            else:
+                noise = _NOISE_RTOL * scale
+                t, zt = 1.0, za + d
+                while True:
+                    ev = problem.evaluate(zt, tau)
+                    ft = ev[0].item()
+                    if ft >= fs + _ARMIJO_C * t * gd - noise:
+                        if ft == fs and (zt == za).all():
+                            t = 0.0  # a null step (see _accepted) fails the search
+                        break
+                    t *= 0.5
+                    if t < _T_MIN:
+                        break
+                    zt = za + t * d
+                if t < _T_MIN:  # the line search failed: the row stops where it is
                     break
-                t *= 0.5
-                if t < _T_MIN:
-                    break
-                zt = za + t * d
-            if t < _T_MIN:  # the line search failed: the row stops where it is
-                break
-            za = zt
+                za, derived = zt, _derive(problem, zt, *ev[1:], tau)
+            (f, b1, b2, point), (lam, g, res) = ev, derived
+            gnorm = _norm(g)
         iterations += min(it, cap)
     return za, (f, np.array([iterations]), res <= RESIDUAL_RTOL * (1.0 + gnorm), res, gnorm)
 
@@ -823,32 +841,39 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
             decs, _per_budget(cfg), draw, np.tile(mus, len(decs)),
             np.zeros((rows, dims.shared)),
         )
-        # Each row's previous allocation: the warm start and the stopping
-        # reference (zeros before the first solve, which cannot stop the
-        # loop).
+        # z holds each row's last allocation, and prev each running row's
+        # previous one: the warm start and the stopping reference (zeros
+        # before the first solve, which cannot stop the loop).
         z = np.zeros((rows, problem.size))
-        act = np.arange(rows)
+        # the running rows: every row (a slice, which numpy reads and writes
+        # faster) until one stops
+        act, prev = slice(None), np.zeros_like(z)
+        m, n_p1 = problem.m, problem.n_p1
         for it in range(1, settings.ccp_max_iters + 1):
-            prev = z[act]
             new, result = _maximize(problem, _project(prev, None, _ONE), settings)
             for a, value in zip(inner.astuple(), result):
                 a[act, it - 1] = value
-            br = problem.breakdown(new)
+            # the true rates; the noise-plus-interference sums of their
+            # shared streams are the next anchor's
+            args = problem.shared_args(new[:, :m], new[:, n_p1 : n_p1 + m])
+            br = problem.breakdown(new, args)
             r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)
             rates[act, 0], rates[act, 1] = r1, r2
             trace[act, it - 1] = problem.mu * r1 + problem.mu2 * r2
             z[act] = new
             iterations[act] = it
-            done = np.max(np.abs(new - prev), axis=1, initial=0.0) < settings.ccp_tol
-            if it == 1:
-                done[:] = False
-            converged[act[done]] = True
-            keep = (~done).nonzero()[0]
-            act = act[keep]
-            if not act.size or it == settings.ccp_max_iters:
+            done = np.maximum.reduce(np.abs(new - prev), axis=1, initial=0.0) < settings.ccp_tol
+            n_done = np.count_nonzero(done) if it > 1 else 0
+            if n_done:
+                act = np.arange(rows)[act]
+                converged[act[done]] = True
+            if n_done == len(done) or it == settings.ccp_max_iters:
                 break
-            anchor = new[keep, problem.n_p1 : problem.n_p1 + problem.m]
-            problem = problem.take(keep).reanchored(anchor)
+            if n_done:
+                keep = (~done).nonzero()[0]
+                act, new, problem = act[keep], new[keep], problem.take(keep)
+                args = [a[keep] for a in args]
+            prev, problem = new, problem.reanchored(new[:, n_p1 : n_p1 + m].copy(), args[1::2])
         p1, p2 = dims.unpack(z)
         # The trace form of the power constraint is the plain power sum
         # because the precoder columns are unit norm; checked on every row,

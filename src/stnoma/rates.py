@@ -22,6 +22,11 @@ __all__ = [
     "weighted_sum_rate",
 ]
 
+# The largest stream gain, and gain over the noise, the rate formulas take
+# (1,500 dB). The power solver's derivatives square both; 1e150 squared
+# leaves eight decades of headroom for a row's sums of squares.
+GAIN_MAX = 1e150
+
 
 class StreamGains:
     """Per-watt gains of every stream, read off the triangular factors of
@@ -36,7 +41,8 @@ class StreamGains:
     holds, in one array, the noise-normalized gains of the interference-free
     streams in the power solver's order (:meth:`StreamDims.pack`): user 1's
     private streams, user 2's shared streams (after SIC), user 2's private
-    streams. Every formula broadcasts over the row axis.
+    streams. Every formula broadcasts over the row axis. Every gain, and
+    every gain over the noise, must be finite and at most ``GAIN_MAX``.
     """
 
     GAINS = ("c1", "c1_diag", "w2", "free")
@@ -60,9 +66,11 @@ class StreamGains:
             self.w2 / self.sigma2,
             diag2[..., m:].real ** 2 / (cfg.pathloss2 * self.sigma2),
         ], axis=-1)
-        # written so that NaN fails
-        if not (np.isfinite(self.c1).all() and np.isfinite(self.free).all()):
-            raise ValueError("stream gains must be finite")
+        # written so that NaN fails; see GAIN_MAX
+        big = GAIN_MAX * min(1.0, self.sigma2)
+        if not (self.c1.max(initial=0.0) <= big and self.w2.max(initial=0.0) <= big
+                and self.free.max(initial=0.0) <= GAIN_MAX):
+            raise ValueError("stream gains and gains over the noise must be finite and <= 1e150")
 
     def shared_args(self, p1s, p2s):
         """Noise-plus-power sums ``(arg11, arg12, arg21, arg22)`` of user 1's
@@ -78,13 +86,14 @@ class StreamGains:
         arg22 = self.sigma2 + p2s * self.w2
         return arg11, arg12, arg21, arg22
 
-    def breakdown(self, z):
+    def breakdown(self, z, args=None):
         """:class:`RateBreakdown` of the powers ``z`` of both users, or of
         rows of them, in the power solver's order (:meth:`StreamDims.pack`);
-        its rates are length L."""
+        its rates are length L. ``args`` are the :meth:`shared_args` at
+        ``z``, when the caller has formed them."""
         d, m = self.dims, self.dims.shared
-        p1s = z[..., :m]
-        _, arg12, _, arg22 = self.shared_args(p1s, z[..., d.user1_streams : d.user1_streams + m])
+        p1s, p2s = z[..., :m], z[..., d.user1_streams : d.user1_streams + m]
+        _, arg12, _, arg22 = args or self.shared_args(p1s, p2s)
         at1 = np.log2(1.0 + p1s * self.c1_diag / arg12)
         at2 = np.log2(1.0 + p1s * self.w2 / arg22)
         free = np.log2(1.0 + z[..., m:] * self.free)

@@ -357,6 +357,24 @@ def test_main_failing_draw_exit_1(monkeypatch, tmp_path, capsys, verb, owner, ex
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_gains_whose_squares_overflow_fail_by_name(tmp_path, capsys):
+    # A near user at 1e-80 m gives gains near 1e160, whose squares in the
+    # power solver overflow: region warned, wrote ST-NOMA (0, 0) at every
+    # weight and exited 0, and check found every invariant holding. Both
+    # now name what fails and exit 1; region writes no region.csv.
+    scenario = tmp_path / "near.txt"
+    scenario.write_text("d1 = 2\nd2 = 1e-80\n", encoding="utf-8")
+    refused = "stream gains and gains over the noise must be finite and <= 1e150"
+    out = tmp_path / "out"
+    assert main(["region", "--scenario", str(scenario), "--trials", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed 0, trials 0-0: {refused}\n"
+    assert not list(out.glob("*.csv"))
+    assert main(["check", "--scenario", str(scenario), "--trials", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"trial {t}: power allocation: {refused}" for t in range(2)
+    ] + ["checked 2 channels: 2 failures"]
+
+
 def test_self_check_clean():
     report = self_check(replace(SMALL, trials=4))
     assert report.ok

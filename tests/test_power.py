@@ -1082,6 +1082,26 @@ def test_check_trial_solver_work_pinned(monkeypatch):
     assert (kinds.count("evaluate"), kinds.count("residual")) == (74, 74)
 
 
+def test_check_trial_surrogate_calls_pinned(monkeypatch):
+    # The surrogate work of check's solve of trial 0 at seed 0 (mu = 0.5):
+    # calls of _value, evaluate and _derivative. Each evaluate takes one
+    # value; the other values are those a one-row stage takes at its own
+    # tau from the last stage's point, only when it steps or returns it.
+    # Before stages took that value lazily: 114, 74 and 138.
+    counts = dict.fromkeys(["_value", "evaluate", "_derivative"], 0)
+    for name in counts:
+        method = getattr(_SurrogateProblem, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(_SurrogateProblem, name, counted)
+    ccp_allocate(check_draw(0), CHECK_SCENARIO.config(), 0.5, CHECK_SCENARIO.solver_settings())
+    monkeypatch.undo()
+    assert counts == {"_value": 96, "evaluate": 74, "_derivative": 138}
+
+
 def test_check_solves_pinned():
     # one digest over every CcpState field of the 20 ccp_allocate solves of
     # check at seed 0 (mu = 0.5), read before stages handed on their
@@ -1373,14 +1393,10 @@ def test_failed_searches_in_a_whole_solve(monkeypatch, lowered):
         assert one[1][1].tolist() == [len(power._STAGES)]
 
 
-def stage_entries(monkeypatch, problem, z0):
-    """``_maximize`` of ``problem`` from ``z0``, and per stage what its first
-    iteration computed before the Newton target (or before the stage
-    returned): ``["evaluate", "residual"]`` fresh, ``["residual"]`` from a
-    carry whose branch weights changed, ``[]`` from a carry it reused. A
-    stage starts when the solver takes its entry of the stage table, on the
-    one-row path and in the lockstep alike."""
-    log = stage_calls(monkeypatch)
+def log_stage_starts(monkeypatch, log):
+    """Append ``("stage", None)`` to ``log`` at the start of each stage: when
+    the solver takes its entry of the stage table, on the one-row path and
+    in the lockstep alike."""
 
     class Logged(tuple):
         def __iter__(self):
@@ -1389,6 +1405,15 @@ def stage_entries(monkeypatch, problem, z0):
                 yield stage
 
     monkeypatch.setattr(power, "_STAGES", Logged(power._STAGES))
+
+
+def stage_entries(monkeypatch, problem, z0):
+    """``_maximize`` of ``problem`` from ``z0``, and per stage what its first
+    iteration computed before the Newton target (or before the stage
+    returned): ``["evaluate", "residual"]`` fresh, ``["residual"]`` from a
+    carry whose branch weights changed, ``[]`` from a carry it reused."""
+    log = stage_calls(monkeypatch)
+    log_stage_starts(monkeypatch, log)
     z, result = power._maximize(problem, z0, SolverSettings())
     monkeypatch.undo()
     entries = []
@@ -1411,6 +1436,9 @@ def stage_entries(monkeypatch, problem, z0):
     # near a kink: the softmin weights at tau = 1e-9 are not the exact
     # stage's hard 0/1, so that stage derives again
     ((6, 4, 4), [(100, 0.1, 0.2, None), (100, 0.9, 0.1, None)], [True, True, True, False]),
+    # the second stage's branch weights change and it derives again, then
+    # stops on its first test (test_a_stage_takes_its_value_only_when_read)
+    ((5, 3, 3), [(100, 0.7, 0.0, None), (121, 0.8, 0.3, None)], [False, True, True, True]),
 ])
 def test_stage_carry_gives_the_bits_of_a_fresh_start(monkeypatch, shape, rows, reused):
     # Alone, the solve runs the one-row path, where every stage hands its
@@ -1436,6 +1464,43 @@ def test_stage_carry_gives_the_bits_of_a_fresh_start(monkeypatch, shape, rows, r
     assert z_one.tobytes() == z_pair[:1].tobytes()
     for a, b in zip(r_one, r_pair):
         assert a.dtype == b.dtype and a.tobytes() == b[:1].tobytes()
+
+
+def test_a_stage_takes_its_value_only_when_read(monkeypatch):
+    # A one-row stage after the first takes its value at its own tau from
+    # the last stage's point and branches only when it steps, or when it is
+    # the exact stage, whose value the solve returns. Here the first stage
+    # stops on its first test; the second derives changed branch weights
+    # again and the third reuses them, and both stop on their first test
+    # without a value; the fourth takes its value and steps; the exact stage
+    # stops on its first test and takes the value it returns. Per stage: what
+    # it computed up to its first Newton target, without the value each
+    # evaluation takes. The solve is row 0 of the two-row lockstep, bit for
+    # bit.
+    _, dec = setup_case(100)
+    anchor = np.zeros(dec.dims.shared)
+    problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.7, 0.7], [anchor] * 2)
+    z0 = np.full((2, problem.size), 1.0 / problem.size)
+    log = stage_calls(monkeypatch)
+    value = _SurrogateProblem._value
+
+    def logged(self, *args):
+        log.append(("value", None))
+        return value(self, *args)
+
+    monkeypatch.setattr(_SurrogateProblem, "_value", logged)
+    log_stage_starts(monkeypatch, log)
+    one = power._maximize(problem.take([0]), z0[:1], SolverSettings())
+    monkeypatch.undo()
+    stages, last = [], None
+    for kind, _ in log:
+        if kind == "stage":
+            stages.append([])
+        elif not (kind == "value" and last == "evaluate") and "target" not in stages[-1]:
+            stages[-1].append(kind)
+        last = kind
+    assert stages == [["evaluate", "residual"], ["residual"], [], ["value", "target"], ["value"]]
+    assert_row_of(one, power._maximize(problem, z0, SolverSettings()))
 
 
 def test_value_from_is_the_value_of_evaluate():

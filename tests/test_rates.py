@@ -225,6 +225,18 @@ def test_stream_gains_reject_non_finite_factors(name, value):
         StreamGains([replace(dec, **{name: bad})], CFG, 0)
 
 
+@pytest.mark.parametrize("pathloss2, noise_power", [(1e-160, 1.0), (1e-155, 1e10), (2500.0, 1e-160)],
+                         ids=["both", "gain", "gain-over-the-noise"])
+def test_stream_gains_reject_gains_whose_squares_overflow(pathloss2, noise_power):
+    # the power solver squares every gain and every gain over the noise; a
+    # near user at 1e-80 m made those squares overflow, and the solver
+    # return zero powers at every weight
+    _, dec, _ = setup_case(3)
+    cfg = SystemConfig(5, 3, 3, 62500.0, pathloss2, 1.0, noise_power)
+    with pytest.raises(ValueError, match="<= 1e150"):
+        StreamGains([dec], cfg, 0)
+
+
 @pytest.mark.parametrize("n", [1, 4, 6], ids=["1", "L-1", "L+1"])
 def test_wrong_length_allocation_raises(n):
     # at every length but L: numpy would broadcast a length-1 allocation
