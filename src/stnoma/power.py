@@ -808,9 +808,15 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
     Each row's run starts from a zero anchor, repeatedly maximizes the
     surrogate, and re-anchors at the new user-2 shared powers until no
     power moves by ``ccp_tol`` of the budget or more, or the iteration cap
-    is reached. The recorded objective trace holds the true weighted sum
-    rate, not the surrogate, from the same rate sums the record's ``rates``
-    keep for the last iteration. Every row carries its own draw's gains and
+    is reached. The surrogate is tight at the warm start and below the true
+    objective, so the true objective can fall only when an inner solve,
+    certified to its residual alone, ends below its start (at objectives
+    near zero that can exceed 1e-9 of the objective); a row whose true
+    objective falls by more than evaluation noise stops, converged, at its
+    previous iterate, and the solve that fell is not recorded. The recorded
+    objective trace holds the true weighted sum rate, not the surrogate,
+    from the same rate sums the record's ``rates`` keep for the last
+    iteration. Every row carries its own draw's gains and
     shares each numpy call of an outer iteration and of a solver stage; a
     row whose run stops drops out, and every row is bit for bit the run it
     would be alone (:func:`ccp_allocate`). The decompositions must share
@@ -851,15 +857,30 @@ def ccp_allocate_draws(decs, cfg, mus, settings=None):
         m, n_p1 = problem.m, problem.n_p1
         for it in range(1, settings.ccp_max_iters + 1):
             new, result = _maximize(problem, _project(prev, None, _ONE), settings)
-            for a, value in zip(inner.astuple(), result):
-                a[act, it - 1] = value
             # the true rates; the noise-plus-interference sums of their
             # shared streams are the next anchor's
             args = problem.shared_args(new[:, :m], new[:, n_p1 : n_p1 + m])
             br = problem.breakdown(new, args)
             r1, r2 = br.r1.sum(axis=-1), br.r2.sum(axis=-1)
+            f = problem.mu * r1 + problem.mu2 * r2
+            if it > 1:
+                # a row whose solve ended below its start stops at its last
+                # iterate, before this one is recorded
+                last = trace[act, it - 2]
+                worse = f < last - _NOISE_RTOL * (_ONE + np.abs(last))
+                if np.count_nonzero(worse):
+                    act = np.arange(rows)[act]
+                    converged[act[worse]] = True
+                    keep = (~worse).nonzero()[0]
+                    if not len(keep):
+                        break
+                    act, new, prev, problem = act[keep], new[keep], prev[keep], problem.take(keep)
+                    f, r1, r2 = f[keep], r1[keep], r2[keep]
+                    result, args = [a[keep] for a in result], [a[keep] for a in args]
+            for a, value in zip(inner.astuple(), result):
+                a[act, it - 1] = value
             rates[act, 0], rates[act, 1] = r1, r2
-            trace[act, it - 1] = problem.mu * r1 + problem.mu2 * r2
+            trace[act, it - 1] = f
             z[act] = new
             iterations[act] = it
             done = np.maximum.reduce(np.abs(new - prev), axis=1, initial=0.0) < settings.ccp_tol

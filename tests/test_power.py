@@ -1641,6 +1641,9 @@ def test_inner_optimum_matches_scipy_oracle(shape):
     seed=st.integers(0, 2**16),
     mus=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
 )
+# an objective of ~3e-3 bits, where the residual certificate let the second
+# inner solve return a point 1.3e-9 bits below its warm start
+@example(shape=(3, 3, 3), snr_db=15.0, seed=1360, mus=[0.90625])
 def test_weights_in_lockstep_at_extreme_snr(shape, snr_db, seed, mus):
     # no shared stream (4x2x2) and no private stream (3x3x3), pt / noise
     # from -60 dB to +150 dB
@@ -1661,6 +1664,27 @@ def test_weights_in_lockstep_at_extreme_snr(shape, snr_db, seed, mus):
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
         assert_same_solve(record, 0, i, alone(dec, cfg, mu))
+
+
+def test_ccp_stops_at_its_last_iterate_when_a_solve_ends_below_its_start():
+    # the extreme-SNR example above: at ~3e-3 bits the residual certificate
+    # let the second inner solve end 1.3e-9 bits below its warm start
+    cfg = SystemConfig(
+        n_bs=3, m1=3, m2=3, pathloss1=62500.0, pathloss2=2500.0,
+        power_budget=1.0, noise_power=10.0 ** (-15.0 / 10.0),
+    )
+    dec = simultaneous_triangularize(sample_channels(np.random.default_rng(1360), 3, 3, 3))
+    first = ccp_allocate_draws([dec], cfg, [0.90625], SolverSettings(ccp_max_iters=1))
+    record = ccp_allocate_draws([dec], cfg, [0.90625, 0.5])
+    state = record.state(0, 0)
+    assert (state.iterations, state.converged) == (1, True)
+    for a, b in [(record.p1, first.p1), (record.p2, first.p2)]:
+        assert a[0, 0].tobytes() == b[0, 0].tobytes()
+    assert state.objective_trace.tobytes() == first.state(0, 0).objective_trace.tobytes()
+    assert_same_solve(record, 0, 0, alone(dec, cfg, 0.90625))
+    # the other weight's row goes on, as it would alone
+    assert record.iterations[0, 1] > 1
+    assert_same_solve(record, 0, 1, alone(dec, cfg, 0.5))
 
 
 @settings(max_examples=30, deadline=None)
