@@ -22,11 +22,15 @@ single shared stream the two forms coincide.)
 
 Every routine works on rows. ``ccp_allocate_draws`` runs every rate weight
 on every channel draw in lockstep, one row per (draw, weight) pair: each row
-carries its own draw's gains, the rows share each numpy call of a step, a row
-that stops drops out, and every row is bit for bit the run it would be
-alone; it returns one :class:`CcpRecord` of arrays. ``ccp_allocate`` (one
-row) and ``maximize_surrogate`` (one surrogate) are its special cases. The
-solvers work in units of the power budget (:func:`_per_budget`), so their
+carries its own draw's gains, the rows share each numpy call of a step, and
+every row is bit for bit the run it would be alone; it returns one
+:class:`CcpRecord` of arrays. A row whose outer loop stops drops out at
+once. A row that stops within a solver stage is recorded at once but parked
+in the stage's arrays, at its own point, until a few dozen have stopped
+(``_PARK_ROWS``), so that the stage takes its running rows out of every
+array once, not at every stop. ``ccp_allocate`` (one row) and
+``maximize_surrogate`` (one surrogate) are its special cases. The solvers
+work in units of the power budget (:func:`_per_budget`), so their
 tolerances mean the same at any budget.
 
 On these problem sizes a solver step costs what its numpy calls cost, so an
@@ -504,6 +508,11 @@ _H_DIV, _H_MIN = np.array(200.0), np.array(1e-300)
 # 1 + |f|), and the smallest step it tries.
 _ARMIJO_C, _NOISE_RTOL, _POLISH_SLACK, _T_MIN = 1e-4, 1e-13, 1e-12, 1e-18
 
+# A lockstep stage takes its running rows out of its arrays once this many
+# of its rows have stopped: on a few dozen rows a numpy call costs about the
+# same whatever its row count, and a take costs some twenty numpy calls.
+_PARK_ROWS = 32
+
 
 def _newton_step(problem, z, lam, g, point):
     """``(target, d, gd)``: the Newton target, the weighted projection of
@@ -549,11 +558,19 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     projected-gradient residual is at most ``rtol * (1 + ||g||)`` (a hit),
     it has taken its ``iter_budget`` steps, it is flat and the polish does
     not take it, or its line search fails (no trial passes, or one passes only
-    by a null step, :func:`_accepted`). A stopped row drops out into the
-    results; every other row goes on exactly as it would alone. Updates
+    by a null step, :func:`_accepted`). A stopped row goes into the results
+    at once; every other row goes on exactly as it would alone. Updates
     ``z`` in place and returns per row the iterations used and the
     objective, residual and gradient norm of its last evaluation, which is
     at its returned point.
+
+    A stopped row stays in the stage's arrays, parked, until ``_PARK_ROWS``
+    of them have stopped; then one take drops them all. A parked row counts
+    as stopped, and its step is zeroed and counted as taken, so it never
+    moves, is never recorded again, and each iteration evaluates it at its
+    own point (its first parked iteration may read the evaluation of a
+    trial point, which only that zeroed step uses); the full step still
+    rebinds ``za`` whole when every running row takes it.
 
     Every row count takes this path, one row too; :func:`_maximize` sends a
     one-row solve to :func:`_maximize_row` instead, which runs every stage
@@ -573,9 +590,10 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
     # The evaluation at za when the previous iteration computed it there,
     # carried row by row from the line-search trial or the polish that moved
     # each row; and the polish's (branch weights, g, residual) when every row
-    # that goes on sits where the polish evaluated it.
-    ev = derived = None
-    it = 0
+    # that goes on sits where the polish evaluated it. And the rows parked in
+    # the arrays since the last take, read only while n_parked counts them.
+    ev = derived = parked = None
+    n_parked = it = 0
     while True:
         it += 1
         f, b1, b2, point = ev or sub.evaluate(za, tau)
@@ -583,8 +601,12 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
         ev = derived = None
         gnorm = _norm(g)
         stop = (res <= rtol * (_ONE + gnorm)) | (it > caps)
+        if n_parked:
+            stop |= parked
         if np.count_nonzero(stop) < len(stop):
             target, d, gd = _newton_step(sub, za, lam, g, point)
+            if n_parked:
+                d[parked] = 0.0  # a parked row takes a null step
             start = za
             scale = _ONE + np.abs(f)
             flat = ~stop & (gd <= gd_rtol * scale)
@@ -603,6 +625,8 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
                 np.copyto(zt, target, where=flat[:, None])
             trial = sub.evaluate(zt, tau)
             ok = _accepted(pending, stop, f, trial[0], f + _ARMIJO_C * t * gd - noise, zt, start)
+            if n_parked:
+                ok |= parked
             if n_flat:
                 # Objective-flat but possibly not stationary: the full step
                 # can still shrink the gradient mapping, so polish on the
@@ -630,15 +654,21 @@ def _ascent_stage(problem, z, tau, iter_budget, rtol, gd_rtol):
                 ok = _accepted(pending, stop, f, trial[0], f + _ARMIJO_C * t * gd - noise, zt,
                                start)
         n_stop = np.count_nonzero(stop)
-        if not n_stop:
+        if n_stop == n_parked:
             continue
-        # a stopped row did not move: za, f, res and gnorm are one point
-        done = act[stop]
-        used[done] = np.minimum(it, caps[stop])
+        # a row that stopped now did not move: za, f, res and gnorm are one
+        # point
+        new = stop ^ parked if n_parked else stop
+        done = act[new]
+        used[done] = np.minimum(it, caps[new])
         for out, value in zip((z, *last), (za, f, res, gnorm)):
-            out[done] = value[stop]
+            out[done] = value[new]
         if n_stop == len(stop):
             return used, *last
+        if n_stop < _PARK_ROWS:
+            parked, n_parked = stop, n_stop
+            continue
+        n_parked = 0
         keep = (~stop).nonzero()[0]
         act, za, caps = act[keep], za[keep], caps[keep]
         sub = sub.take(keep)

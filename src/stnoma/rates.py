@@ -57,15 +57,19 @@ class StreamGains:
         r2 = np.stack([dec.r2 for dec in decs])[draw]
         diag1 = np.diagonal(r1, axis1=-2, axis2=-1).real
         diag2 = np.diagonal(r2, axis1=-2, axis2=-1)
-        self.c1 = np.triu(np.abs(r1[..., :m, :m]) ** 2 / cfg.pathloss1)
-        # a copy, so that every gain is C-contiguous as the solver reads it
-        self.c1_diag = np.diagonal(self.c1, axis1=-2, axis2=-1).copy()
-        self.w2 = np.abs(diag2[..., :m]) ** 2 / cfg.pathloss2
-        self.free = np.concatenate([
-            diag1[..., m:] ** 2 / (cfg.pathloss1 * self.sigma2),
-            self.w2 / self.sigma2,
-            diag2[..., m:].real ** 2 / (cfg.pathloss2 * self.sigma2),
-        ], axis=-1)
+        # A gain that overflows, or whose path loss times the noise
+        # underflows to 0, comes out inf or NaN, which the test below refuses
+        # by name.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self.c1 = np.triu(np.abs(r1[..., :m, :m]) ** 2 / cfg.pathloss1)
+            # a copy, so that every gain is C-contiguous as the solver reads it
+            self.c1_diag = np.diagonal(self.c1, axis1=-2, axis2=-1).copy()
+            self.w2 = np.abs(diag2[..., :m]) ** 2 / cfg.pathloss2
+            self.free = np.concatenate([
+                diag1[..., m:] ** 2 / (cfg.pathloss1 * self.sigma2),
+                self.w2 / self.sigma2,
+                diag2[..., m:].real ** 2 / (cfg.pathloss2 * self.sigma2),
+            ], axis=-1)
         # written so that NaN fails; see GAIN_MAX
         big = GAIN_MAX * min(1.0, self.sigma2)
         if not (self.c1.max(initial=0.0) <= big and self.w2.max(initial=0.0) <= big

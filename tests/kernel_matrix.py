@@ -42,6 +42,7 @@ SELECTED = (
     "test_draws_in_lockstep", "test_rows_carry_the_evaluations_of_different_steps",
     "test_one_evaluation_serves_the_polish_and_the_full_step",
     "test_rows_stopping_together", "test_failed_line_search", "test_line_search_refuses",
+    "test_stopped_rows_park",
     "test_one_row_solve_is_a_row_of_the_lockstep", "test_failed_searches_in_a_whole_solve",
     "test_stage_carry_gives_the_bits_of_a_fresh_start",
     "test_a_stage_takes_its_value_only_when_read",

@@ -361,18 +361,25 @@ def test_gains_whose_squares_overflow_fail_by_name(tmp_path, capsys):
     # A near user at 1e-80 m gives gains near 1e160, whose squares in the
     # power solver overflow: region warned, wrote ST-NOMA (0, 0) at every
     # weight and exited 0, and check found every invariant holding. Both
-    # now name what fails and exit 1; region writes no region.csv.
-    scenario = tmp_path / "near.txt"
-    scenario.write_text("d1 = 2\nd2 = 1e-80\n", encoding="utf-8")
+    # now name what fails and exit 1; region writes no region.csv. At
+    # 1e-158 m (path loss ~1e-316) the gains themselves overflow, which
+    # warned before the bound refused them; under this suite's warning
+    # filter, a traceback.
     refused = "stream gains and gains over the noise must be finite and <= 1e150"
-    out = tmp_path / "out"
-    assert main(["region", "--scenario", str(scenario), "--trials", "1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: seed 0, trials 0-0: {refused}\n"
-    assert not list(out.glob("*.csv"))
-    assert main(["check", "--scenario", str(scenario), "--trials", "2"]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        f"trial {t}: power allocation: {refused}" for t in range(2)
-    ] + ["checked 2 channels: 2 failures"]
+    for d2 in ("1e-80", "1e-158"):
+        scenario = tmp_path / f"near{d2}.txt"
+        scenario.write_text(f"d1 = 2\nd2 = {d2}\n", encoding="utf-8")
+        out = tmp_path / f"out{d2}"
+        argv = ["region", "--scenario", str(scenario), "--trials", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: seed 0, trials 0-0: {refused}\n"
+        assert not list(out.glob("*.csv"))
+        assert main(["check", "--scenario", str(scenario), "--trials", "2"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"trial {t}: power allocation: {refused}" for t in range(2)
+        ] + ["checked 2 channels: 2 failures"]
+        assert main(["convergence", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: seed 0, config 2x2x3: {refused}\n"
 
 
 def test_self_check_clean():

@@ -1054,6 +1054,33 @@ def test_region_trial_solver_work_pinned(
     assert (kinds.count("evaluate"), kinds.count("residual")) == (evaluations, derivations)
 
 
+def test_region_block_takes_pinned(monkeypatch):
+    # The surrogate work of a 2-trial 5x3x3 region block at seed 0 with the
+    # benchmark physics (block 0 of the bench's region_ref): calls of take,
+    # evaluate and _derivative. A stage parks its stopped rows and takes its
+    # running rows once a few dozen have stopped; before, it took them at
+    # every stop: 142 takes, with the same 228 and 406.
+    scenario = Scenario(n=5, m1=3, m2=3, d1=250.0, d2=50.0, pathloss_exponent=2.0,
+                        pt_dbm=30.0, sigma2_dbm=-35.0, mu_steps=21, trials=2, seed=0)
+    decs = [
+        simultaneous_triangularize(sample_channels(
+            np.random.default_rng(np.random.SeedSequence([0, trial])), 5, 3, 3))
+        for trial in range(scenario.trials)
+    ]
+    counts = dict.fromkeys(["take", "evaluate", "_derivative"], 0)
+    for name in counts:
+        method = getattr(_SurrogateProblem, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(_SurrogateProblem, name, counted)
+    ccp_allocate_draws(decs, scenario.config(), scenario.mu_grid(), scenario.solver_settings())
+    monkeypatch.undo()
+    assert counts == {"take": 10, "evaluate": 228, "_derivative": 406}
+
+
 # check's scenario with the benchmark physics; block 0 of the bench's
 # check_ref workload is its seed 0
 CHECK_SCENARIO = Scenario(n=5, m1=3, m2=3, d1=250.0, d2=50.0, pathloss_exponent=2.0,
@@ -1247,19 +1274,21 @@ def test_failed_line_search_leaves_the_row_where_it_started(monkeypatch):
     # t from 1 to 2**-59 (60 trials), fails below 1e-18, and the row stops
     # in its first iteration at its start, with that point's evaluation.
     # The row at mu = 0.7 steps on. The row alone and the row inside the
-    # two-row lockstep give the same bits.
+    # two-row lockstep give the same bits. In the lockstep the stopped row
+    # stays parked at its start, and each later evaluation takes it there.
     _, dec = setup_case(126)
     anchor = np.full(dec.dims.shared, 0.2)
     problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.3, 0.7], [anchor] * 2)
     z0 = np.full((2, problem.size), 1.0 / problem.size)
     evaluate = _SurrogateProblem.evaluate
-    calls, lowered = [], []
+    calls, lowered, points = [], [], []
 
     def no_ascent(self, z, tau=0.0):
         f, *rest = evaluate(self, z, tau)
         off = (self.mu == 0.3) & (calls[-1] > 0)
         calls[-1] += 1
         lowered[-1] += np.count_nonzero(off)
+        points[-1].append(z[:1].tobytes())
         return f - off, *rest
 
     monkeypatch.setattr(_SurrogateProblem, "evaluate", no_ascent)
@@ -1268,11 +1297,17 @@ def test_failed_line_search_leaves_the_row_where_it_started(monkeypatch):
     for rows in ([0, 1], [0]):
         calls.append(0)
         lowered.append(0)
+        points.append([])
         z = z0[rows].copy()
         runs.append((z, *power._ascent_stage(problem.take(rows), z, tau, caps[rows], rtol,
                                              gd_rtol)))
     monkeypatch.undo()
-    assert lowered == [60, 60]
+    # 60 trials before the stop, in both runs and at the same points; then,
+    # in the lockstep, one evaluation at the start in each of the other
+    # row's 4 later iterations
+    assert lowered == [64, 60]
+    assert points[0][:61] == points[1]
+    assert points[0][61:] == [z0[:1].tobytes()] * 4
     pair, one = runs
     assert one[0].tobytes() == z0[:1].tobytes()
     assert one[1].tolist() == [1] and pair[1].tolist()[1] > 1
@@ -1287,18 +1322,21 @@ def test_line_search_refuses_a_null_step(monkeypatch):
     # one whose point rounded back to the start (za + t * d == za), which
     # passes through the noise allowance. That null step fails the search:
     # the row stops in its first iteration, at its start, alone and inside
-    # the two-row lockstep alike, with the same bits.
+    # the two-row lockstep alike, with the same bits. In the lockstep the
+    # stopped row stays parked at its start, and each later evaluation takes
+    # it there.
     _, dec = setup_case(126)
     anchor = np.full(dec.dims.shared, 0.2)
     problem = _SurrogateProblem.over_draws([dec], CFG335, [0, 0], [0.3, 0.7], [anchor] * 2)
     z0 = np.full((2, problem.size), 1.0 / problem.size)
     evaluate = _SurrogateProblem.evaluate
-    calls = []
+    calls, points = [], []
 
     def start_only(self, z, tau=0.0):
         f, *rest = evaluate(self, z, tau)
         off = (self.mu == 0.3) & (z != z0[0]).any(axis=-1)
         calls[-1] += np.count_nonzero(self.mu == 0.3)
+        points[-1].append(z[:1].tobytes())
         return f - off, *rest
 
     monkeypatch.setattr(_SurrogateProblem, "evaluate", start_only)
@@ -1306,17 +1344,81 @@ def test_line_search_refuses_a_null_step(monkeypatch):
     runs = []
     for rows in ([0, 1], [0]):
         calls.append(0)
+        points.append([])
         z = z0[rows].copy()
         runs.append((z, *power._ascent_stage(problem.take(rows), z, tau, caps[rows], rtol,
                                              gd_rtol)))
     monkeypatch.undo()
     pair, one = runs
-    assert calls == [56, 56]  # the start, then t = 1 down to 2**-54
+    # the start, then t = 1 down to 2**-54, in both runs and at the same
+    # points; then, in the lockstep, one evaluation at the start in each of
+    # the other row's 4 later iterations
+    assert calls == [60, 56]
+    assert points[0][:56] == points[1]
+    assert points[0][56:] == [z0[:1].tobytes()] * 4
     assert one[0].tobytes() == z0[:1].tobytes()
     assert one[1].tolist() == [1] and pair[1].tolist()[1] > 1
     assert one[2].tobytes() == problem.take([0]).evaluate(z0[:1])[0].tobytes()
     for a, b in zip(pair, one):
         assert a.dtype == b.dtype and a[:1].tobytes() == b.tobytes()
+
+
+def test_stopped_rows_park_until_one_take_drops_them(monkeypatch):
+    # One stage of 40 rows: 36 stop on iteration caps of 1, 2 and 3 steps,
+    # and 4 have 60. Two of those start at their optimum, polish and stop
+    # early, on no cap; the other two run on. A row that stops is recorded
+    # at once and parked in the stage's arrays until _PARK_ROWS of them have
+    # stopped, here in iteration 4; then one take keeps the rows still
+    # running, where a take at every stop would take 4 times. Every row is
+    # its run alone, bit for bit.
+    decs = [setup_case(seed)[1] for seed in (109, 121, 126, 221)]
+    rows = 40
+    draw = np.arange(rows) % len(decs)
+    mus = np.linspace(0.0, 1.0, rows)
+    anchors = np.full((rows, decs[0].dims.shared), 0.2)
+    problem = _SurrogateProblem.over_draws(decs, CFG335, draw, mus, anchors)
+    caps = np.random.default_rng(7).permutation([1] * 12 + [2] * 12 + [3] * 12 + [60] * 4)
+    running = (caps == 60).nonzero()[0]
+    z0 = np.full((rows, problem.size), 1.0 / problem.size)
+    for i in running[:2]:
+        z0[i] = power._maximize(problem.take([i]), np.zeros((1, problem.size)),
+                                SolverSettings())[0][0]
+    assert power._PARK_ROWS == 32
+    tau, rtol, gd_rtol = 0.0, 0.0, 1e-9
+    evaluate, take = _SurrogateProblem.evaluate, _SurrogateProblem.take
+    sizes, takes = [], []
+
+    def evaluated(self, z, tau=0.0):
+        sizes.append(len(z))
+        return evaluate(self, z, tau)
+
+    def taken(self, kept):
+        takes.append(kept.tolist())
+        return take(self, kept)
+
+    monkeypatch.setattr(_SurrogateProblem, "evaluate", evaluated)
+    monkeypatch.setattr(_SurrogateProblem, "take", taken)
+    z = z0.copy()
+    lockstep = (z, *power._ascent_stage(problem, z, tau, caps, rtol, gd_rtol))
+    monkeypatch.undo()
+    used = lockstep[1]
+    capped = caps < 60
+    assert used[capped].tolist() == caps[capped].tolist()
+    # a row at its optimum stops before the take and rides along parked
+    assert min(used[running[:2]]) < 4 < min(used[running[2:]])
+    kept = running[used[running] > 4]
+    assert takes == [kept.tolist()]
+    # every row that stopped was evaluated, parked, in the later iterations
+    # up to the take, and the rows kept that stopped before the last, parked,
+    # up to the stage's end
+    parked = sizes.index(len(kept))
+    assert sizes[:parked] == [40] * parked and parked >= 5
+    assert set(sizes[parked:]) == {len(kept)}
+    for i in range(rows):
+        z = z0[[i]].copy()
+        alone = (z, *power._ascent_stage(problem.take([i]), z, tau, caps[[i]], rtol, gd_rtol))
+        for a, b in zip(lockstep, alone):
+            assert a.dtype == b.dtype and a[i].tobytes() == b.tobytes()
 
 
 def assert_row_of(one, pair):
