@@ -17,7 +17,6 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,65 +49,79 @@ DEFAULT_CONVERGENCE_CONFIGS = ((2, 2, 3), (3, 3, 5), (4, 4, 6))
 DECOMPOSITION_TOL = 1e-9
 UNDERESTIMATOR_TOL = 1e-9
 
+# The largest trials, mu_steps and ccp_max_iters a scenario takes. They size
+# arrays (a channel draw per trial, the weight grid, every solve's
+# per-iteration tables), and a count above this one is refused up front
+# rather than failing, or exhausting memory, once the work has started.
+COUNT_MAX = 10**6
+
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario input."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Everything needed to reproduce one experiment."""
+class Scenario(Record):
+    """Everything needed to reproduce one experiment, validated whenever it
+    is built: every field of its default's type (an integer, Python or
+    numpy, for an int field, any real number for a float field, never a
+    bool), a valid configuration and solver settings, and every count in
+    range. Each failure is a :class:`ScenarioError`."""
 
-    n: int = 5
-    m1: int = 3
-    m2: int = 3
-    d1: float = 250.0
-    d2: float = 50.0
-    pathloss_exponent: float = 2.0
-    pt_dbm: float = 30.0
-    sigma2_dbm: float = -35.0
-    trials: int = 100
-    mu_steps: int = 21
-    seed: int = 0
-    ccp_max_iters: int = 10
-    ccp_tol: float = 1e-4
-    inner_max_iters: int = 10000
+    _defaults = {
+        "n": 5, "m1": 3, "m2": 3, "d1": 250.0, "d2": 50.0, "pathloss_exponent": 2.0,
+        "pt_dbm": 30.0, "sigma2_dbm": -35.0, "trials": 100, "mu_steps": 21, "seed": 0,
+        "ccp_max_iters": 10, "ccp_tol": 1e-4, "inner_max_iters": 10000,
+    }
+    __slots__ = tuple(_defaults)
 
-    def config(self):
+    def __post_init__(self):
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if kind is int else numbers.Real):
+                raise ScenarioError(f"bad value for {key!r}: {value!r}")
+        if self.trials < 1:
+            raise ScenarioError("trials must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         try:
-            return config_from_scenario(
-                n_bs=self.n,
-                m1=self.m1,
-                m2=self.m2,
-                d1=self.d1,
-                d2=self.d2,
-                pt_dbm=self.pt_dbm,
-                sigma2_dbm=self.sigma2_dbm,
-                exponent=self.pathloss_exponent,
-            )
+            self.config()
+            self.solver_settings()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-
-    def solver_settings(self):
-        try:
-            return SolverSettings(
-                ccp_max_iters=self.ccp_max_iters,
-                ccp_tol=self.ccp_tol,
-                inner_max_iters=self.inner_max_iters,
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-
-    def mu_grid(self):
         if self.mu_steps < 2:
             raise ScenarioError("mu_steps must be >= 2")
+        for key in ("trials", "mu_steps", "ccp_max_iters"):
+            if getattr(self, key) > COUNT_MAX:
+                raise ScenarioError(f"{key} must be <= {COUNT_MAX}")
+
+    def config(self):
+        return config_from_scenario(
+            n_bs=self.n,
+            m1=self.m1,
+            m2=self.m2,
+            d1=self.d1,
+            d2=self.d2,
+            pt_dbm=self.pt_dbm,
+            sigma2_dbm=self.sigma2_dbm,
+            exponent=self.pathloss_exponent,
+        )
+
+    def solver_settings(self):
+        return SolverSettings(
+            ccp_max_iters=self.ccp_max_iters,
+            ccp_tol=self.ccp_tol,
+            inner_max_iters=self.inner_max_iters,
+        )
+
+    def mu_grid(self):
         return np.arange(self.mu_steps) / (self.mu_steps - 1)
 
     def tau_grid(self):
         return self.mu_grid()
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+_FIELD_TYPES = {key: type(value) for key, value in Scenario._defaults.items()}
 
 
 def _coerce(key, raw):
@@ -118,19 +131,8 @@ def _coerce(key, raw):
         raise ScenarioError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def _checked(key, value):
-    """``value``, a keyword override of ``key``, once it is of the field's
-    type: an integer (Python or numpy) for an int field, any real number for
-    a float field, never a bool. File and environment text is parsed by
-    :func:`_coerce` instead."""
-    kind = numbers.Integral if _FIELD_TYPES.get(key) is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ScenarioError(f"bad value for {key!r}: {value!r}")
-    return value
-
-
-def parse_scenario(text):
-    """Parse flat ``key = value`` scenario text. Unknown keys are errors."""
+def _parse_values(text):
+    """The ``{key: value}`` of flat ``key = value`` scenario text."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -144,42 +146,41 @@ def parse_scenario(text):
         if key in values:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
-    return Scenario(**values)
+    return values
+
+
+def _env_values(environ):
+    """The ``{key: value}`` of the ``STNOMA_<KEY>`` variables of ``environ``
+    (default: ``os.environ``)."""
+    environ = os.environ if environ is None else environ
+    names = {key: ENV_PREFIX + key.upper() for key in _FIELD_TYPES}
+    return {key: _coerce(key, environ[name]) for key, name in names.items() if name in environ}
+
+
+def parse_scenario(text):
+    """Parse flat ``key = value`` scenario text. Unknown keys are errors."""
+    return Scenario(**_parse_values(text))
 
 
 def apply_env_overrides(scenario, environ=None):
     """Apply ``STNOMA_<KEY>`` environment overrides to a scenario."""
-    environ = os.environ if environ is None else environ
-    overrides = {}
-    for key in _FIELD_TYPES:
-        raw = environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            overrides[key] = _coerce(key, raw)
-    return replace(scenario, **overrides) if overrides else scenario
+    return scenario.replace(**_env_values(environ))
 
 
 def load_scenario(path=None, environ=None, **cli_overrides):
-    """Scenario from file (optional), environment, then CLI flag overrides."""
-    scenario = Scenario()
+    """Scenario from file (optional), environment, then CLI flag overrides,
+    built and so validated once, from all three: bad inputs fail before any
+    work happens."""
+    values = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-        scenario = parse_scenario(text)
-    scenario = apply_env_overrides(scenario, environ)
-    cleaned = {k: _checked(k, v) for k, v in cli_overrides.items() if v is not None}
-    if cleaned:
-        scenario = replace(scenario, **cleaned)
-    # Validate eagerly so bad inputs fail before any work happens.
-    if scenario.trials < 1:
-        raise ScenarioError("trials must be >= 1")
-    if scenario.seed < 0:
-        raise ScenarioError("seed must be >= 0")
-    scenario.config()
-    scenario.solver_settings()
-    scenario.mu_grid()
-    return scenario
+        values = _parse_values(text)
+    values.update(_env_values(environ))
+    values.update((k, v) for k, v in cli_overrides.items() if v is not None)
+    return Scenario(**values)
 
 
 def _fmt(value):
@@ -385,7 +386,7 @@ def run_convergence(scenario, out_dir):
     out_dir = _output_dir(out_dir)
     rows = []
     for index, (m1, m2, n_bs) in enumerate(DEFAULT_CONVERGENCE_CONFIGS):
-        cfg = replace(scenario, n=n_bs, m1=m1, m2=m2).config()
+        cfg = scenario.replace(n=n_bs, m1=m1, m2=m2).config()
         label = f"{m1}x{m2}x{n_bs}"
         rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         try:

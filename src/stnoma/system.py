@@ -4,7 +4,7 @@ The downlink has one base station with ``n_bs`` antennas and two users with
 ``m1`` and ``m2`` antennas. User 1 is the far user (larger path loss). Stream
 ownership splits the symbol vector into shared (NOMA) streams received by
 both users and private streams sent through the other user's channel null
-space. :class:`Record` is the base of the package's plain record classes.
+space. :class:`Record` is the base of every record class of the package.
 """
 
 import math
@@ -34,14 +34,15 @@ def _refuse(self, *args):
 
 
 class Record:
-    """Base of the package's plain record classes: a dataclass costs about a
+    """Base of every record class of the package: a dataclass costs about a
     millisecond to create at import, a class of this kind next to nothing.
 
     A subclass names its fields in ``__slots__``, in positional order, any
     defaults in ``_defaults``, and validates in ``__post_init__``. It gets
-    a dataclass's constructor, ``repr``, value ``==`` and pickling (through
-    the constructor, which validates again). It is frozen and hashed by
-    value, or, declared with ``frozen=False``, mutable and unhashable.
+    a dataclass's constructor, ``repr``, value ``==``, :meth:`astuple` and
+    :meth:`as_dict`, and pickling and :meth:`replace` through the
+    constructor, which validates again. It is frozen and hashed by value,
+    or, declared with ``frozen=False``, mutable and unhashable.
     """
 
     __slots__ = ()
@@ -68,6 +69,13 @@ class Record:
 
     def astuple(self):
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def as_dict(self):
+        return dict(zip(self.__slots__, self.astuple()))
+
+    def replace(self, **changes):
+        """A copy with ``changes`` made, built (so validated) by the constructor."""
+        return type(self)(**{**self.as_dict(), **changes})
 
     def __eq__(self, other):
         if type(other) is not type(self):

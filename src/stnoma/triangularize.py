@@ -11,21 +11,18 @@ null space, which is what produces the zero blocks. Diagonals of ``r1`` and
 ``r2`` are real and nonnegative so rate formulas can use them directly.
 """
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .linalg import joint_null_space  # noqa: F401  bench/tracing.py patches it here
 from .linalg import null_space_basis  # noqa: F401  bench/tracing.py patches it here
 from .linalg import null_space, qr_real_diag
-from .system import StreamDims, derive_dims
+from .system import Record, derive_dims
 
 __all__ = ["StDecomposition", "ResidualReport", "triangularize_draws",
            "simultaneous_triangularize", "verify_decomposition"]
 
 
-@dataclass(frozen=True)
-class StDecomposition:
+class StDecomposition(Record):
     """Precoder, detectors, and triangular factors of one channel pair.
 
     ``r1`` is (m1, shared + private1); ``r2`` is (m2, shared + private2) and
@@ -33,12 +30,7 @@ class StDecomposition:
     block separating them in the full effective channel is implicit).
     """
 
-    x_mat: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    dims: StreamDims
+    __slots__ = ("x_mat", "q1", "q2", "r1", "r2", "dims")
 
     @property
     def diag1(self):
@@ -153,24 +145,12 @@ def simultaneous_triangularize(ch):
     return dec
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Relative residuals of every decomposition invariant."""
 
-    factorization1: float
-    factorization2: float
-    unitarity1: float
-    unitarity2: float
-    triangularity1: float
-    triangularity2: float
-    diag_imag1: float
-    diag_imag2: float
-    diag_negativity1: float
-    diag_negativity2: float
-    column_norm: float
-
-    def as_dict(self):
-        return asdict(self)
+    __slots__ = ("factorization1", "factorization2", "unitarity1", "unitarity2",
+                 "triangularity1", "triangularity2", "diag_imag1", "diag_imag2",
+                 "diag_negativity1", "diag_negativity2", "column_norm")
 
     @property
     def max_residual(self):

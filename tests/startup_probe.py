@@ -9,16 +9,14 @@ and then runs the benchmark's own set-up step (``SETUP_CODE`` of
 ``bench/measure.py``: ``import stnoma`` and ``load_scenario`` with the
 ``region_ref`` scenario) on the package under ``--src`` (default: this
 checkout's ``src``). It prints the median milliseconds of that step after
-numpy, and of the part spent creating dataclasses (timed around
-``dataclasses._process_class``), with the dataclasses created. Pass another
-checkout's ``src`` to compare two commits on the same host. Where bytecode
+numpy. Pass another checkout's ``src`` to compare two commits on the same
+host. Where bytecode
 is not written (``PYTHONDONTWRITEBYTECODE=1``) and ``--src`` holds no fresh
 ``__pycache__``, every start-up also compiles the sources, as the
 benchmark's does. The bench modules are loaded read-only.
 """
 
 import argparse
-import json
 import statistics
 import subprocess
 import sys
@@ -36,40 +34,26 @@ tracing = load("tracing")
 measure = load("measure", checks=checks, tracing=tracing, workloads=workloads)
 
 # Runs before the set-up step: numpy loads untimed, as in the benchmark's
-# baseline probe, and every dataclass creation is timed.
+# baseline probe.
 PRELUDE = """\
-import sys, time
+import time
 import numpy
 start = time.perf_counter()
-import dataclasses
-made, spent = [], [0.0]
-process_class = dataclasses._process_class
-def timed(cls, *args):
-    t = time.perf_counter()
-    try:
-        return process_class(cls, *args)
-    finally:
-        spent[0] += time.perf_counter() - t
-        made.append(f"{cls.__module__}.{cls.__qualname__}")
-dataclasses._process_class = timed
 """
 POSTLUDE = """
-elapsed = time.perf_counter() - start
-import json
-print(json.dumps([1e3 * elapsed, 1e3 * spent[0], made]))
+print(1e3 * (time.perf_counter() - start))
 """
 
 
 def start_up(code, src):
-    """``(ms after numpy, ms creating dataclasses, dataclasses made)`` of one
-    fresh interpreter."""
+    """Milliseconds after numpy of one fresh interpreter."""
     out = subprocess.run(
         [sys.executable, "-c", code, str(src)],
         cwd=Path(src).parent, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     if out[0] != "ready":
         raise RuntimeError(f"set-up interpreter printed {out[0]!r}")
-    return json.loads(out[1])
+    return float(out[1])
 
 
 def main(argv=None):
@@ -82,12 +66,8 @@ def main(argv=None):
     workload = workloads.WORKLOADS["region_ref"]
     setup = measure.SETUP_CODE.format(args=workload.scenario_args(0))
     runs = [start_up(PRELUDE + setup + POSTLUDE, args.src.resolve()) for _ in range(args.runs)]
-    total = statistics.median(ms for ms, _, _ in runs)
-    creating = statistics.median(ms for _, ms, _ in runs)
-    made = runs[0][2]
-    print(f"{args.src}: {args.runs} start-ups, median {total:.1f} ms for import stnoma "
-          f"+ load_scenario after numpy, {creating:.1f} ms of it creating "
-          f"{len(made)} dataclasses: {', '.join(made)}")
+    print(f"{args.src}: {args.runs} start-ups, median {statistics.median(runs):.1f} ms "
+          f"for import stnoma + load_scenario after numpy")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +95,18 @@ def test_load_scenario_invalid_counts():
         load_scenario(None, seed=-1)
 
 
+def test_a_file_valid_only_with_its_overrides_loads(tmp_path):
+    # the file, the environment and the flags are merged before the one
+    # validation, so an override can mend the file
+    path = tmp_path / "sc.txt"
+    path.write_text("m1 = 1\n", encoding="utf-8")
+    with pytest.raises(ScenarioError, match="m1 \\+ m2 = 4 < n_bs = 5"):
+        load_scenario(path, environ={})
+    for sc in (load_scenario(path, environ={"STNOMA_M2": "4"}),
+               load_scenario(path, environ={}, m2=4)):
+        assert (sc.n, sc.m1, sc.m2) == (5, 1, 4)
+
+
 @pytest.mark.parametrize("override", [
     {"trials": True}, {"d1": False}, {"trials": 2.5}, {"seed": 1.5}, {"n": 5.0},
     {"ccp_max_iters": 2.5}, {"inner_max_iters": np.float64(100.0)}, {"trials": "3"},
@@ -166,7 +177,7 @@ def test_region_worker_count_invariant(tmp_path):
 def test_region_worker_count_invariant_through_a_pool(tmp_path, monkeypatch):
     # 4 trials at two workers start a real 2-process pool
     monkeypatch.setattr("stnoma.region._usable_cpus", lambda: 2)
-    scenario = replace(SMALL, trials=4)
+    scenario = SMALL.replace(trials=4)
     a = run_region(scenario, tmp_path / "w1", workers=1)[0]
     b = run_region(scenario, tmp_path / "w2", workers=2)[0]
     assert a.read_bytes() == b.read_bytes()
@@ -181,8 +192,8 @@ def test_import_loads_neither_multiprocessing_nor_argparse():
         "import stnoma\n"
         "from stnoma.cli import load_scenario\n"
         "load_scenario(environ={})\n"
+        "loaded = sorted({'multiprocessing', 'argparse', 'dataclasses'} & set(sys.modules))\n"
         "import dataclasses, json\n"
-        "loaded = sorted({'multiprocessing', 'argparse'} & set(sys.modules))\n"
         "modules = sorted(n for n in sys.modules if n.startswith('stnoma.'))\n"
         "made = sorted(f'{n}.{k}' for n in modules\n"
         "              for k, v in vars(sys.modules[n]).items()\n"
@@ -196,13 +207,12 @@ def test_import_loads_neither_multiprocessing_nor_argparse():
         capture_output=True, text=True, check=True,
     ).stdout
     loaded, modules, made = json.loads(out)
+    # nor dataclasses: every record is a stnoma.system.Record
     assert loaded == []
-    # every module loads; the other records are plain classes (stnoma.system.Record)
     assert modules == [f"stnoma.{name}" for name in (
         "cli", "linalg", "power", "rates", "region", "system", "transceiver",
         "triangularize")]
-    assert made == ["stnoma.cli.Scenario", "stnoma.triangularize.ResidualReport",
-                    "stnoma.triangularize.StDecomposition"]
+    assert made == []
 
 
 def test_region_at_a_150_db_budget(tmp_path):
@@ -275,7 +285,7 @@ def test_region_at_a_vanishing_budget(tmp_path, monkeypatch, pt_dbm):
 
 
 def test_convergence_outputs(tmp_path):
-    (csv_path,) = run_convergence(replace(SMALL, seed=4), tmp_path)
+    (csv_path,) = run_convergence(SMALL.replace(seed=4), tmp_path)
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "config,iteration,weighted_sum_rate"
     rows = [l.split(",") for l in lines[1:]]
@@ -304,7 +314,7 @@ def test_convergence_names_a_non_generic_draw(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "sample_channels", rank_deficient_h1)
     with pytest.raises(ValueError, match=r"^seed 4, config 3x3x5: h1 is non-generic") as info:
-        run_convergence(replace(SMALL, seed=4), tmp_path)
+        run_convergence(SMALL.replace(seed=4), tmp_path)
     assert str(info.value).endswith(str(info.value.__cause__))
 
 
@@ -319,7 +329,7 @@ def test_convergence_names_a_non_finite_decomposition(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "simultaneous_triangularize", nan_factor)
     with pytest.raises(ValueError, match=r"^seed 4, config 4x4x6: decomposition not finite in r2$"):
-        run_convergence(replace(SMALL, seed=4), tmp_path)
+        run_convergence(SMALL.replace(seed=4), tmp_path)
 
 
 @pytest.mark.parametrize("verb, owner, expected", [
@@ -383,7 +393,7 @@ def test_gains_whose_squares_overflow_fail_by_name(tmp_path, capsys):
 
 
 def test_self_check_clean():
-    report = self_check(replace(SMALL, trials=4))
+    report = self_check(SMALL.replace(trials=4))
     assert report.ok
     assert report.trials == 4
 
@@ -392,9 +402,9 @@ def test_self_check_detects_corruption():
     def corrupt(dec):
         x_bad = dec.x_mat.copy()
         x_bad[:, 0] *= 2.0
-        return replace(dec, x_mat=x_bad)
+        return dec.replace(x_mat=x_bad)
 
-    report = self_check(replace(SMALL, trials=2), corrupt=corrupt)
+    report = self_check(SMALL.replace(trials=2), corrupt=corrupt)
     assert not report.ok
     assert any("column_norm" in f for f in report.failures)
 
@@ -407,9 +417,9 @@ def test_self_check_fails_a_non_finite_decomposition(name, value):
     def corrupt(dec):
         bad = getattr(dec, name).copy()
         bad[0, 0] = value
-        return replace(dec, **{name: bad})
+        return dec.replace(**{name: bad})
 
-    report = self_check(replace(SMALL, trials=2), corrupt=corrupt)
+    report = self_check(SMALL.replace(trials=2), corrupt=corrupt)
     assert not report.ok
     assert report.failures[0].startswith("trial 0: decomposition")
     assert name in report.failures[0]
@@ -489,6 +499,38 @@ def test_main_nonfinite_scenario_exit_2(tmp_path, monkeypatch, setting):
     ])
     assert rc == 2
     assert not (out / "region.csv").exists()
+
+
+HUGE = str(2**62)  # numpy refuses an array of it without allocating
+
+
+@pytest.mark.parametrize("verb, flags, env, key", [
+    ("region", ["--mu-steps", HUGE], {}, "mu_steps"),
+    ("region", ["--trials", HUGE], {}, "trials"),
+    ("check", ["--trials", HUGE], {}, "trials"),
+    ("region", [], {"STNOMA_CCP_MAX_ITERS": HUGE}, "ccp_max_iters"),
+    ("convergence", [], {"STNOMA_CCP_MAX_ITERS": HUGE}, "ccp_max_iters"),
+    ("check", [], {"STNOMA_CCP_MAX_ITERS": HUGE}, "ccp_max_iters"),
+    ("check", [], {"STNOMA_MU_STEPS": HUGE}, "mu_steps"),
+])
+def test_main_absurd_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, verb, flags,
+                                                   env, key):
+    # a huge mu_steps built the whole grid to validate it and exited 1 ("array
+    # is too big"), a huge ccp_max_iters failed after sampling and
+    # triangularizing, when the solver padded its tables to it, and check
+    # reported that as a failed invariant
+    def work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in ("ergodic_region", "ccp_allocate", "sample_channels"):
+        monkeypatch.setattr(cli, name, work)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    outs = ["--out", str(out)] if verb != "check" else []
+    assert main([verb, *outs, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be <= {cli.COUNT_MAX}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["check", "convergence"])

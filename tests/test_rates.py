@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -222,7 +220,7 @@ def test_stream_gains_reject_non_finite_factors(name, value):
     bad = getattr(dec, name).copy()
     bad[0, 0] = value
     with pytest.raises(ValueError, match="finite"):
-        StreamGains([replace(dec, **{name: bad})], CFG, 0)
+        StreamGains([dec.replace(**{name: bad})], CFG, 0)
 
 
 @pytest.mark.parametrize("pathloss2, noise_power", [(1e-160, 1.0), (1e-155, 1e10), (2500.0, 1e-160)],

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,11 +81,10 @@ def test_asymmetric_configuration():
 def test_verify_detects_corrupted_precoder():
     ch = make_channels(5, 5, 3, 3)
     dec = simultaneous_triangularize(ch)
-    from dataclasses import replace
-
+    
     x_bad = dec.x_mat.copy()
     x_bad[:, 0] *= 2.0
-    bad = replace(dec, x_mat=x_bad)
+    bad = dec.replace(x_mat=x_bad)
     report = verify_decomposition(bad, ch)
     assert report.column_norm == pytest.approx(1.0, abs=1e-9)
     assert not report.ok(1e-9)
@@ -97,7 +95,7 @@ def test_verify_detects_corrupted_precoder():
 def test_a_nan_residual_fails(name):
     # NaN passed the `v > tol` test, and max() kept or dropped it by order
     ch = make_channels(5, 5, 3, 3)
-    report = replace(verify_decomposition(simultaneous_triangularize(ch), ch), **{name: np.nan})
+    report = verify_decomposition(simultaneous_triangularize(ch), ch).replace(**{name: np.nan})
     assert np.isnan(report.max_residual)
     assert not report.ok(1e-9)
     assert list(report.failures(1e-9)) == [name]
@@ -106,11 +104,10 @@ def test_a_nan_residual_fails(name):
 def test_verify_detects_corrupted_detector():
     ch = make_channels(6, 5, 3, 3)
     dec = simultaneous_triangularize(ch)
-    from dataclasses import replace
-
+    
     q_bad = dec.q1.copy()
     q_bad[0, :] *= 1.5
-    report = verify_decomposition(replace(dec, q1=q_bad), ch)
+    report = verify_decomposition(dec.replace(q1=q_bad), ch)
     assert report.unitarity1 > 1e-3
     assert not report.ok(1e-9)
 
@@ -136,7 +133,7 @@ def _set_below_diagonal(r):
 def test_corrupted_factor_names_only_its_own_user(factor, corrupt, fields):
     ch = make_channels(6, 5, 3, 3)
     dec = simultaneous_triangularize(ch)
-    bad = replace(dec, **{factor: corrupt(getattr(dec, factor))})
+    bad = dec.replace(**{factor: corrupt(getattr(dec, factor))})
     assert set(verify_decomposition(bad, ch).failures(1e-9)) == fields
 
 
@@ -186,7 +183,7 @@ def test_non_finite_factors_are_named_in_order():
     bad_q1, bad_x = dec.q1.copy(), dec.x_mat.copy()
     bad_q1[1, 0] = complex(0.0, np.nan)  # a NaN in the imaginary part alone
     bad_x[0, 2] = np.inf
-    assert replace(dec, q1=bad_q1, x_mat=bad_x).non_finite_factors() == ["x_mat", "q1"]
+    assert dec.replace(q1=bad_q1, x_mat=bad_x).non_finite_factors() == ["x_mat", "q1"]
 
 
 # --- the stacked pass ---------------------------------------------------------
