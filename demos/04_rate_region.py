@@ -20,7 +20,7 @@ def main():
         n_bs=5, m1=3, m2=3, d1=250, d2=50, pt_dbm=30, sigma2_dbm=-35
     )
     grid = np.arange(11) / 10.0
-    out = ergodic_region(cfg, grid, grid, trials=20, seed=0, workers=2)
+    out = ergodic_region(cfg, grid, trials=20, seed=0, workers=2)
 
     print("ergodic NOMA points (weight, R1, R2):")
     for p in out["st_noma"]:

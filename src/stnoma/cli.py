@@ -55,6 +55,12 @@ UNDERESTIMATOR_TOL = 1e-9
 # rather than failing, or exhausting memory, once the work has started.
 COUNT_MAX = 10**6
 
+# The largest n, m1 and m2 a scenario takes. They size every channel draw
+# and its factorizations, whose memory grows with their products (one draw
+# at 1e5 antennas each asks for hundreds of GiB); the paper's arrays have
+# at most 6 antennas, so a count above this one is refused up front too.
+ANTENNA_MAX = 1024
+
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario input."""
@@ -80,6 +86,11 @@ class Scenario(Record):
             if isinstance(value, bool) or not isinstance(
                     value, numbers.Integral if kind is int else numbers.Real):
                 raise ScenarioError(f"bad value for {key!r}: {value!r}")
+        for key, cap in (("n", ANTENNA_MAX), ("m1", ANTENNA_MAX), ("m2", ANTENNA_MAX),
+                         ("trials", COUNT_MAX), ("mu_steps", COUNT_MAX),
+                         ("ccp_max_iters", COUNT_MAX)):
+            if getattr(self, key) > cap:
+                raise ScenarioError(f"{key} must be <= {cap}")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
         if self.seed < 0:
@@ -91,9 +102,6 @@ class Scenario(Record):
             raise ScenarioError(str(exc)) from exc
         if self.mu_steps < 2:
             raise ScenarioError("mu_steps must be >= 2")
-        for key in ("trials", "mu_steps", "ccp_max_iters"):
-            if getattr(self, key) > COUNT_MAX:
-                raise ScenarioError(f"{key} must be <= {COUNT_MAX}")
 
     def config(self):
         return config_from_scenario(
@@ -116,9 +124,6 @@ class Scenario(Record):
 
     def mu_grid(self):
         return np.arange(self.mu_steps) / (self.mu_steps - 1)
-
-    def tau_grid(self):
-        return self.mu_grid()
 
 
 _FIELD_TYPES = {key: type(value) for key, value in Scenario._defaults.items()}
@@ -352,7 +357,6 @@ def run_region(scenario, out_dir, workers=1, overlay_csv=None):
     points = ergodic_region(
         cfg,
         scenario.mu_grid(),
-        scenario.tau_grid(),
         scenario.trials,
         scenario.seed,
         settings=settings,

@@ -132,10 +132,6 @@ class InnerSolveResult(Record):
     __slots__ = ("value", "iterations", "converged", "residual", "grad_norm")
     TYPES = (float, int, bool, float, float)  # of each field, in order
 
-    def at(self, index):
-        """The result of one solve, out of a result of arrays."""
-        return InnerSolveResult(*(t(a[index]) for t, a in zip(self.TYPES, self.astuple())))
-
 
 class CcpState(Record, frozen=False):
     """Trajectory of the outer loop; ``inner_results`` holds one
@@ -364,8 +360,6 @@ class _SurrogateProblem(StreamGains):
 
     def take(self, rows):
         """The surrogate of the rows at the indices ``rows`` (increasing)."""
-        if len(rows) == len(self.mu):
-            return self
         new = copy.copy(self)
         for name in self._ROW_FIELDS:
             setattr(new, name, getattr(self, name).take(rows, axis=0))
@@ -828,7 +822,7 @@ def maximize_surrogate(anchor, dec, cfg, mu, settings=None):
     problem = _SurrogateProblem.over_draws([dec], _per_budget(cfg), [0], [mu], anchor)
     z, result = _maximize(problem, np.zeros((1, problem.size)), settings)
     p1, p2 = problem.dims.unpack(z[0])
-    return PowerAllocation(p1 * budget, p2 * budget), InnerSolveResult(*result).at(0)
+    return PowerAllocation(p1 * budget, p2 * budget), InnerSolveResult(*(a.item() for a in result))
 
 
 def ccp_allocate_draws(decs, cfg, mus, settings=None):

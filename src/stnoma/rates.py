@@ -110,14 +110,6 @@ class RateBreakdown(Record):
 
     __slots__ = ("r1", "r2", "r1_at_user1", "r1_at_user2")
 
-    @property
-    def total1(self):
-        return float(self.r1.sum())
-
-    @property
-    def total2(self):
-        return float(self.r2.sum())
-
 
 def rate_breakdown(alloc, dec, cfg):
     """Full rate picture of one allocation on one decomposition.

@@ -75,7 +75,7 @@ def p2p_capacity(h, pathloss, power_budget, noise_power):
     return max(0.0, float(np.sum(np.log2(level * gains[:active]))))
 
 
-def oma_region(ch, cfg, tau_grid):
+def oma_region(ch, cfg, taus):
     """Orthogonal (TDMA) baseline for one channel pair.
 
     Each user bursts at full power during its slot of duration ``tau`` or
@@ -83,7 +83,7 @@ def oma_region(ch, cfg, tau_grid):
     linearly with the slot split.
     """
     c1, c2 = _corners(ch, cfg)
-    return _oma_line(c1, c2, tau_grid, trials=1)
+    return _oma_line(c1, c2, taus, trials=1)
 
 
 def _corners(ch, cfg):
@@ -92,14 +92,14 @@ def _corners(ch, cfg):
             p2p_capacity(ch.h2, cfg.pathloss2, cfg.power_budget, cfg.noise_power))
 
 
-def _oma_line(c1, c2, tau_grid, trials):
+def _oma_line(c1, c2, taus, trials):
     """Time-sharing points between the corners ``(c1, 0)`` and ``(0, c2)``."""
     return [
         RateRegionPoint(
             r1=tau * c1, r2=(1.0 - tau) * c2, scheme="oma", param=float(tau),
             trials=trials,
         )
-        for tau in tau_grid
+        for tau in taus
     ]
 
 
@@ -142,6 +142,9 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
 
 
 def _trial_point_star(args):
+    """:func:`_trial_point` of one task, looked up by name in the worker: a
+    wrapper installed on it (a tracer's, say) runs there and is never
+    pickled."""
     return _trial_point(*args)
 
 
@@ -185,9 +188,8 @@ def _run_trials(cfg, mu_grid, settings, seed, trials, workers):
 
 def st_noma_region(cfg, mu_grid, trials, seed, settings=None, workers=1):
     """Ergodic NOMA rate-region points, one per weight in ``mu_grid``."""
-    return ergodic_region(
-        cfg, mu_grid, (), trials, seed, settings=settings, workers=workers
-    )["st_noma"]
+    points = ergodic_region(cfg, mu_grid, trials, seed, settings=settings, workers=workers)
+    return points["st_noma"]
 
 
 def _cross(o, a, b):
@@ -244,11 +246,12 @@ def hybrid_region(st_points, corner1, corner2):
     ]
 
 
-def ergodic_region(cfg, mu_grid, tau_grid, trials, seed, settings=None, workers=1):
+def ergodic_region(cfg, mu_grid, trials, seed, settings=None, workers=1):
     """Full region sweep: NOMA points, OMA line, corners, and hybrid frontier.
 
     A single set of channel draws feeds every scheme, so curves are directly
-    comparable. Returns a dict keyed by scheme name; corner points appear
+    comparable, and the OMA line takes the weights of ``mu_grid`` as its
+    slot splits. Returns a dict keyed by scheme name; corner points appear
     under ``p2p_user1`` / ``p2p_user2``.
     """
     if settings is None:
@@ -269,7 +272,7 @@ def ergodic_region(cfg, mu_grid, tau_grid, trials, seed, settings=None, workers=
     ]
     # The ergodic OMA line is linear in the per-channel capacities, so
     # averaging the corners first gives the same curve.
-    oma_points = _oma_line(c1, c2, tau_grid, trials)
+    oma_points = _oma_line(c1, c2, mu_grid, trials)
     corner1 = RateRegionPoint(
         r1=c1, r2=0.0, scheme="p2p_user1", param=None, trials=trials
     )

@@ -112,11 +112,7 @@ class SystemConfig(Record):
     def __post_init__(self):
         if min(self.n_bs, self.m1, self.m2) < 1:
             raise ValueError("antenna counts must be >= 1")
-        if self.m1 + self.m2 < self.n_bs:
-            raise ValueError(
-                f"m1 + m2 = {self.m1 + self.m2} < n_bs = {self.n_bs}: "
-                "the scheme would assign more streams than user antennas"
-            )
+        derive_dims(self.n_bs, self.m1, self.m2)
         # written so that NaN fails every test
         if not (math.inf > self.pathloss1 > self.pathloss2 > 0.0):
             raise ValueError("need finite pathloss1 > pathloss2 > 0 (user 1 is far)")
@@ -133,7 +129,7 @@ class SystemConfig(Record):
 class StreamDims(Record):
     """Derived stream counts and the per-stream ownership map.
 
-    ``total`` is the symbol vector length L = min(m1 + m2, n_bs). The first
+    ``total`` is the symbol vector length L = n_bs. The first
     ``shared`` streams go to both users, the next ``private1`` streams only
     to user 1, the last ``private2`` streams only to user 2. :meth:`pack`
     and :meth:`unpack` map both users' powers to the power solver's order
@@ -220,9 +216,8 @@ class ChannelPair(Record):
 def derive_dims(n_bs, m1, m2):
     """Stream dimensioning for a (n_bs, m1, m2) antenna configuration.
 
-    L = min(m1 + m2, n_bs) streams in total. User k gets
-    max(0, min(m_k, L - m_other)) private streams; the remaining
-    n_bs - private1 - private2 streams are shared.
+    L = n_bs streams in total. User k gets max(0, n_bs - m_other) private
+    streams; the remaining n_bs - private1 - private2 streams are shared.
 
     Raises
     ------
@@ -232,15 +227,12 @@ def derive_dims(n_bs, m1, m2):
     """
     if m1 + m2 < n_bs:
         raise ValueError(
-            f"m1 + m2 = {m1 + m2} < n_bs = {n_bs}: unsupported configuration"
+            f"m1 + m2 = {m1 + m2} < n_bs = {n_bs}: "
+            "the scheme would assign more streams than user antennas"
         )
-    total = min(m1 + m2, n_bs)
-    private1 = max(0, min(m1, total - m2))
-    private2 = max(0, min(m2, total - m1))
-    shared = n_bs - private1 - private2
-    return StreamDims(
-        total=total, shared=shared, private1=private1, private2=private2
-    )
+    private1, private2 = max(0, n_bs - m2), max(0, n_bs - m1)
+    return StreamDims(total=n_bs, shared=n_bs - private1 - private2,
+                      private1=private1, private2=private2)
 
 
 def sample_channels(rng, n_bs, m1, m2):

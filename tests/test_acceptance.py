@@ -288,7 +288,7 @@ def test_criterion_7_region_reproduction():
     )
     mu_grid = np.arange(21) / 20.0
     t0 = time.perf_counter()
-    out = ergodic_region(cfg, mu_grid, mu_grid, trials=100, seed=0, workers=2)
+    out = ergodic_region(cfg, mu_grid, trials=100, seed=0, workers=2)
     elapsed = time.perf_counter() - t0
     st_mid = next(p for p in out["st_noma"] if p.param == 0.5)
     oma_mid = next(p for p in out["oma"] if p.param == 0.5)

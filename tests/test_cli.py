@@ -512,13 +512,18 @@ HUGE = str(2**62)  # numpy refuses an array of it without allocating
     ("convergence", [], {"STNOMA_CCP_MAX_ITERS": HUGE}, "ccp_max_iters"),
     ("check", [], {"STNOMA_CCP_MAX_ITERS": HUGE}, "ccp_max_iters"),
     ("check", [], {"STNOMA_MU_STEPS": HUGE}, "mu_steps"),
+    ("check", ["--trials", "1"], {f"STNOMA_{k}": "100000" for k in ("N", "M1", "M2")}, "n"),
+    ("region", [], {"STNOMA_N": "100000"}, "n"),
+    ("check", [], {"STNOMA_M1": "100000"}, "m1"),
+    ("convergence", [], {"STNOMA_M2": "100000"}, "m2"),
 ])
 def test_main_absurd_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys, verb, flags,
                                                    env, key):
     # a huge mu_steps built the whole grid to validate it and exited 1 ("array
     # is too big"), a huge ccp_max_iters failed after sampling and
     # triangularizing, when the solver padded its tables to it, and check
-    # reported that as a failed invariant
+    # reported that as a failed invariant; an antenna count of 1e5 failed
+    # to allocate the first channel draw (exit 1)
     def work(*args, **kwargs):
         raise AssertionError("the work started")
 
@@ -529,7 +534,8 @@ def test_main_absurd_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys
     out = tmp_path / "out"
     outs = ["--out", str(out)] if verb != "check" else []
     assert main([verb, *outs, *flags]) == 2
-    assert capsys.readouterr().err == f"error: {key} must be <= {cli.COUNT_MAX}\n"
+    cap = cli.ANTENNA_MAX if key in ("n", "m1", "m2") else cli.COUNT_MAX
+    assert capsys.readouterr().err == f"error: {key} must be <= {cap}\n"
     assert not out.exists()
 
 

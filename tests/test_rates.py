@@ -147,10 +147,10 @@ def test_shannon_consistency_interference_free():
 def test_weighted_sum_rate_endpoints():
     _, dec, alloc = setup_case(6)
     br = rate_breakdown(alloc, dec, CFG)
-    assert weighted_sum_rate(alloc, dec, CFG, 1.0) == pytest.approx(br.total1, abs=1e-12)
-    assert weighted_sum_rate(alloc, dec, CFG, 0.0) == pytest.approx(br.total2, abs=1e-12)
+    assert weighted_sum_rate(alloc, dec, CFG, 1.0) == pytest.approx(br.r1.sum(), abs=1e-12)
+    assert weighted_sum_rate(alloc, dec, CFG, 0.0) == pytest.approx(br.r2.sum(), abs=1e-12)
     assert weighted_sum_rate(alloc, dec, CFG, 0.5) == pytest.approx(
-        0.5 * (br.total1 + br.total2), abs=1e-12
+        0.5 * (br.r1.sum() + br.r2.sum()), abs=1e-12
     )
     with pytest.raises(ValueError):
         weighted_sum_rate(alloc, dec, CFG, 1.5)

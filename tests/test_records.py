@@ -206,6 +206,7 @@ def test_pickle_round_trip():
     (lambda: Scenario(mu_steps=1), "mu_steps must be >= 2"),
     (lambda: Scenario(n=5.0), "bad value for 'n': 5.0"),
     (lambda: Scenario(ccp_max_iters=COUNT_MAX + 1), "ccp_max_iters must be <= 1000000"),
+    (lambda: Scenario(n=1025, m1=1025, m2=1025), "n must be <= 1024"),
 ])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_st_noma_beats_oma_at_equal_weights(pt_dbm):
     # above OMA's at tau = 0.5 (17.7 against 12.2 bits at 30 dBm); a solver
     # that stops at its zero start falls below it
     cfg = Scenario(pt_dbm=pt_dbm).config()
-    points = ergodic_region(cfg, [0.5], [0.5], trials=2, seed=0)
+    points = ergodic_region(cfg, [0.5], trials=2, seed=0)
     st, oma = points["st_noma"][0], points["oma"][0]
     assert st.r1 + st.r2 >= oma.r1 + oma.r2
 
@@ -141,8 +142,8 @@ def test_st_noma_beats_oma_by_three_paired_standard_errors(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(region, "_run_trials", recorded)
-    points = ergodic_region(scenario.config(), scenario.mu_grid(), scenario.tau_grid(),
-                            scenario.trials, scenario.seed, settings=scenario.solver_settings())
+    points = ergodic_region(scenario.config(), scenario.mu_grid(), scenario.trials,
+                            scenario.seed, settings=scenario.solver_settings())
     [(pairs, caps)] = runs
     st = 0.5 * pairs[:, list(scenario.mu_grid()).index(0.5)].sum(axis=-1)
     for corner in caps.T:  # OMA at tau = 1 and at tau = 0
@@ -195,6 +196,26 @@ def test_st_region_worker_invariant_through_a_pool(monkeypatch):
     assert sizes == [2]
     for x, y in zip(a, b):
         assert (x.r1, x.r2) == (y.r1, y.r2)
+
+
+def test_a_wrapper_on_the_trial_runs_in_the_pool_workers(tmp_path, monkeypatch):
+    # a worker looks _trial_point up by name, so a wrapper installed on it
+    # runs in the forked workers; a pool handed the wrapper itself would
+    # pickle it, and a closure such as a tracer's cannot be pickled
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only a forked worker inherits the wrapper")
+    trial_point, log = region._trial_point, tmp_path / "pids"
+
+    def wrapped(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return trial_point(*args)
+
+    monkeypatch.setattr(region, "_trial_point", wrapped)
+    monkeypatch.setattr(region, "_usable_cpus", lambda: 2)
+    region._run_trials(CFG, [0.5], SolverSettings(ccp_max_iters=1), 3, 4, 2)
+    pids = log.read_text().split()
+    assert len(pids) == 2 and str(os.getpid()) not in pids
 
 
 class RecordingPool:
@@ -477,7 +498,7 @@ def test_hybrid_contains_inputs_and_corners():
 
 def test_ergodic_region_shapes_and_consistency():
     grid = np.array([0.0, 0.5, 1.0])
-    out = ergodic_region(CFG, grid, grid, trials=2, seed=1, workers=1)
+    out = ergodic_region(CFG, grid, trials=2, seed=1, workers=1)
     assert {p.scheme for pts in out.values() for p in pts} == {
         "st_noma", "oma", "p2p_user1", "p2p_user2", "hybrid"
     }

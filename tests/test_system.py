@@ -38,8 +38,12 @@ def test_derive_dims_clamps_negative_private():
 
 
 def test_derive_dims_rejects_undersized_users():
-    with pytest.raises(ValueError):
+    # one rule, one message: SystemConfig validates through derive_dims
+    message = "m1 \\+ m2 = 4 < n_bs = 5: the scheme would assign more streams than user antennas"
+    with pytest.raises(ValueError, match=message):
         derive_dims(5, 2, 2)
+    with pytest.raises(ValueError, match=message):
+        SystemConfig(5, 2, 2, 4.0, 1.0, 1.0, 1.0)
 
 
 def test_derive_dims_exhaustive_stream_bounds():
