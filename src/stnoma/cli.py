@@ -9,7 +9,8 @@ Verbs:
 Scenario files are flat ``key = value`` text; unknown keys are errors so a
 typo cannot silently change an experiment. Every scenario key can be
 overridden by an environment variable ``STNOMA_<KEY>``; explicit command-line
-flags win over both. Exit codes: 0 success, 1 invariant failure, 2 invalid
+flags win over both. Exit codes: 0 success, 1 invariant failure or a failure
+once the work has started (a refused draw, or memory running out), 2 invalid
 scenario.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from .power import SolverSettings, ccp_allocate, rates_and_underestimators
 from .power import rate_underestimator  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user1  # noqa: F401  bench/tracing.py patches it here
-from .region import RateRegionPoint, ergodic_region
+from .region import RateRegionPoint, ergodic_region, sample_trials
 from .system import Record, config_from_scenario, sample_channels
 from .transceiver import PowerAllocation
 from .triangularize import simultaneous_triangularize, triangularize_draws, verify_decomposition
@@ -154,28 +155,16 @@ def _parse_values(text):
     return values
 
 
-def _env_values(environ):
-    """The ``{key: value}`` of the ``STNOMA_<KEY>`` variables of ``environ``
-    (default: ``os.environ``)."""
-    environ = os.environ if environ is None else environ
-    names = {key: ENV_PREFIX + key.upper() for key in _FIELD_TYPES}
-    return {key: _coerce(key, environ[name]) for key, name in names.items() if name in environ}
-
-
 def parse_scenario(text):
     """Parse flat ``key = value`` scenario text. Unknown keys are errors."""
     return Scenario(**_parse_values(text))
 
 
-def apply_env_overrides(scenario, environ=None):
-    """Apply ``STNOMA_<KEY>`` environment overrides to a scenario."""
-    return scenario.replace(**_env_values(environ))
-
-
 def load_scenario(path=None, environ=None, **cli_overrides):
-    """Scenario from file (optional), environment, then CLI flag overrides,
-    built and so validated once, from all three: bad inputs fail before any
-    work happens."""
+    """Scenario from file (optional), the ``STNOMA_<KEY>`` variables of
+    ``environ`` (default: ``os.environ``), then CLI flag overrides, built
+    and so validated once, from all three: bad inputs fail before any work
+    happens."""
     values = {}
     if path is not None:
         try:
@@ -183,7 +172,10 @@ def load_scenario(path=None, environ=None, **cli_overrides):
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         values = _parse_values(text)
-    values.update(_env_values(environ))
+    environ = os.environ if environ is None else environ
+    names = {key: ENV_PREFIX + key.upper() for key in _FIELD_TYPES}
+    values.update((key, _coerce(key, environ[name])) for key, name in names.items()
+                  if name in environ)
     values.update((k, v) for k, v in cli_overrides.items() if v is not None)
     return Scenario(**values)
 
@@ -395,9 +387,6 @@ def run_convergence(scenario, out_dir):
         rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         try:
             dec = simultaneous_triangularize(sample_channels(rng, n_bs, m1, m2))
-            nonfinite = dec.non_finite_factors()
-            if nonfinite:
-                raise ValueError(f"decomposition not finite in {', '.join(nonfinite)}")
             _, state = ccp_allocate(dec, cfg, mu=0.5, settings=settings)
         except ValueError as exc:
             raise ValueError(f"seed {scenario.seed}, config {label}: {exc}") from exc
@@ -436,24 +425,21 @@ def self_check(scenario, corrupt=None):
     stacked pass decomposes them all; user 1's rates and the underestimators
     are computed over the rows of every trial that decomposed, and each
     trial's allocation is then solved and validated on its own. Failures
-    are listed in trial order. A non-generic draw, which has no
-    decomposition, and a decomposition with a non-finite entry fail by name,
-    and the trial's other checks, which cannot run on them, are skipped. A
-    trial whose stream gains the rate formulas refuse fails by name in its
-    solve; the underestimators of every trial are skipped then. The
-    ``corrupt`` hook, if given, mangles each decomposition before checking
-    and exists for testing the detector itself.
+    are listed in trial order. A refused decomposition (of a non-generic
+    draw, or with a non-finite factor) fails by its reason, and the trial's
+    other checks, which cannot run on it, are skipped. A trial whose stream
+    gains the rate formulas refuse fails by name in its solve; the
+    underestimators of every trial are skipped then. The ``corrupt`` hook,
+    if given, mangles each decomposition before checking and exists for
+    testing the detector itself.
     """
     cfg = scenario.config()
     settings = scenario.solver_settings()
     dims = cfg.dims
+    chs = sample_trials(cfg, scenario.seed, range(scenario.trials))
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 997]))
-    chs, allocs, anchors = [], [], []
-    for trial in range(scenario.trials):
-        trial_rng = np.random.default_rng(
-            np.random.SeedSequence([scenario.seed, trial])
-        )
-        chs.append(sample_channels(trial_rng, cfg.n_bs, cfg.m1, cfg.m2))
+    allocs, anchors = [], []
+    for _ in chs:
         # drawn before any skip, so that later trials keep their draws
         allocs.append(_random_feasible_allocation(rng, dims, cfg.power_budget))
         anchors.append(rng.random(dims.shared) * cfg.power_budget / max(1, dims.shared))
@@ -461,19 +447,12 @@ def self_check(scenario, corrupt=None):
     failures = [[] for _ in chs]  # per trial
     decs = {}  # of the trials that decomposed, in trial order
     for trial, dec in enumerate(triangularize_draws(chs)):
-        if isinstance(dec, ValueError):  # a non-generic draw
-            failures[trial].append(f"trial {trial}: decomposition: {dec}")
-            continue
-        if corrupt is not None:
-            dec = corrupt(dec)
-        nonfinite = dec.non_finite_factors()
-        if nonfinite:
-            # no residual, rate or solve is defined on it
-            failures[trial].append(
-                f"trial {trial}: decomposition not finite in {', '.join(nonfinite)}"
-            )
-            continue
-        decs[trial] = dec
+        try:
+            if isinstance(dec, ValueError):
+                raise dec
+            decs[trial] = dec if corrupt is None else corrupt(dec)
+        except ValueError as exc:  # the refusal of the trial's decomposition
+            failures[trial].append(f"trial {trial}: {exc}")
     if decs:
         try:
             r1, under = rates_and_underestimators(
@@ -555,18 +534,21 @@ def main(argv=None):
             )
         elif args.verb == "convergence":
             paths = run_convergence(scenario, args.out)
+        else:
+            report = self_check(scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # a draw that fails once the work has started
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # a failure once the work has started
+        # numpy's MemoryError names the array it could not allocate
+        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
     if args.verb != "check":
         for p in paths:
             print(p)
         return 0
-    report = self_check(scenario)
     for failure in report.failures:
         print(failure)
     print(

@@ -3,8 +3,8 @@ corners, and the hybrid time-sharing frontier.
 
 All ergodic quantities are Monte Carlo averages over independent channel
 draws. Trial ``t`` of a run with seed ``s`` always uses the generator seeded
-by ``(s, t)``, so results are independent of execution order and worker
-count, and byte-reproducible for a fixed seed.
+by ``(s, t)`` (:func:`sample_trials`), so results are independent of
+execution order and worker count, and byte-reproducible for a fixed seed.
 """
 
 import os
@@ -22,6 +22,7 @@ from .triangularize import triangularize_draws
 
 __all__ = [
     "RateRegionPoint",
+    "sample_trials",
     "p2p_capacity",
     "oma_region",
     "st_noma_region",
@@ -103,6 +104,14 @@ def _oma_line(c1, c2, taus, trials):
     ]
 
 
+def sample_trials(cfg, seed, trials):
+    """The channel pair of each trial of ``trials``, in order: trial ``t``
+    draws from the generator seeded by ``(seed, t)``, the one rule by which
+    ``region`` and ``check`` draw a trial."""
+    return [sample_channels(np.random.default_rng(np.random.SeedSequence([seed, t])),
+                            cfg.n_bs, cfg.m1, cfg.m2) for t in trials]
+
+
 def _trial_point(cfg, mu_grid, settings, seed, trials):
     """Rates of the channel draws of the trials ``trials``, in order:
     per-mu NOMA rate pairs, shape ``(trials, mu, 2)``, and both
@@ -113,18 +122,12 @@ def _trial_point(cfg, mu_grid, settings, seed, trials):
     first such trial, or the trials of a joint step."""
     where = chunk = f"trials {trials[0]}-{trials[-1]}"
     try:
-        chs = []
-        for trial in trials:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-            chs.append(sample_channels(rng, cfg.n_bs, cfg.m1, cfg.m2))
+        chs = sample_trials(cfg, seed, trials)
         decs = triangularize_draws(chs)
         for trial, dec in zip(trials, decs):
             where = f"trial {trial}"
-            if isinstance(dec, ValueError):  # a non-generic draw
+            if isinstance(dec, ValueError):  # the refusal of a draw's decomposition
                 raise dec
-            nonfinite = dec.non_finite_factors()
-            if nonfinite:
-                raise ValueError(f"decomposition not finite in {', '.join(nonfinite)}")
         where = chunk
         record = ccp_allocate_draws(decs, cfg, mu_grid, settings=settings)
         # one array test of every row; validate words the first failure

@@ -27,10 +27,19 @@ class StDecomposition(Record):
 
     ``r1`` is (m1, shared + private1); ``r2`` is (m2, shared + private2) and
     concatenates the shared-stream block and the private2 block (the zero
-    block separating them in the full effective channel is implicit).
+    block separating them in the full effective channel is implicit). A
+    factor with a NaN or infinite entry, on which no residual, rate or
+    solve is defined, is refused by a ``ValueError`` that names every such
+    factor in field order.
     """
 
     __slots__ = ("x_mat", "q1", "q2", "r1", "r2", "dims")
+
+    def __post_init__(self):
+        # every field but dims is an array
+        bad = [name for name in self.__slots__[:5] if not np.isfinite(getattr(self, name)).all()]
+        if bad:
+            raise ValueError(f"decomposition not finite in {', '.join(bad)}")
 
     @property
     def diag1(self):
@@ -41,13 +50,6 @@ class StDecomposition(Record):
     def diag2(self):
         """Per-stream channel gains of user 2 (real, >= 0)."""
         return np.diagonal(self.r2).real
-
-    def non_finite_factors(self):
-        """Names of the factors that hold a NaN or infinite entry."""
-        return [
-            name for name in ("x_mat", "q1", "q2", "r1", "r2")
-            if not np.isfinite(getattr(self, name)).all()
-        ]
 
     def effective1(self):
         """Full L-wide effective channel of user 1: [r1, 0]."""
@@ -85,11 +87,11 @@ def triangularize_draws(chs):
     Returns
     -------
     list
-        One entry per pair, in order: its :class:`StDecomposition`, or, for
-        a non-generic pair (a numerical null-space dimension other than the
-        generic ``max(0, n_bs - m_k)``, which breaks the stream
-        dimensioning), the ``ValueError`` that says so. Each pair's ranks
-        are tested on their own.
+        One entry per pair, in order: its :class:`StDecomposition`, or the
+        ``ValueError`` that refuses it: for a non-generic pair (a numerical
+        null-space dimension other than the generic ``max(0, n_bs - m_k)``,
+        which breaks the stream dimensioning), or for a factor that is not
+        finite. Each pair's ranks are tested on their own.
 
     Raises
     ------
@@ -128,17 +130,21 @@ def triangularize_draws(chs):
     )
     out = []
     for i in range(len(chs)):
-        failed = [text.format(found[i], generic) for found, generic, text in tests
-                  if found[i] != generic]
-        out.append(ValueError(failed[0]) if failed
-                   else StDecomposition(x_mat[i], q1[i], q2[i], r1[i], r2[i], dims))
+        try:
+            for found, generic, text in tests:
+                if found[i] != generic:
+                    raise ValueError(text.format(found[i], generic))
+            out.append(StDecomposition(x_mat[i], q1[i], q2[i], r1[i], r2[i], dims))
+        except ValueError as exc:
+            out.append(exc)
     return out
 
 
 def simultaneous_triangularize(ch):
     """Build the joint triangularization of one channel pair, the one-pair
     case of :func:`triangularize_draws`; a ``ValueError`` if the
-    configuration is unsupported or a channel is non-generic."""
+    configuration is unsupported, a channel is non-generic or a factor is
+    not finite."""
     (dec,) = triangularize_draws([ch])
     if isinstance(dec, ValueError):
         raise dec

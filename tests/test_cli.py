@@ -8,12 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stnoma import cli, region
+from stnoma import cli, region, triangularize
 from stnoma.cli import (
     DEFAULT_CONVERGENCE_CONFIGS,
     Scenario,
     ScenarioError,
-    apply_env_overrides,
     load_scenario,
     main,
     parse_scenario,
@@ -66,7 +65,7 @@ def test_parse_scenario_missing_equals():
 
 
 def test_env_overrides():
-    sc = apply_env_overrides(Scenario(), {"STNOMA_TRIALS": "17", "STNOMA_D1": "300"})
+    sc = load_scenario(environ={"STNOMA_TRIALS": "17", "STNOMA_D1": "300"})
     assert sc.trials == 17 and sc.d1 == 300.0
 
 
@@ -319,15 +318,19 @@ def test_convergence_names_a_non_generic_draw(monkeypatch, tmp_path):
 
 
 def test_convergence_names_a_non_finite_decomposition(monkeypatch, tmp_path):
-    triangularize = cli.simultaneous_triangularize
+    # the NaN enters user 2's triangular factor of the third configuration
+    # as its decomposition is built, which refuses it
+    qr = triangularize.qr_real_diag
+    calls = []
 
-    def nan_factor(ch):
-        dec = triangularize(ch)
-        if ch.h1.shape == (4, 6):
-            dec.r2[0, 0] = np.nan
-        return dec
+    def nan_in_sixth_factor(a):
+        q, r = qr(a)
+        calls.append(a.shape)
+        if len(calls) == 6:  # two QRs per configuration, user 1's first
+            r[0, 0, 0] = np.nan
+        return q, r
 
-    monkeypatch.setattr(cli, "simultaneous_triangularize", nan_factor)
+    monkeypatch.setattr(triangularize, "qr_real_diag", nan_in_sixth_factor)
     with pytest.raises(ValueError, match=r"^seed 4, config 4x4x6: decomposition not finite in r2$"):
         run_convergence(SMALL.replace(seed=4), tmp_path)
 
@@ -441,7 +444,7 @@ def test_self_check_names_a_non_generic_draw_by_its_trial(monkeypatch, capsys):
     assert self_check(SMALL).ok
     clean = calls[:]
     calls.clear()
-    sample = cli.sample_channels
+    sample = region.sample_channels
     drawn = []
 
     def rank_deficient_at_trial_1(rng, n_bs, m1, m2):
@@ -453,17 +456,56 @@ def test_self_check_names_a_non_generic_draw_by_its_trial(monkeypatch, capsys):
             ch = type(ch)(h1, ch.h2)
         return ch
 
-    monkeypatch.setattr(cli, "sample_channels", rank_deficient_at_trial_1)
+    monkeypatch.setattr(region, "sample_channels", rank_deficient_at_trial_1)
     report = self_check(SMALL)
-    assert report.failures == [
-        "trial 1: decomposition: h1 is non-generic: null-space dimension 3 != 2"
-    ]
+    assert report.failures == ["trial 1: h1 is non-generic: null-space dimension 3 != 2"]
     shared = len(clean) // SMALL.trials
     assert shared and len(clean) == SMALL.trials * shared
     assert calls == clean[:shared] + clean[2 * shared :]
     drawn.clear()
     assert main(["check", "--trials", "3", "--seed", "2"]) == 1
-    assert "trial 1: decomposition: h1 is non-generic" in capsys.readouterr().out
+    assert "trial 1: h1 is non-generic" in capsys.readouterr().out
+
+
+def test_region_and_check_draw_the_same_channels(monkeypatch):
+    # both verbs draw trial t from (seed, t) through region.sample_trials,
+    # so the trace point region.sample_channels sees every draw of each
+    drawn = []
+    sample = region.sample_channels
+
+    def logged(rng, n_bs, m1, m2):
+        ch = sample(rng, n_bs, m1, m2)
+        drawn.append(ch.h1.tobytes() + ch.h2.tobytes())
+        return ch
+
+    monkeypatch.setattr(region, "sample_channels", logged)
+    scenario = SMALL.replace(ccp_max_iters=1)
+    region.st_noma_region(scenario.config(), [0.5], scenario.trials, scenario.seed,
+                          settings=scenario.solver_settings())
+    by_region = drawn[:]
+    drawn.clear()
+    self_check(scenario)
+    assert len(by_region) == scenario.trials and drawn == by_region
+
+
+@pytest.mark.parametrize("verb, owner", [("region", region), ("check", cli)])
+def test_main_out_of_memory_exit_1(monkeypatch, tmp_path, capsys, verb, owner):
+    # the stacked pass of a large run (512 antennas each, 100 trials) ran
+    # out of memory: check ended in a traceback, region in one too; both
+    # print one error line and exit 1
+    message = ("Unable to allocate 400. MiB for an array with shape (100, 512, 512) "
+               "and data type complex128")
+
+    def out_of_memory(chs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, "triangularize_draws", out_of_memory)
+    outs = ["--out", str(tmp_path)] if verb == "region" else []
+    assert main([verb, *outs, "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory: {message}\n"
+    assert captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_check_exit_codes(tmp_path, capsys):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from stnoma import region
+from stnoma import region, triangularize
 from stnoma.cli import Scenario, run_region
 from stnoma.power import SolverSettings
 from stnoma.region import (
@@ -358,16 +358,20 @@ def test_failing_joint_solve_names_its_trials(monkeypatch):
 
 
 def test_non_finite_draw_names_its_trial(monkeypatch):
-    # the draw is tested as it is triangularized, not in the chunk's joint
+    # the NaN enters the second draw's r2 in the stacked pass, whose
+    # decomposition refuses it as it is built, not in the chunk's joint
     # solve
-    triangularize = region.triangularize_draws
+    qr = triangularize.qr_real_diag
+    calls = []
 
-    def nan_factor(chs):
-        decs = triangularize(chs)
-        decs[1].r2[0, 0] = np.nan
-        return decs
+    def nan_in_second_r2(a):
+        q, r = qr(a)
+        calls.append(a.shape)
+        if len(calls) == 2:  # user 2's QR, after user 1's
+            r[1, 0, 0] = np.nan
+        return q, r
 
-    monkeypatch.setattr(region, "triangularize_draws", nan_factor)
+    monkeypatch.setattr(triangularize, "qr_real_diag", nan_in_second_r2)
     with pytest.raises(ValueError, match=r"^seed 7, trial 1: decomposition not finite in r2$"):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 

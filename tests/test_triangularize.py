@@ -1,11 +1,15 @@
 
+import pickle
+
 import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from stnoma import triangularize
 from stnoma.linalg import qr_real_diag
 from stnoma.system import ChannelPair, sample_channels
 from stnoma.triangularize import (
+    StDecomposition,
     simultaneous_triangularize,
     triangularize_draws,
     verify_decomposition,
@@ -177,18 +181,45 @@ def test_residuals_across_configurations(cfg):
         assert verify_decomposition(dec, ch).ok(1e-9)
 
 
-def test_non_finite_factors_are_named_in_order():
+FACTORS = ("x_mat", "q1", "q2", "r1", "r2")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", FACTORS)
+def test_each_non_finite_factor_is_refused_where_it_is_built(name, value):
+    # every construction refuses it: the constructor, replace and unpickling
     dec = simultaneous_triangularize(make_channels(2, 5, 3, 3))
-    assert dec.non_finite_factors() == []
+    bad = getattr(dec, name).copy()
+    bad[1, 0] = value
+    message = f"^decomposition not finite in {name}$"
+    with pytest.raises(ValueError, match=message):
+        StDecomposition(**{**dec.as_dict(), name: bad})
+    with pytest.raises(ValueError, match=message):
+        dec.replace(**{name: bad})
+    getattr(dec, name)[1, 0] = value  # in place, after it was built
+    data = pickle.dumps(dec)
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(data)
+
+
+def test_non_finite_factors_are_named_in_order():
+    # in field order, whatever order they are given in
+    dec = simultaneous_triangularize(make_channels(2, 5, 3, 3))
     bad_q1, bad_x = dec.q1.copy(), dec.x_mat.copy()
     bad_q1[1, 0] = complex(0.0, np.nan)  # a NaN in the imaginary part alone
     bad_x[0, 2] = np.inf
-    assert dec.replace(q1=bad_q1, x_mat=bad_x).non_finite_factors() == ["x_mat", "q1"]
+    message = "^decomposition not finite in x_mat, q1$"
+    with pytest.raises(ValueError, match=message):
+        StDecomposition(dims=dec.dims, r2=dec.r2, r1=dec.r1, q2=dec.q2, q1=bad_q1, x_mat=bad_x)
+    with pytest.raises(ValueError, match=message):
+        dec.replace(q1=bad_q1, x_mat=bad_x)
+    dec.q1[...], dec.x_mat[...] = bad_q1, bad_x
+    data = pickle.dumps(dec)
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(data)
 
 
 # --- the stacked pass ---------------------------------------------------------
-
-FACTORS = ("x_mat", "q1", "q2", "r1", "r2")
 
 
 def assert_same_bits(dec, alone):
@@ -232,6 +263,39 @@ def test_non_generic_draw_in_a_stack_keeps_its_message():
     assert str(info.value) == str(decs[2])
     for i in (0, 1, 3, 4):
         assert_same_bits(decs[i], simultaneous_triangularize(chs[i]))
+
+
+def nan_in_first_factor(monkeypatch, pair):
+    """Patch the stacked pass so that its first QR, user 1's, returns a
+    NaN in the triangular factor of pair ``pair``."""
+    qr = triangularize.qr_real_diag
+    calls = []
+
+    def patched(a):
+        q, r = qr(a)
+        calls.append(a.shape)
+        if len(calls) == 1:
+            r[pair, 0, 0] = np.nan
+        return q, r
+
+    monkeypatch.setattr(triangularize, "qr_real_diag", patched)
+
+
+def test_non_finite_factor_in_a_stack_is_refused_in_its_place(monkeypatch):
+    # the NaN enters inside the stacked pass: its pair gets the refusal of
+    # its decomposition in its place, and every other pair keeps its bits
+    rng = np.random.default_rng(13)
+    chs = [sample_channels(rng, 5, 3, 3) for _ in range(5)]
+    clean = triangularize_draws(chs)
+    nan_in_first_factor(monkeypatch, 3)
+    decs = triangularize_draws(chs)
+    assert isinstance(decs[3], ValueError)
+    assert str(decs[3]) == "decomposition not finite in r1"
+    for i in (0, 1, 2, 4):
+        assert_same_bits(decs[i], clean[i])
+    nan_in_first_factor(monkeypatch, 0)
+    with pytest.raises(ValueError, match="^decomposition not finite in r1$"):
+        simultaneous_triangularize(chs[3])
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 6, 6)])
