@@ -26,7 +26,8 @@ from .power import SolverSettings, ccp_allocate, rates_and_underestimators
 from .power import rate_underestimator  # noqa: F401  bench/tracing.py patches it here
 from .rates import rate_user1  # noqa: F401  bench/tracing.py patches it here
 from .region import RateRegionPoint, ergodic_region, sample_trials
-from .system import Record, config_from_scenario, sample_channels
+from .system import Record, config_from_scenario
+from .system import sample_channels  # noqa: F401  bench/tracing.py patches it here
 from .transceiver import PowerAllocation
 from .triangularize import simultaneous_triangularize, triangularize_draws, verify_decomposition
 
@@ -384,9 +385,8 @@ def run_convergence(scenario, out_dir):
     for index, (m1, m2, n_bs) in enumerate(DEFAULT_CONVERGENCE_CONFIGS):
         cfg = scenario.replace(n=n_bs, m1=m1, m2=m2).config()
         label = f"{m1}x{m2}x{n_bs}"
-        rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         try:
-            dec = simultaneous_triangularize(sample_channels(rng, n_bs, m1, m2))
+            dec = simultaneous_triangularize(sample_trials(cfg, scenario.seed, [index])[0])
             _, state = ccp_allocate(dec, cfg, mu=0.5, settings=settings)
         except ValueError as exc:
             raise ValueError(f"seed {scenario.seed}, config {label}: {exc}") from exc
@@ -540,8 +540,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, MemoryError) as exc:  # a failure once the work has started
-        # numpy's MemoryError names the array it could not allocate
-        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        # numpy's MemoryError names the array it could not allocate; one
+        # that Python raises on its own has no message
+        reason = exc if not isinstance(exc, MemoryError) else (
+            f"out of memory: {exc}" if str(exc) else "out of memory")
         print(f"error: {reason}", file=sys.stderr)
         return 1
 

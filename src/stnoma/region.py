@@ -107,7 +107,8 @@ def _oma_line(c1, c2, taus, trials):
 def sample_trials(cfg, seed, trials):
     """The channel pair of each trial of ``trials``, in order: trial ``t``
     draws from the generator seeded by ``(seed, t)``, the one rule by which
-    ``region`` and ``check`` draw a trial."""
+    ``region``, ``check`` and ``convergence`` (whose trial ``t`` is its
+    ``t``-th configuration) draw a channel."""
     return [sample_channels(np.random.default_rng(np.random.SeedSequence([seed, t])),
                             cfg.n_bs, cfg.m1, cfg.m2) for t in trials]
 

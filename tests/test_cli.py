@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stnoma import cli, region, triangularize
+from stnoma import cli, region
 from stnoma.cli import (
     DEFAULT_CONVERGENCE_CONFIGS,
     Scenario,
@@ -301,7 +301,7 @@ def test_convergence_outputs(tmp_path):
 def test_convergence_names_a_non_generic_draw(monkeypatch, tmp_path):
     # a rank-deficient h1 at the second configuration is named by the seed
     # and the configuration, not raised bare
-    sample = cli.sample_channels
+    sample = region.sample_channels
 
     def rank_deficient_h1(rng, n_bs, m1, m2):
         ch = sample(rng, n_bs, m1, m2)
@@ -311,26 +311,17 @@ def test_convergence_names_a_non_generic_draw(monkeypatch, tmp_path):
             ch = type(ch)(h1, ch.h2)
         return ch
 
-    monkeypatch.setattr(cli, "sample_channels", rank_deficient_h1)
+    monkeypatch.setattr(region, "sample_channels", rank_deficient_h1)
     with pytest.raises(ValueError, match=r"^seed 4, config 3x3x5: h1 is non-generic") as info:
         run_convergence(SMALL.replace(seed=4), tmp_path)
     assert str(info.value).endswith(str(info.value.__cause__))
 
 
-def test_convergence_names_a_non_finite_decomposition(monkeypatch, tmp_path):
+def test_convergence_names_a_non_finite_decomposition(nan_in_factor, tmp_path):
     # the NaN enters user 2's triangular factor of the third configuration
-    # as its decomposition is built, which refuses it
-    qr = triangularize.qr_real_diag
-    calls = []
-
-    def nan_in_sixth_factor(a):
-        q, r = qr(a)
-        calls.append(a.shape)
-        if len(calls) == 6:  # two QRs per configuration, user 1's first
-            r[0, 0, 0] = np.nan
-        return q, r
-
-    monkeypatch.setattr(triangularize, "qr_real_diag", nan_in_sixth_factor)
+    # as its decomposition is built, which refuses it; each configuration
+    # is a stacked pass of its own
+    nan_in_factor("r2", 0, stack=3)
     with pytest.raises(ValueError, match=r"^seed 4, config 4x4x6: decomposition not finite in r2$"):
         run_convergence(SMALL.replace(seed=4), tmp_path)
 
@@ -488,14 +479,20 @@ def test_region_and_check_draw_the_same_channels(monkeypatch):
     assert len(by_region) == scenario.trials and drawn == by_region
 
 
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 400. MiB for an array with shape (100, 512, 512) "
+                       "and data type complex128")
+
+
 @pytest.mark.parametrize("verb, owner", [("region", region), ("check", cli)])
-def test_main_out_of_memory_exit_1(monkeypatch, tmp_path, capsys, verb, owner):
+@pytest.mark.parametrize("message, line", [
+    (NUMPY_OUT_OF_MEMORY, f"out of memory: {NUMPY_OUT_OF_MEMORY}"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_main_out_of_memory_exit_1(monkeypatch, tmp_path, capsys, verb, owner, message, line):
     # the stacked pass of a large run (512 antennas each, 100 trials) ran
     # out of memory: check ended in a traceback, region in one too; both
-    # print one error line and exit 1
-    message = ("Unable to allocate 400. MiB for an array with shape (100, 512, 512) "
-               "and data type complex128")
-
+    # print one error line and exit 1. A MemoryError that Python raises on
+    # its own has no message.
     def out_of_memory(chs):
         raise MemoryError(message)
 
@@ -503,7 +500,7 @@ def test_main_out_of_memory_exit_1(monkeypatch, tmp_path, capsys, verb, owner):
     outs = ["--out", str(tmp_path)] if verb == "region" else []
     assert main([verb, *outs, "--trials", "2"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: out of memory: {message}\n"
+    assert captured.err == f"error: {line}\n"
     assert captured.out == ""
     assert not list(tmp_path.glob("*.csv"))
 
@@ -569,8 +566,9 @@ def test_main_absurd_counts_exit_2_before_any_work(tmp_path, monkeypatch, capsys
     def work(*args, **kwargs):
         raise AssertionError("the work started")
 
-    for name in ("ergodic_region", "ccp_allocate", "sample_channels"):
+    for name in ("ergodic_region", "ccp_allocate"):
         monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(region, "sample_channels", work)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from stnoma import region, triangularize
+from stnoma import region
 from stnoma.cli import Scenario, run_region
 from stnoma.power import SolverSettings
 from stnoma.region import (
@@ -357,21 +357,11 @@ def test_failing_joint_solve_names_its_trials(monkeypatch):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 
 
-def test_non_finite_draw_names_its_trial(monkeypatch):
+def test_non_finite_draw_names_its_trial(nan_in_factor):
     # the NaN enters the second draw's r2 in the stacked pass, whose
     # decomposition refuses it as it is built, not in the chunk's joint
     # solve
-    qr = triangularize.qr_real_diag
-    calls = []
-
-    def nan_in_second_r2(a):
-        q, r = qr(a)
-        calls.append(a.shape)
-        if len(calls) == 2:  # user 2's QR, after user 1's
-            r[1, 0, 0] = np.nan
-        return q, r
-
-    monkeypatch.setattr(triangularize, "qr_real_diag", nan_in_second_r2)
+    nan_in_factor("r2", 1)
     with pytest.raises(ValueError, match=r"^seed 7, trial 1: decomposition not finite in r2$"):
         st_noma_region(CFG, [0.5], trials=3, seed=7, workers=1)
 
